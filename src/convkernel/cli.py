@@ -15,13 +15,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from convkernel.config import (
-    ConfigError,
-    EigvecConfig,
-    MnistConfig,
-    SweepConfig,
-    parse_config,
-)
+from convkernel.config import ConfigError, parse_config
 from convkernel.data import IdxFormatError
 from convkernel.experiments import (
     run_depth_sweep,
@@ -32,12 +26,6 @@ from convkernel.experiments import (
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
-
-_EXPECTED_CONFIG = {
-    "sweep": SweepConfig,
-    "eigvec": EigvecConfig,
-    "mnist": MnistConfig,
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -74,8 +62,7 @@ def _run(command: str, config_path: Path) -> int:
         print(f"config OK: {cfg.experiment} experiment, output to {cfg.outdir}")
         return EXIT_OK
 
-    expected = _EXPECTED_CONFIG[command]
-    if not isinstance(cfg, expected):
+    if cfg.experiment != command:
         print(
             f"config error: {config_path} describes a {cfg.experiment} experiment, "
             f"but the {command} subcommand was invoked",

@@ -2,15 +2,17 @@
 
 One `key = value` pair per line, `#` starts a comment, unknown keys are
 rejected.  The required `experiment` key (sweep | eigvec | mnist) selects
-the schema; every other key has a documented default.  Errors name the
+a schema: a table with one row per key, read by one interpreter.  Every
+key other than `images` and `labels` has a default.  Errors name the
 offending line and key.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -94,9 +96,27 @@ def log_spaced_depths(low: int, high: int, count: int) -> tuple[int, ...]:
     return tuple(sorted(set(int(d) for d in grid)))
 
 
-_SWEEP_DEFAULT_DEPTHS = log_spaced_depths(1, 100, 10)
-_EIGVEC_DEFAULT_DEPTHS = (0, 1, 4, 16, 64, 256, 1024)
-_MNIST_DEFAULT_DEPTHS = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
+# Key kinds.  A kind may also be a tuple of allowed strings, or an Enum
+# class whose values are the allowed strings.
+INT, FLOAT, BOOL, PATH, FILE, DEPTHS = "int", "float", "bool", "path", "file", "depths"
+REQUIRED = "required"
+_RANGE_KEYS = ("depth_min", "depth_max", "depth_count")
+
+
+@dataclass(frozen=True)
+class Key:
+    """One schema row: a config key, its kind, its default and its minimum.
+
+    FILE must name an existing file.  DEPTHS reads either the `depths`
+    list or the depth_min/depth_max/depth_count log-spaced range.  field
+    names the config dataclass field when it differs from the key.
+    """
+
+    name: str
+    kind: str | tuple[str, ...] | type[Enum]
+    default: object = None
+    minimum: int | float | None = None
+    field: str | None = None
 
 
 class _Pairs:
@@ -129,8 +149,9 @@ class _Pairs:
             self.entries[key] = (value, line_no)
             self.lines[key] = line_no
 
-    def error(self, key: str, message: str) -> ConfigError:
-        line = self.lines.get(key, 0)
+    def error(self, message: str, *keys: str) -> ConfigError:
+        """Error at the line of the first of keys set in the file, else line 0."""
+        line = next((self.lines[k] for k in keys if k in self.lines), 0)
         return ConfigError(f"{self.path}:{line}: {message}")
 
     def take(self, key: str) -> tuple[str, int] | None:
@@ -145,215 +166,162 @@ class _Pairs:
             )
 
 
-def _take_str(pairs: _Pairs, key: str, default: str) -> str:
-    entry = pairs.take(key)
-    return default if entry is None else entry[0]
-
-
-def _take_parsed(pairs: _Pairs, key: str, default, parse: Callable[[str], object], what: str):
-    entry = pairs.take(key)
+def _take(pairs: _Pairs, key: Key):
+    """The value of one non-DEPTHS key, or its default when the key is absent."""
+    name, kind = key.name, key.kind
+    entry = pairs.take(name)
     if entry is None:
-        return default
-    value, _ = entry
-    try:
-        return parse(value)
-    except (ValueError, TypeError):
-        raise pairs.error(key, f"{key} must be {what}, got {value!r}") from None
-
-
-def _take_int(pairs: _Pairs, key: str, default: int | None, minimum: int | None = None) -> int | None:
-    out = _take_parsed(pairs, key, default, int, "an integer")
-    if out is not None and minimum is not None and out < minimum:
-        raise pairs.error(key, f"{key} must be >= {minimum}, got {out}")
-    return out
-
-
-def _take_float(pairs: _Pairs, key: str, default: float, minimum: float | None = None) -> float:
-    out = _take_parsed(pairs, key, default, float, "a number")
-    if minimum is not None and out < minimum:
-        raise pairs.error(key, f"{key} must be >= {minimum}, got {out}")
-    return out
-
-
-def _take_bool(pairs: _Pairs, key: str, default: bool) -> bool:
-    entry = pairs.take(key)
-    if entry is None:
-        return default
-    value = entry[0].lower()
-    if value not in ("true", "false"):
-        raise pairs.error(key, f"{key} must be true or false, got {entry[0]!r}")
-    return value == "true"
-
-
-def _take_choice(pairs: _Pairs, key: str, default: str, choices: tuple[str, ...]) -> str:
-    entry = pairs.take(key)
-    if entry is None:
-        return default
-    value = entry[0].lower()
-    if value not in choices:
+        if key.default is REQUIRED:
+            raise pairs.error(f"missing required key '{name}'")
+        return key.default
+    text = entry[0]
+    if kind == PATH:
+        return Path(text)
+    if kind == FILE:
+        path = Path(text)
+        if not path.is_file():
+            raise pairs.error(f"{name} references a missing file: {path}", name)
+        return path
+    if kind == BOOL:
+        if text.lower() not in ("true", "false"):
+            raise pairs.error(f"{name} must be true or false, got {text!r}", name)
+        return text.lower() == "true"
+    if kind in (INT, FLOAT):
+        try:
+            value = int(text) if kind == INT else float(text)
+        except ValueError:
+            what = "an integer" if kind == INT else "a number"
+            raise pairs.error(f"{name} must be {what}, got {text!r}", name) from None
+        if not math.isfinite(value):
+            raise pairs.error(f"{name} must be finite, got {text!r}", name)
+        if key.minimum is not None and value < key.minimum:
+            raise pairs.error(f"{name} must be >= {key.minimum}, got {value}", name)
+        return value
+    choices = tuple(m.value for m in kind) if isinstance(kind, type) else kind
+    if text.lower() not in choices:
         raise pairs.error(
-            key, f"unknown {key} {entry[0]!r}; choose from {', '.join(choices)}"
+            f"unknown {name} {text!r}; choose from {', '.join(choices)}", name
         )
-    return value
-
-
-def _take_existing_file(pairs: _Pairs, key: str) -> Path | None:
-    entry = pairs.take(key)
-    if entry is None:
-        return None
-    path = Path(entry[0])
-    if not path.is_file():
-        raise pairs.error(key, f"{key} references a missing file: {path}")
-    return path
+    return kind(text.lower()) if isinstance(kind, type) else text.lower()
 
 
 def _take_depths(pairs: _Pairs, default: tuple[int, ...]) -> tuple[int, ...]:
     explicit = pairs.take("depths")
-    low = _take_int(pairs, "depth_min", None)
-    high = _take_int(pairs, "depth_max", None)
-    count = _take_int(pairs, "depth_count", None)
-    range_given = any(v is not None for v in (low, high, count))
-    if explicit is not None and range_given:
+    bounds = [_take(pairs, Key(name, INT)) for name in _RANGE_KEYS]
+    given = sorted((k for k in _RANGE_KEYS if k in pairs.lines), key=pairs.lines.get)
+    if explicit is not None and given:
         raise pairs.error(
-            "depths", "give either depths or depth_min/depth_max/depth_count, not both"
+            "give either depths or depth_min/depth_max/depth_count, not both", "depths"
         )
     if explicit is not None:
         value, _ = explicit
         try:
             depths = tuple(int(part.strip()) for part in value.split(",") if part.strip())
         except ValueError:
-            raise pairs.error("depths", f"depths must be integers, got {value!r}") from None
+            raise pairs.error(f"depths must be integers, got {value!r}", "depths") from None
         if not depths:
-            raise pairs.error("depths", "depths must be a nonempty list")
+            raise pairs.error("depths must be a nonempty list", "depths")
         if any(d < 0 for d in depths):
-            raise pairs.error("depths", f"depths must be non-negative, got {list(depths)}")
+            raise pairs.error(f"depths must be non-negative, got {list(depths)}", "depths")
         if any(b <= a for a, b in zip(depths, depths[1:])):
             raise pairs.error(
-                "depths", f"depths must be strictly increasing, got {list(depths)}"
+                f"depths must be strictly increasing, got {list(depths)}", "depths"
             )
         return depths
-    if range_given:
-        if low is None or high is None or count is None:
-            raise ConfigError(
-                f"{pairs.path}:0: depth_min, depth_max and depth_count must be given together"
+    if not given:
+        return default
+    if len(given) < len(_RANGE_KEYS):
+        raise pairs.error(
+            "depth_min, depth_max and depth_count must be given together", *given
+        )
+    try:
+        return log_spaced_depths(*bounds)
+    except ValueError as exc:
+        raise pairs.error(str(exc), *given) from None
+
+
+# Cross-key checks.  Each error names the line of the first listed key that
+# the file sets, so it reads line 0 only when every key involved is defaulted.
+def _check_sweep(values: dict, pairs: _Pairs) -> None:
+    for source in ("sigma", "beta"):
+        if values[f"{source}_source"] == "file" and values[f"{source}_file"] is None:
+            raise pairs.error(
+                f"{source}_source = file requires {source}_file", f"{source}_source"
             )
-        try:
-            return log_spaced_depths(low, high, count)
-        except ValueError as exc:
-            raise ConfigError(f"{pairs.path}:0: {exc}") from None
-    return default
-
-
-def _take_geometry(pairs: _Pairs, default_kind: str, default_p: int) -> ConvGeometry:
-    kind = _take_choice(pairs, "geometry", default_kind, ("1d", "2d"))
-    p = _take_int(pairs, "p", default_p, minimum=1)
-    try:
-        return ConvGeometry(GeometryKind(kind), p)
-    except ValueError as exc:
-        raise pairs.error("p", str(exc)) from None
-
-
-def _take_padding(pairs: _Pairs) -> Padding:
-    return Padding(_take_choice(pairs, "padding", "zero", ("zero", "circular")))
-
-
-def _take_architecture(pairs: _Pairs, default: str = "pooling") -> Architecture:
-    return Architecture(
-        _take_choice(pairs, "architecture", default, ("flattening", "pooling"))
-    )
-
-
-def _build_sweep(pairs: _Pairs) -> SweepConfig:
-    geometry = _take_geometry(pairs, "1d", 20)
-    padding = _take_padding(pairs)
-    architecture = _take_architecture(pairs)
-    theta_family = _take_choice(
-        pairs, "theta_family", THETA_FAMILY_CONV,
-        (THETA_FAMILY_CONV, THETA_FAMILY_ALIGNED_SPIKE),
-    )
-    family_center = _take_int(pairs, "family_center", 10, minimum=0)
-    depths = _take_depths(pairs, _SWEEP_DEFAULT_DEPTHS)
-    sigma_source = _take_choice(
-        pairs, "sigma_source", "identity", ("identity", "inverse_theta", "file")
-    )
-    sigma_depth = _take_int(pairs, "sigma_depth", 50, minimum=0)
-    sigma_file = _take_existing_file(pairs, "sigma_file")
-    beta_source = _take_choice(pairs, "beta_source", "synthetic", ("synthetic", "file"))
-    beta_file = _take_existing_file(pairs, "beta_file")
-    noise_var = _take_float(pairs, "noise_var", 0.01, minimum=0.0)
-    n_train = _take_int(pairs, "n", 10, minimum=1)
-    trials_bias = _take_int(pairs, "trials_bias", 500, minimum=1)
-    trials_var = _take_int(pairs, "trials_var", 2000, minimum=1)
-    trials_risk = _take_int(pairs, "trials_risk", 500, minimum=1)
-    risk_test_points = _take_int(pairs, "risk_test_points", 256, minimum=1)
-    seed = _take_int(pairs, "seed", 0)
-    outdir = Path(_take_str(pairs, "outdir", "out"))
-    pairs.reject_unknown("sweep")
-    if sigma_source == "file" and sigma_file is None:
-        raise ConfigError(f"{pairs.path}:0: sigma_source = file requires sigma_file")
-    if beta_source == "file" and beta_file is None:
-        raise ConfigError(f"{pairs.path}:0: beta_source = file requires beta_file")
-    if n_train >= geometry.p:
-        raise ConfigError(
-            f"{pairs.path}:0: need n < p for the over-parameterized regime, "
-            f"got n={n_train}, p={geometry.p}"
+    n, p = values["n_train"], values["geometry"].p
+    if n >= p:
+        raise pairs.error(
+            f"need n < p for the over-parameterized regime, got n={n}, p={p}", "n", "p"
         )
-    return SweepConfig(
-        "sweep", geometry, padding, architecture, theta_family, family_center,
-        depths, sigma_source, sigma_depth, sigma_file, beta_source, beta_file,
-        noise_var, n_train, trials_bias, trials_var, trials_risk,
-        risk_test_points, seed, outdir,
-    )
 
 
-def _build_eigvec(pairs: _Pairs) -> EigvecConfig:
-    p = _take_int(pairs, "p", 784, minimum=1)
-    try:
-        geometry = ConvGeometry(GeometryKind.TWO_D, p)
-    except ValueError as exc:
-        raise pairs.error("p", str(exc)) from None
-    padding = _take_padding(pairs)
-    architecture = _take_architecture(pairs)
-    depths = _take_depths(pairs, _EIGVEC_DEFAULT_DEPTHS)
-    outdir = Path(_take_str(pairs, "outdir", "out"))
-    pairs.reject_unknown("eigvec")
-    return EigvecConfig("eigvec", geometry, padding, architecture, depths, outdir)
-
-
-def _build_mnist(pairs: _Pairs) -> MnistConfig:
-    images = _take_existing_file(pairs, "images")
-    labels = _take_existing_file(pairs, "labels")
-    if images is None:
-        raise ConfigError(f"{pairs.path}:0: missing required key 'images'")
-    if labels is None:
-        raise ConfigError(f"{pairs.path}:0: missing required key 'labels'")
-    digit_pos = _take_int(pairs, "digit_pos", 0, minimum=0)
-    digit_neg = _take_int(pairs, "digit_neg", 1, minimum=0)
-    count_per_class = _take_int(pairs, "count_per_class", 50, minimum=1)
-    n_train = _take_int(pairs, "n", 10, minimum=1)
-    trials = _take_int(pairs, "trials", 20, minimum=1)
-    depths = _take_depths(pairs, _MNIST_DEFAULT_DEPTHS)
-    padding = _take_padding(pairs)
-    architecture = _take_architecture(pairs)
-    shuffle = _take_bool(pairs, "shuffle", False)
-    seed = _take_int(pairs, "seed", 0)
-    outdir = Path(_take_str(pairs, "outdir", "out"))
-    pairs.reject_unknown("mnist")
-    if digit_pos == digit_neg:
-        raise ConfigError(
-            f"{pairs.path}:0: digit_pos and digit_neg must differ, both are {digit_pos}"
+def _check_mnist(values: dict, pairs: _Pairs) -> None:
+    if values["digit_pos"] == values["digit_neg"]:
+        raise pairs.error(
+            f"digit_pos and digit_neg must differ, both are {values['digit_pos']}",
+            "digit_neg", "digit_pos",
         )
-    if n_train > 2 * count_per_class:
-        raise ConfigError(
-            f"{pairs.path}:0: n={n_train} exceeds the {2 * count_per_class} ground-truth points"
+    n, points = values["n_train"], 2 * values["count_per_class"]
+    if n > points:
+        raise pairs.error(
+            f"n={n} exceeds the {points} ground-truth points", "n", "count_per_class"
         )
-    return MnistConfig(
-        "mnist", images, labels, digit_pos, digit_neg, count_per_class,
-        n_train, trials, depths, padding, architecture, shuffle, seed, outdir,
-    )
 
 
-_BUILDERS = {"sweep": _build_sweep, "eigvec": _build_eigvec, "mnist": _build_mnist}
+_PADDING = Key("padding", Padding, Padding.ZERO)
+_ARCHITECTURE = Key("architecture", Architecture, Architecture.POOLING)
+_N_TRAIN = Key("n", INT, 10, 1, field="n_train")
+_SEED = Key("seed", INT, 0)
+_OUTDIR = Key("outdir", PATH, Path("out"))
+
+# Experiment -> (config class, schema rows in parse order, cross-key check).
+SCHEMAS = {
+    "sweep": (SweepConfig, (
+        Key("geometry", GeometryKind, GeometryKind.ONE_D),
+        Key("p", INT, 20, 1),
+        _PADDING,
+        _ARCHITECTURE,
+        Key("theta_family", (THETA_FAMILY_CONV, THETA_FAMILY_ALIGNED_SPIKE),
+            THETA_FAMILY_CONV),
+        Key("family_center", INT, 10, 0),
+        Key("depths", DEPTHS, log_spaced_depths(1, 100, 10)),
+        Key("sigma_source", ("identity", "inverse_theta", "file"), "identity"),
+        Key("sigma_depth", INT, 50, 0),
+        Key("sigma_file", FILE),
+        Key("beta_source", ("synthetic", "file"), "synthetic"),
+        Key("beta_file", FILE),
+        Key("noise_var", FLOAT, 0.01, 0.0),
+        _N_TRAIN,
+        Key("trials_bias", INT, 500, 1),
+        Key("trials_var", INT, 2000, 1),
+        Key("trials_risk", INT, 500, 1),
+        Key("risk_test_points", INT, 256, 1),
+        _SEED,
+        _OUTDIR,
+    ), _check_sweep),
+    "eigvec": (EigvecConfig, (
+        Key("p", INT, 784, 1),
+        _PADDING,
+        _ARCHITECTURE,
+        Key("depths", DEPTHS, (0, 1, 4, 16, 64, 256, 1024)),
+        _OUTDIR,
+    ), None),
+    "mnist": (MnistConfig, (
+        Key("images", FILE, REQUIRED),
+        Key("labels", FILE, REQUIRED),
+        Key("digit_pos", INT, 0, 0),
+        Key("digit_neg", INT, 1, 0),
+        Key("count_per_class", INT, 50, 1),
+        _N_TRAIN,
+        Key("trials", INT, 20, 1),
+        Key("depths", DEPTHS, (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512)),
+        _PADDING,
+        _ARCHITECTURE,
+        Key("shuffle", BOOL, False),
+        _SEED,
+        _OUTDIR,
+    ), _check_mnist),
+}
 
 
 def parse_config(path: str | Path) -> SweepConfig | EigvecConfig | MnistConfig:
@@ -363,10 +331,23 @@ def parse_config(path: str | Path) -> SweepConfig | EigvecConfig | MnistConfig:
     if entry is None:
         raise ConfigError(f"{pairs.path}:0: missing required key 'experiment'")
     experiment, line_no = entry[0].lower(), entry[1]
-    builder = _BUILDERS.get(experiment)
-    if builder is None:
+    if experiment not in SCHEMAS:
         raise ConfigError(
             f"{pairs.path}:{line_no}: unknown experiment {entry[0]!r}; "
-            f"choose from {', '.join(sorted(_BUILDERS))}"
+            f"choose from {', '.join(sorted(SCHEMAS))}"
         )
-    return builder(pairs)
+    config_class, keys, check = SCHEMAS[experiment]
+    values: dict = {"experiment": experiment}
+    for key in keys:
+        value = _take_depths(pairs, key.default) if key.kind == DEPTHS else _take(pairs, key)
+        values[key.field or key.name] = value
+    if "p" in values:  # p and the geometry kind (2-D when not a key) form one field
+        kind = values.pop("geometry", GeometryKind.TWO_D)
+        try:
+            values["geometry"] = ConvGeometry(kind, values.pop("p"))
+        except ValueError as exc:
+            raise pairs.error(str(exc), "p") from None
+    pairs.reject_unknown(experiment)
+    if check is not None:
+        check(values, pairs)
+    return config_class(**values)

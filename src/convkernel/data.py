@@ -1,4 +1,4 @@
-"""Data sources: synthetic Gaussian draws and IDX image ingestion.
+"""Data sources: IDX image ingestion, digit subsets and the min-norm solve.
 
 IDX files are the standard big-endian MNIST container: a 32-bit magic
 (0x00000803 for image tensors, 0x00000801 for label vectors), one 32-bit
@@ -13,8 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from convkernel.fileio import format_float, write_text_atomic
-from convkernel.regression import psd_sqrt
+from convkernel.regression import _apply_pinv
 from convkernel.rng import trial_rng
 
 IMAGES_MAGIC = 0x00000803
@@ -56,26 +55,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.x.shape[0]
-
-
-def gaussian_problem(
-    covariance: np.ndarray,
-    coef: np.ndarray,
-    noise_var: float,
-    n: int,
-    seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One training draw: n rows x ~ N(0, covariance), y = x.coef + noise."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if noise_var < 0:
-        raise ValueError(f"noise_var must be >= 0, got {noise_var}")
-    coef = np.asarray(coef, dtype=float)
-    sqrt_cov = psd_sqrt(covariance)
-    rng = trial_rng(seed, 0)
-    x = rng.standard_normal((n, coef.shape[0])) @ sqrt_cov
-    y = x @ coef + np.sqrt(noise_var) * rng.standard_normal(n)
-    return x, y
 
 
 def _read_idx(path: str | Path, expected_magic: int, what: str) -> tuple[IdxHeader, bytes]:
@@ -162,11 +141,7 @@ def min_norm_solve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise ValueError(f"need rows <= columns, got {x.shape}")
     if m == 0:
         return np.zeros(p)
-    gram = x @ x.T
-    eigenvalues, eigenvectors = np.linalg.eigh(gram)
-    keep = eigenvalues > m * max(float(eigenvalues[-1]), 0.0) * 1e-12
-    basis = eigenvectors[:, keep]
-    dual = basis @ ((basis.T @ y) / eigenvalues[keep]) if np.any(keep) else np.zeros(m)
+    dual, _ = _apply_pinv(x @ x.T, y)
     coef = x.T @ dual
     residual = float(np.linalg.norm(x @ coef - y))
     y_norm = float(np.linalg.norm(y))
@@ -177,27 +152,3 @@ def min_norm_solve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         )
     return coef
 
-
-def save_dataset_csv(dataset: Dataset, path: str | Path) -> None:
-    """Header `label,p0,...` then one row per example, 17 significant digits."""
-    p = dataset.x.shape[1]
-    header = "label," + ",".join(f"p{i}" for i in range(p))
-    lines = [header]
-    for label, row in zip(dataset.y, dataset.x):
-        lines.append(format_float(label) + "," + ",".join(format_float(v) for v in row))
-    write_text_atomic(path, "\n".join(lines) + "\n")
-
-
-def load_dataset_csv(path: str | Path) -> Dataset:
-    with open(path, encoding="utf-8") as handle:
-        header = handle.readline().strip()
-        fields = header.split(",")
-        if fields[0] != "label" or fields[1:] != [f"p{i}" for i in range(len(fields) - 1)]:
-            raise ValueError(f"{path}: unexpected dataset header {header!r}")
-        rows = [line.strip().split(",") for line in handle if line.strip()]
-    values = np.asarray([[float(v) for v in row] for row in rows], dtype=float)
-    if values.size == 0:
-        values = values.reshape(0, len(fields))
-    if values.shape[1] != len(fields):
-        raise ValueError(f"{path}: row width does not match header")
-    return Dataset(values[:, 1:], values[:, 0], f"csv:{path}")

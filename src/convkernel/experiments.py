@@ -9,7 +9,8 @@ determined by the config (including its seed): reruns are byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -83,8 +84,17 @@ def _write_csv(path: Path, header: list[str], rows: list[list[float]]) -> None:
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def _write_meta(path: Path, payload: dict) -> None:
-    write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _json_value(value: Enum | Path) -> str:
+    """Enums by their config spelling, paths as text."""
+    return value.value if isinstance(value, Enum) else str(value)
+
+
+def _meta_json(cfg: SweepConfig | MnistConfig, **derived) -> str:
+    """The resolved config without outdir, plus run-derived fields, as strict JSON."""
+    payload = {k: v for k, v in asdict(cfg).items() if k != "outdir"}
+    payload.update(derived)
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
+                      default=_json_value) + "\n"
 
 
 def _synthetic_coef(p: int, seed: int) -> np.ndarray:
@@ -177,6 +187,7 @@ def run_depth_sweep(cfg: SweepConfig) -> list[DepthSweepRecord]:
             )
         )
 
+    meta = _meta_json(cfg, derived_seeds=seeds, ridge_epsilon=ridge_epsilon)
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         cfg.outdir / "sweep.csv",
@@ -185,28 +196,7 @@ def run_depth_sweep(cfg: SweepConfig) -> list[DepthSweepRecord]:
         [[r.depth, r.bias_mean, r.bias_se, r.var_mean, r.var_se,
           r.risk_mean, r.risk_se, r.misalignment] for r in records],
     )
-    meta = {
-        "experiment": cfg.experiment,
-        "geometry": cfg.geometry.kind.value,
-        "p": cfg.geometry.p,
-        "padding": cfg.padding.value,
-        "architecture": cfg.architecture.value,
-        "theta_family": cfg.theta_family,
-        "family_center": cfg.family_center,
-        "depths": list(cfg.depths),
-        "sigma_source": cfg.sigma_source,
-        "sigma_depth": cfg.sigma_depth,
-        "beta_source": cfg.beta_source,
-        "noise_var": cfg.noise_var,
-        "n": cfg.n_train,
-        "trials": {"bias": cfg.trials_bias, "variance": cfg.trials_var,
-                   "risk": cfg.trials_risk},
-        "risk_test_points": cfg.risk_test_points,
-        "seed": cfg.seed,
-        "derived_seeds": seeds,
-        "ridge_epsilon": ridge_epsilon,
-    }
-    _write_meta(cfg.outdir / "sweep_meta.json", meta)
+    write_text_atomic(cfg.outdir / "sweep_meta.json", meta)
     return records
 
 
@@ -296,29 +286,16 @@ def run_mnist_experiment(cfg: MnistConfig) -> list[MnistDepthRecord]:
         if cfg.trials > 1 else 0.0
     )
 
+    meta = _meta_json(
+        cfg, side=side,
+        baseline_identity_loss_mean=float(baseline_losses.mean()),
+        baseline_identity_loss_se=baseline_se,
+    )
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         cfg.outdir / "mnist.csv",
         ["depth", "loss_mean", "loss_se", "misalignment"],
         [[r.depth, r.loss_mean, r.loss_se, r.misalignment] for r in records],
     )
-    meta = {
-        "experiment": cfg.experiment,
-        "images": str(cfg.images),
-        "labels": str(cfg.labels),
-        "digit_pos": cfg.digit_pos,
-        "digit_neg": cfg.digit_neg,
-        "count_per_class": cfg.count_per_class,
-        "side": side,
-        "n": cfg.n_train,
-        "trials": cfg.trials,
-        "depths": list(cfg.depths),
-        "padding": cfg.padding.value,
-        "architecture": cfg.architecture.value,
-        "shuffle": cfg.shuffle,
-        "seed": cfg.seed,
-        "baseline_identity_loss_mean": float(baseline_losses.mean()),
-        "baseline_identity_loss_se": baseline_se,
-    }
-    _write_meta(cfg.outdir / "mnist_meta.json", meta)
+    write_text_atomic(cfg.outdir / "mnist_meta.json", meta)
     return records

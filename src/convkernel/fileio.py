@@ -35,10 +35,6 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     _write_atomic(path, text.encode())
 
 
-def write_bytes_atomic(path: str | Path, data: bytes) -> None:
-    _write_atomic(path, data)
-
-
 def save_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:
     """Dense comma-separated rows, no header, 17 significant digits."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
@@ -86,4 +82,4 @@ def write_pgm(path: str | Path, image: np.ndarray) -> None:
         raise ValueError(f"image must be 2-D uint8, got {image.dtype} {image.shape}")
     rows, cols = image.shape
     header = f"P5\n{cols} {rows}\n255\n".encode()
-    write_bytes_atomic(path, header + image.tobytes())
+    _write_atomic(path, header + image.tobytes())

@@ -20,7 +20,6 @@ import numpy as np
 SYMMETRY_RTOL = 1e-12
 PSD_RTOL = 1e-10
 UNIT_NORM_ATOL = 1e-12
-CONVERGENCE_TOL = 1e-12
 CONVERGENCE_MAX_ITER = 100_000
 
 
@@ -44,23 +43,18 @@ class ConvGeometry:
     """Spatial layout of the input: a line of p pixels or an s-by-s grid.
 
     For TWO_D, p must be a perfect square and pixels are flattened
-    row-major: grid position (i, j) maps to index i*s + j.  Only filter
-    halfwidth 1 (filter size 3, or 3x3) is supported.
+    row-major: grid position (i, j) maps to index i*s + j.  Filters are
+    3 taps wide (1-D) or 3x3 (2-D).
     """
 
     kind: GeometryKind
     p: int
-    filter_halfwidth: int = 1
 
     def __post_init__(self) -> None:
         if not isinstance(self.kind, GeometryKind):
             raise ValueError(f"unsupported geometry kind: {self.kind!r}")
         if self.p < 1:
             raise ValueError(f"pixel count must be >= 1, got {self.p}")
-        if self.filter_halfwidth != 1:
-            raise ValueError(
-                f"only filter_halfwidth=1 is supported, got {self.filter_halfwidth}"
-            )
         if self.kind is GeometryKind.TWO_D and self.side * self.side != self.p:
             raise ValueError(f"2-D geometry needs a perfect-square pixel count, got {self.p}")
 
@@ -88,8 +82,7 @@ class FeatureTransform:
     """A PSD feature-transform matrix together with how it was produced.
 
     depth is an integer for finite-depth iterates and math.inf for the
-    closed-form limit.  When normalized is true the matrix has unit
-    Frobenius norm.
+    closed-form limit.  The matrix has unit Frobenius norm.
     """
 
     matrix: np.ndarray
@@ -97,7 +90,6 @@ class FeatureTransform:
     padding: Padding
     architecture: Architecture
     depth: int | float
-    normalized: bool = True
 
     def __post_init__(self) -> None:
         matrix = np.asarray(self.matrix, dtype=float)
@@ -105,10 +97,9 @@ class FeatureTransform:
         if matrix.shape != (p, p):
             raise ValueError(f"matrix shape {matrix.shape} does not match geometry p={p}")
         _check_symmetric_psd(matrix, "feature transform")
-        if self.normalized:
-            fro = float(np.linalg.norm(matrix))
-            if abs(fro - 1.0) > UNIT_NORM_ATOL:
-                raise ValueError(f"normalized transform has Frobenius norm {fro!r}")
+        fro = float(np.linalg.norm(matrix))
+        if abs(fro - 1.0) > UNIT_NORM_ATOL:
+            raise ValueError(f"normalized transform has Frobenius norm {fro!r}")
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
 
@@ -255,35 +246,6 @@ def feature_transform(
     return feature_transforms([depth], geometry, padding, architecture)[0]
 
 
-def iterate_to_convergence(
-    geometry: ConvGeometry,
-    padding: Padding,
-    architecture: Architecture,
-    tol: float = CONVERGENCE_TOL,
-    max_iter: int = CONVERGENCE_MAX_ITER,
-) -> tuple[FeatureTransform, int]:
-    """Iterate until successive normalized transforms differ by < tol in Frobenius.
-
-    Returns the effectively-infinite-depth transform and the number of
-    operator applications performed (capped at max_iter).
-    """
-    current = initial_transform(geometry, architecture)
-    for iteration in range(1, max_iter + 1):
-        nxt = apply_conv_operator(current, geometry, padding)
-        nxt /= np.linalg.norm(nxt)
-        delta = float(np.linalg.norm(nxt - current))
-        current = nxt
-        if delta < tol:
-            return (
-                FeatureTransform(current, geometry, padding, architecture, iteration),
-                iteration,
-            )
-    return (
-        FeatureTransform(current, geometry, padding, architecture, max_iter),
-        max_iter,
-    )
-
-
 def sine_profile(dim: int) -> np.ndarray:
     """Entries sin(i*pi/(dim+1)) for i = 1..dim; all strictly positive."""
     if dim < 1:
@@ -366,7 +328,3 @@ def symmetric_spectrum(matrix: np.ndarray) -> SpectralSummary:
     gap = float(eigenvalues[0] - eigenvalues[1]) if eigenvalues.size >= 2 else 0.0
     return SpectralSummary(eigenvalues, leading, gap)
 
-
-def spectral_summary(transform: FeatureTransform) -> SpectralSummary:
-    """Spectrum of a feature transform; see symmetric_spectrum."""
-    return symmetric_spectrum(transform.matrix)

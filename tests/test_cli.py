@@ -40,6 +40,16 @@ class TestValidate:
         assert "config error" in err
         assert "unknown padding" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_number_exits_1_before_any_output(self, tmp_path, capsys, value):
+        outdir = tmp_path / "out"
+        config = write_config(
+            tmp_path, SMALL_SWEEP + f"noise_var = {value}\noutdir = {outdir}\n"
+        )
+        assert main(["sweep", str(config)]) == 1
+        assert ":9: noise_var must be finite" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_missing_config_exits_1(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.cfg")]) == 1
         assert "cannot read" in capsys.readouterr().err

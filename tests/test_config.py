@@ -138,12 +138,25 @@ class TestSweepValidation:
         message = error_of(tmp_path, "experiment = sweep\nnoise_var = -1\n")
         assert "noise_var must be >= 0" in message
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_noise(self, tmp_path, value):
+        message = error_of(tmp_path, f"experiment = sweep\nnoise_var = {value}\n")
+        assert ":2:" in message
+        assert "noise_var must be finite" in message
+
     def test_n_must_stay_under_p(self, tmp_path):
         message = error_of(tmp_path, "experiment = sweep\np = 8\nn = 8\n")
+        assert ":3:" in message
         assert "n < p" in message
+
+    def test_n_under_p_names_p_when_n_defaulted(self, tmp_path):
+        message = error_of(tmp_path, "experiment = sweep\np = 10\n")
+        assert ":2:" in message
+        assert "n=10, p=10" in message
 
     def test_sigma_file_required_when_source_is_file(self, tmp_path):
         message = error_of(tmp_path, "experiment = sweep\nsigma_source = file\n")
+        assert ":2:" in message
         assert "sigma_source = file requires sigma_file" in message
 
     def test_sigma_file_must_exist(self, tmp_path):
@@ -153,7 +166,8 @@ class TestSweepValidation:
         assert "sigma_file references a missing file" in message
 
     def test_beta_file_required_when_source_is_file(self, tmp_path):
-        message = error_of(tmp_path, "experiment = sweep\nbeta_source = file\n")
+        message = error_of(tmp_path, "experiment = sweep\nseed = 1\nbeta_source = file\n")
+        assert ":3:" in message
         assert "beta_source = file requires beta_file" in message
 
     def test_trials_minimum(self, tmp_path):
@@ -186,6 +200,14 @@ class TestDepthGrids:
 
     def test_partial_range(self, tmp_path):
         message = error_of(tmp_path, "experiment = sweep\ndepth_min = 1\n")
+        assert ":2:" in message
+        assert "given together" in message
+
+    def test_partial_range_names_first_line_given(self, tmp_path):
+        message = error_of(
+            tmp_path, "experiment = sweep\ndepth_count = 4\nseed = 2\ndepth_min = 1\n"
+        )
+        assert ":2:" in message
         assert "given together" in message
 
     def test_range_produces_log_grid(self, tmp_path):
@@ -200,6 +222,7 @@ class TestDepthGrids:
             tmp_path,
             "experiment = sweep\ndepth_min = 0\ndepth_max = 8\ndepth_count = 3\n",
         )
+        assert ":2:" in message
         assert "depth_min >= 1" in message
 
 
@@ -269,7 +292,7 @@ class TestMnist:
 
     def test_missing_images_key(self, tmp_path):
         message = error_of(tmp_path, "experiment = mnist\n")
-        assert "missing required key 'images'" in message
+        assert ":0: missing required key 'images'" in message
 
     def test_images_must_exist(self, tmp_path):
         message = error_of(
@@ -281,13 +304,25 @@ class TestMnist:
         message = error_of(
             tmp_path, self.base(idx_paths) + "digit_pos = 3\ndigit_neg = 3\n"
         )
+        assert ":5:" in message
         assert "must differ" in message
+
+    def test_digits_differ_names_digit_pos_when_neg_defaulted(self, tmp_path, idx_paths):
+        message = error_of(tmp_path, self.base(idx_paths) + "digit_pos = 1\n")
+        assert ":4:" in message
+        assert "both are 1" in message
 
     def test_n_bounded_by_ground_truth(self, tmp_path, idx_paths):
         message = error_of(
             tmp_path, self.base(idx_paths) + "count_per_class = 4\nn = 9\n"
         )
+        assert ":5:" in message
         assert "exceeds" in message
+
+    def test_ground_truth_bound_names_count_when_n_defaulted(self, tmp_path, idx_paths):
+        message = error_of(tmp_path, self.base(idx_paths) + "count_per_class = 4\n")
+        assert ":4:" in message
+        assert "n=10 exceeds the 8 ground-truth points" in message
 
     def test_bad_bool(self, tmp_path, idx_paths):
         message = error_of(tmp_path, self.base(idx_paths) + "shuffle = yes\n")

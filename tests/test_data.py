@@ -1,4 +1,4 @@
-"""Data module: Gaussian draws, IDX parsing, digit subsets, min-norm solve."""
+"""Data module: IDX parsing, digit subsets, min-norm solve."""
 
 from __future__ import annotations
 
@@ -12,11 +12,8 @@ from convkernel import (
     Dataset,
     IdxFormatError,
     binary_digit_subset,
-    gaussian_problem,
-    load_dataset_csv,
     load_idx_images,
     min_norm_solve,
-    save_dataset_csv,
 )
 from _digits import make_synthetic_idx, synthetic_digit_arrays, write_idx_pair
 
@@ -29,33 +26,6 @@ class TestDatasetInvariants:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
             Dataset(np.array([[np.nan, 0.0]]), np.zeros(1), "synthetic")
-
-
-class TestGaussianProblem:
-    def test_zero_covariance(self):
-        x, y = gaussian_problem(np.zeros((3, 3)), np.ones(3), 1.0, 5, seed=0)
-        assert_array_equal(x, np.zeros((5, 3)))
-        assert np.std(y) > 0
-
-    def test_noiseless_labels(self):
-        rng = np.random.default_rng(0)
-        coef = rng.standard_normal(4)
-        x, y = gaussian_problem(np.eye(4), coef, 0.0, 6, seed=1)
-        assert_allclose(y, x @ coef, atol=0, rtol=0)
-
-    def test_sample_covariance_matches(self):
-        cov = np.diag([1.0, 4.0])
-        x, _ = gaussian_problem(cov, np.zeros(2), 0.0, 100_000, seed=2)
-        sample = x.T @ x / x.shape[0]
-        assert np.max(np.abs(sample - cov)) <= 0.05 * 4.0
-
-    def test_seed_determinism(self):
-        a = gaussian_problem(np.eye(3), np.ones(3), 0.5, 4, seed=3)
-        b = gaussian_problem(np.eye(3), np.ones(3), 0.5, 4, seed=3)
-        c = gaussian_problem(np.eye(3), np.ones(3), 0.5, 4, seed=4)
-        assert_array_equal(a[0], b[0])
-        assert_array_equal(a[1], b[1])
-        assert not np.array_equal(a[0], c[0])
 
 
 class TestIdxParsing:
@@ -185,25 +155,3 @@ class TestMinNormSolve:
         with pytest.raises(ValueError, match="rows <= columns"):
             min_norm_solve(np.ones((3, 2)), np.ones(3))
 
-
-class TestDatasetCsv:
-    def test_round_trip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(12)
-        ds = Dataset(rng.standard_normal((6, 4)), rng.standard_normal(6), "synthetic")
-        path = tmp_path / "ds.csv"
-        save_dataset_csv(ds, path)
-        loaded = load_dataset_csv(path)
-        assert_array_equal(loaded.x, ds.x)
-        assert_array_equal(loaded.y, ds.y)
-
-    def test_header_format(self, tmp_path):
-        ds = Dataset(np.zeros((1, 3)), np.zeros(1), "synthetic")
-        path = tmp_path / "ds.csv"
-        save_dataset_csv(ds, path)
-        assert path.read_text().splitlines()[0] == "label,p0,p1,p2"
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "ds.csv"
-        path.write_text("label,q0\n1,2\n")
-        with pytest.raises(ValueError, match="header"):
-            load_dataset_csv(path)

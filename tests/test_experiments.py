@@ -1,5 +1,7 @@
 """Experiment runners: sweep records, gallery images, digit regression."""
 
+import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ from numpy.testing import assert_allclose
 from _digits import make_synthetic_idx
 from convkernel.config import EigvecConfig, parse_config
 from convkernel.experiments import (
+    _meta_json,
     participation_ratio,
     run_depth_sweep,
     run_eigvec_gallery,
@@ -127,6 +130,24 @@ class TestDepthSweep:
         meta = (tmp_path / "out" / "sweep_meta.json").read_text()
         assert '"ridge_epsilon"' in meta
         assert "time" not in meta.lower()
+
+    def test_meta_is_resolved_config_plus_derived_fields(self, tmp_path):
+        cfg = sweep_config(
+            tmp_path, f"p = 10\nn = 5\ndepths = 3\n{FAST_TRIALS}outdir = {tmp_path}\n"
+        )
+        run_depth_sweep(cfg)
+        meta = json.loads((tmp_path / "sweep_meta.json").read_text())
+        config_keys = {f.name for f in fields(cfg)} - {"outdir"}
+        assert set(meta) == config_keys | {"derived_seeds", "ridge_epsilon"}
+        assert meta["geometry"] == {"kind": "1d", "p": 10}
+        assert (meta["padding"], meta["n_train"], meta["depths"]) == ("zero", 5, [3])
+        assert (meta["trials_bias"], meta["risk_test_points"]) == (25, 32)
+        assert meta["sigma_file"] is None
+
+    def test_meta_rejects_non_finite_values(self, tmp_path):
+        cfg = sweep_config(tmp_path, "")
+        with pytest.raises(ValueError, match="JSON compliant"):
+            _meta_json(cfg, ridge_epsilon=float("nan"))
 
     def test_matrix_and_vector_files(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -294,6 +315,10 @@ class TestMnistExperiment:
         meta = (tmp_path / "out" / "mnist_meta.json").read_text()
         assert '"baseline_identity_loss_mean"' in meta
         assert '"side": 28' in meta
+        meta = json.loads(meta)
+        derived = {"side", "baseline_identity_loss_mean", "baseline_identity_loss_se"}
+        assert set(meta) == {f.name for f in fields(cfg)} - {"outdir"} | derived
+        assert (meta["images"], meta["n_train"], meta["shuffle"]) == (str(cfg.images), 8, False)
 
     def test_pooled_ink_carries_no_signal_at_depth_zero(self, tmp_path, idx_paths):
         cfg = self.mnist_cfg(

@@ -45,7 +45,7 @@ class TestLimitValues:
         expected = np.diag([1.0 / np.sqrt(2.0), 1.0, 1.0 / np.sqrt(2.0)]) / np.sqrt(2.0)
         assert_allclose(ft.matrix, expected, atol=1e-15, rtol=0)
         assert ft.depth == np.inf
-        assert ft.normalized
+        assert np.linalg.norm(ft.matrix) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_d_side2_uniform_diagonal(self):
         ft = limiting_transform(geom_2d(2), Padding.ZERO, Architecture.FLATTENING)

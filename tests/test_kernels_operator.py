@@ -199,10 +199,6 @@ class TestGeometryValidation:
         with pytest.raises(ValueError, match=">= 1"):
             ConvGeometry(GeometryKind.ONE_D, 0)
 
-    def test_filter_halfwidth_fixed(self):
-        with pytest.raises(ValueError, match="halfwidth"):
-            ConvGeometry(GeometryKind.ONE_D, 5, filter_halfwidth=2)
-
     def test_kind_must_be_enum(self):
         with pytest.raises(ValueError, match="kind"):
             ConvGeometry("1d", 5)

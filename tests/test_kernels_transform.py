@@ -15,8 +15,6 @@ from convkernel import (
     feature_transform,
     feature_transforms,
     initial_transform,
-    iterate_to_convergence,
-    limiting_transform,
 )
 
 ARCHS = (Architecture.FLATTENING, Architecture.POOLING)
@@ -70,7 +68,6 @@ class TestRecursionPlumbing:
             assert abs(fro - 1.0) <= 1e-12
             assert_array_equal(ft.matrix, ft.matrix.T)
             assert np.linalg.eigvalsh(ft.matrix)[0] >= -1e-10
-            assert ft.normalized
 
     def test_depth_list_validation(self):
         geometry = geom_1d(4)
@@ -80,31 +77,6 @@ class TestRecursionPlumbing:
             feature_transforms([1, 2, 2], geometry, Padding.ZERO, Architecture.POOLING)
         with pytest.raises(ValueError, match="non-negative"):
             feature_transforms([-1, 2], geometry, Padding.ZERO, Architecture.POOLING)
-
-
-class TestConvergenceDetector:
-    def test_zero_padding_reaches_limit(self):
-        geometry = geom_1d(5)
-        ft, iterations = iterate_to_convergence(
-            geometry, Padding.ZERO, Architecture.FLATTENING
-        )
-        assert iterations < 100_000
-        limit = limiting_transform(geometry, Padding.ZERO, Architecture.FLATTENING)
-        assert np.linalg.norm(ft.matrix - limit.matrix) < 1e-9
-
-    def test_circular_stops_immediately(self):
-        ft, iterations = iterate_to_convergence(
-            geom_1d(6), Padding.CIRCULAR, Architecture.POOLING
-        )
-        assert iterations == 1
-        assert_allclose(ft.matrix, np.ones((6, 6)) / 6.0, atol=1e-15, rtol=0)
-
-    def test_cap_is_respected(self):
-        ft, iterations = iterate_to_convergence(
-            geom_1d(10), Padding.ZERO, Architecture.POOLING, tol=0.0, max_iter=25
-        )
-        assert iterations == 25
-        assert ft.depth == 25
 
 
 class TestFeatureTransformValidation:
@@ -128,13 +100,6 @@ class TestFeatureTransformValidation:
     def test_rejects_unnormalized_when_flagged(self):
         with pytest.raises(ValueError, match="norm"):
             FeatureTransform(np.eye(4), geom_1d(4), Padding.ZERO, Architecture.POOLING, 0)
-
-    def test_accepts_unnormalized_when_not_flagged(self):
-        ft = FeatureTransform(
-            2.0 * np.eye(4), geom_1d(4), Padding.ZERO, Architecture.POOLING, 0,
-            normalized=False,
-        )
-        assert not ft.normalized
 
     def test_matrix_is_read_only(self):
         ft = feature_transform(2, geom_1d(4), Padding.ZERO, Architecture.POOLING)

@@ -11,10 +11,7 @@ from convkernel import (
     GeometryKind,
     Padding,
     apply_conv_operator,
-    spectral_summary,
     symmetric_spectrum,
-    feature_transform,
-    Architecture,
     toeplitz_spectrum,
     tridiagonal_ones,
 )
@@ -85,13 +82,6 @@ class TestSymmetricSpectrum:
         with pytest.raises(ValueError, match="symmetric"):
             symmetric_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_wraps_feature_transform(self):
-        ft = feature_transform(
-            3, ConvGeometry(GeometryKind.ONE_D, 6), Padding.ZERO, Architecture.POOLING
-        )
-        summary = spectral_summary(ft)
-        assert summary.eigenvalues.shape == (6,)
-        assert summary.eigenvalues[0] > 0
 
 
 class TestOperatorDiagonalRestriction:
