@@ -244,9 +244,15 @@ def _take_depths(pairs: _Pairs, default: tuple[int, ...]) -> tuple[int, ...]:
 # the file sets, so it reads line 0 only when every key involved is defaulted.
 def _check_sweep(values: dict, pairs: _Pairs) -> None:
     for source in ("sigma", "beta"):
-        if values[f"{source}_source"] == "file" and values[f"{source}_file"] is None:
+        chosen, path = values[f"{source}_source"], values[f"{source}_file"]
+        if chosen == "file" and path is None:
             raise pairs.error(
                 f"{source}_source = file requires {source}_file", f"{source}_source"
+            )
+        if chosen != "file" and path is not None:
+            raise pairs.error(
+                f"{source}_file is set but {source}_source is {chosen}, not file",
+                f"{source}_file",
             )
     n, p = values["n_train"], values["geometry"].p
     if n >= p:

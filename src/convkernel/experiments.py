@@ -38,6 +38,7 @@ from convkernel.kernels import (
 )
 from convkernel.regression import (
     RegressionProblem,
+    _estimate,
     bias_mc,
     excess_risk_mc,
     fit_ridgeless,
@@ -273,23 +274,15 @@ def run_mnist_experiment(cfg: MnistConfig) -> list[MnistDepthRecord]:
 
     records = []
     for ft in transforms:
-        losses = mean_losses(np.asarray(ft.matrix))
-        se = float(np.std(losses, ddof=1) / np.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
-        records.append(
-            MnistDepthRecord(ft.depth, float(losses.mean()), se,
-                             misalignment(ft.matrix, coef))
-        )
+        loss = _estimate(mean_losses(np.asarray(ft.matrix)), cfg.trials, subsample_seed)
+        records.append(MnistDepthRecord(ft.depth, loss.mean, loss.std_error,
+                                        misalignment(ft.matrix, coef)))
 
-    baseline_losses = mean_losses(np.eye(p))
-    baseline_se = (
-        float(np.std(baseline_losses, ddof=1) / np.sqrt(cfg.trials))
-        if cfg.trials > 1 else 0.0
-    )
-
+    baseline = _estimate(mean_losses(np.eye(p)), cfg.trials, subsample_seed)
     meta = _meta_json(
         cfg, side=side,
-        baseline_identity_loss_mean=float(baseline_losses.mean()),
-        baseline_identity_loss_se=baseline_se,
+        baseline_identity_loss_mean=baseline.mean,
+        baseline_identity_loss_se=baseline.std_error,
     )
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(

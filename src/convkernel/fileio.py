@@ -43,12 +43,15 @@ def save_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:
 
 
 def load_matrix_csv(path: str | Path) -> np.ndarray:
+    """Dense comma-separated rows of finite numbers; blank lines are skipped."""
     rows = []
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
+        for line_no, line in enumerate(handle, start=1):
             line = line.strip()
             if line:
                 rows.append([float(v) for v in line.split(",")])
+                if not np.all(np.isfinite(rows[-1])):
+                    raise ValueError(f"{path}: row on line {line_no} is not finite")
     if not rows:
         raise ValueError(f"{path}: empty matrix file")
     widths = {len(r) for r in rows}

@@ -85,20 +85,19 @@ class PredictorFit:
         return float(out) if x.ndim == 1 else out
 
 
-def _pinv_cutoff(eigenvalues: np.ndarray, dim: int) -> float:
-    return dim * float(np.max(eigenvalues, initial=0.0)) * PINV_RTOL
-
-
 def _apply_pinv(kernel: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
-    """Pseudo-inverse solve of a symmetric PSD kernel; returns (solution, rank kept)."""
+    """Pseudo-inverse solve of a symmetric PSD kernel for a vector or a matrix
+    rhs; eigenvalues up to dim * max * PINV_RTOL are dropped.  Returns
+    (solution, rank kept)."""
     kernel = (kernel + kernel.T) / 2.0
     eigenvalues, eigenvectors = np.linalg.eigh(kernel)
-    cutoff = _pinv_cutoff(eigenvalues, kernel.shape[0])
+    cutoff = kernel.shape[0] * float(np.max(eigenvalues, initial=0.0)) * PINV_RTOL
     keep = eigenvalues > max(cutoff, 0.0)
     if not np.any(keep):
         return np.zeros_like(rhs, dtype=float), 0
     basis = eigenvectors[:, keep]
-    solution = basis @ ((basis.T @ rhs) / eigenvalues[keep])
+    kept = eigenvalues[keep].reshape((-1,) + (1,) * (np.ndim(rhs) - 1))
+    solution = basis @ ((basis.T @ rhs) / kept)
     return solution, int(np.count_nonzero(keep))
 
 
@@ -114,7 +113,11 @@ def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
 def fit_ridgeless(
     transform: np.ndarray, x_train: np.ndarray, y_train: np.ndarray
 ) -> PredictorFit:
-    """Minimum-complexity interpolant under the given PSD feature transform."""
+    """Minimum-complexity interpolant under the given feature transform.
+
+    The transform must be symmetric PSD; callers check that once, where it
+    enters (FeatureTransform, the Monte Carlo estimators), not per fit.
+    """
     transform = np.asarray(transform, dtype=float)
     x_train = np.asarray(x_train, dtype=float)
     y_train = np.asarray(y_train, dtype=float)
@@ -129,7 +132,6 @@ def fit_ridgeless(
         raise ValueError(
             f"y_train shape {y_train.shape} does not match row count {n}"
         )
-    _check_symmetric_psd(transform, "transform")
     kernel = x_train @ transform @ x_train.T
     dual_weights, effective_rank = _apply_pinv(kernel, y_train)
     return PredictorFit(transform, x_train, y_train, dual_weights, effective_rank)
@@ -196,8 +198,8 @@ def variance_mc(
     """Label-noise contribution to the excess risk, averaged over designs.
 
     Per trial draws a standard normal design Z and evaluates
-    noise_var * trace((Z S Z^T)^+^2  Z S^2 Z^T) with S the covariance-
-    conjugated transform sqrt(cov) T sqrt(cov).
+    noise_var * trace((Z S Z^T)^+^2  Z S^2 Z^T) = noise_var * ||(Z S Z^T)^+ Z S||_F^2
+    with S the covariance-conjugated transform sqrt(cov) T sqrt(cov).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -208,24 +210,13 @@ def variance_mc(
     sqrt_cov = psd_sqrt(problem.covariance)
     conjugated = sqrt_cov @ transform @ sqrt_cov
     conjugated = (conjugated + conjugated.T) / 2.0
-    conjugated_sq = conjugated @ conjugated
     values = np.empty(trials)
     for trial in range(trials):
         rng = trial_rng(seed, trial)
         z = rng.standard_normal((problem.n_train, problem.p))
-        gram = z @ conjugated @ z.T
-        gram = (gram + gram.T) / 2.0
-        eigenvalues, eigenvectors = np.linalg.eigh(gram)
-        cutoff = _pinv_cutoff(eigenvalues, problem.n_train)
-        keep = eigenvalues > max(cutoff, 0.0)
-        if not np.any(keep):
-            values[trial] = 0.0
-            continue
-        basis = eigenvectors[:, keep]
-        rotated = basis.T @ (z @ conjugated_sq @ z.T) @ basis
-        values[trial] = problem.noise_var * float(
-            np.sum(np.diagonal(rotated) / eigenvalues[keep] ** 2)
-        )
+        zs = z @ conjugated
+        solution, _ = _apply_pinv(zs @ z.T, zs)
+        values[trial] = problem.noise_var * float(np.sum(solution**2))
     return _estimate(values, trials, seed)
 
 
@@ -246,6 +237,7 @@ def excess_risk_mc(
     if test_points < 1:
         raise ValueError(f"test_points must be >= 1, got {test_points}")
     transform = np.asarray(transform, dtype=float)
+    _check_symmetric_psd(transform, "transform")
     sqrt_cov = psd_sqrt(problem.covariance)
     noise_scale = np.sqrt(problem.noise_var)
     values = np.empty(trials)

@@ -50,6 +50,14 @@ class TestValidate:
         assert ":9: noise_var must be finite" in capsys.readouterr().err
         assert not outdir.exists()
 
+    def test_orphan_file_key_exits_1(self, tmp_path, capsys):
+        beta = write_config(tmp_path, "1,2\n", name="beta.csv")
+        config = write_config(tmp_path, SMALL_SWEEP + f"beta_file = {beta}\n")
+        assert main(["validate", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert ":9: beta_file is set but beta_source is synthetic" in captured.err
+        assert "config OK" not in captured.out
+
     def test_missing_config_exits_1(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.cfg")]) == 1
         assert "cannot read" in capsys.readouterr().err

@@ -170,6 +170,15 @@ class TestSweepValidation:
         assert ":3:" in message
         assert "beta_source = file requires beta_file" in message
 
+    @pytest.mark.parametrize("source", ["sigma", "beta"])
+    def test_file_rejected_unless_source_is_file(self, tmp_path, source):
+        (tmp_path / "m.csv").write_text("1\n")
+        message = error_of(
+            tmp_path, f"experiment = sweep\nseed = 1\n{source}_file = {tmp_path / 'm.csv'}\n"
+        )
+        assert ":3:" in message
+        assert f"{source}_file is set but {source}_source is" in message
+
     def test_trials_minimum(self, tmp_path):
         message = error_of(tmp_path, "experiment = sweep\ntrials_var = 0\n")
         assert "trials_var must be >= 1" in message

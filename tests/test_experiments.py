@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import convkernel.kernels
+import convkernel.regression
 from _digits import make_synthetic_idx
+from convkernel.cli import main
 from convkernel.config import EigvecConfig, parse_config
 from convkernel.experiments import (
     _meta_json,
@@ -196,6 +199,23 @@ class TestDepthSweep:
         with pytest.raises(ValueError, match="expected \\(6, 6\\)"):
             run_depth_sweep(cfg)
 
+    @pytest.mark.parametrize("source", ["sigma", "beta"])
+    def test_non_finite_file_exits_2_and_writes_nothing(self, tmp_path, capsys, source):
+        matrix = np.eye(6) if source == "sigma" else np.ones((1, 6))
+        matrix[0, -1] = np.nan
+        save_matrix_csv(matrix, tmp_path / "in.csv")
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        config = tmp_path / "sweep.cfg"
+        config.write_text(
+            f"experiment = sweep\n{source}_source = file\n"
+            f"{source}_file = {tmp_path / 'in.csv'}\n"
+            f"p = 6\nn = 3\ndepths = 1\n{FAST_TRIALS}outdir = {outdir}\n"
+        )
+        assert main(["sweep", str(config)]) == 2
+        assert "in.csv: row on line 1 is not finite" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
 
 class TestParticipationRatio:
     def test_uniform_vector_counts_everything(self):
@@ -329,6 +349,25 @@ class TestMnistExperiment:
         )
         record = run_mnist_experiment(cfg)[0]
         assert record.loss_mean > 0.5
+
+    def test_checks_each_transform_for_psd_once(self, tmp_path, idx_paths, monkeypatch):
+        checked = []
+        original = convkernel.kernels._check_symmetric_psd
+
+        def counting(matrix, what):
+            checked.append(what)
+            original(matrix, what)
+
+        for module in (convkernel.kernels, convkernel.regression):
+            monkeypatch.setattr(module, "_check_symmetric_psd", counting)
+        cfg = self.mnist_cfg(
+            tmp_path,
+            idx_paths,
+            "count_per_class = 20\nn = 6\ntrials = 5\ndepths = 0,2,4\n"
+            f"outdir = {tmp_path / 'out'}\n",
+        )
+        run_mnist_experiment(cfg)
+        assert checked == ["feature transform"] * 3
 
     def test_rerun_is_byte_identical(self, tmp_path, idx_paths):
         blobs = []

@@ -61,6 +61,13 @@ class TestMatrixCsv:
         with pytest.raises(ValueError, match="ragged"):
             load_matrix_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_rejected_with_line(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"1,2\n\n3,{cell}\n")
+        with pytest.raises(ValueError, match="bad.csv: row on line 3 is not finite"):
+            load_matrix_csv(path)
+
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from convkernel.regression import (
+    PINV_RTOL,
     RegressionProblem,
+    _apply_pinv,
+    _estimate,
     bias_conditional,
     bias_mc,
     excess_risk_mc,
@@ -17,6 +22,7 @@ from convkernel.regression import (
     variance_lower_bound,
     variance_mc,
 )
+from convkernel.rng import trial_rng
 from _util import random_psd, random_unit_vector
 
 
@@ -110,15 +116,28 @@ class TestFitRidgeless:
         probes = rng.standard_normal((8, p))
         assert_allclose(scaled.predict(probes), base.predict(probes), atol=1e-10, rtol=0)
 
-    def test_rejects_non_psd_transform(self):
-        with pytest.raises(ValueError, match="PSD"):
-            fit_ridgeless(np.diag([1.0, -1.0]), np.ones((1, 2)), np.ones(1))
-
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             fit_ridgeless(np.eye(3), np.ones((2, 4)), np.ones(2))
         with pytest.raises(ValueError, match="y_train"):
             fit_ridgeless(np.eye(4), np.ones((2, 4)), np.ones(3))
+
+
+class TestApplyPinv:
+    def test_matrix_rhs_matches_column_by_column(self):
+        # gemm and gemv may round the last bit differently, so columns agree
+        # to a few units in the last place of the largest entry, not bit for bit.
+        rng = np.random.default_rng(30)
+        for _ in range(40):
+            n = int(rng.integers(2, 10))
+            x = rng.standard_normal((n, int(rng.integers(1, n + 1))))
+            rhs = rng.standard_normal((n, int(rng.integers(1, 8))))
+            solution, rank = _apply_pinv(x @ x.T, rhs)
+            columns = [_apply_pinv(x @ x.T, column) for column in rhs.T]
+            expected = np.stack([c for c, _ in columns], axis=1)
+            assert {r for _, r in columns} == {rank}
+            scale = np.max(np.abs(expected))
+            assert_allclose(solution, expected, rtol=0, atol=4 * np.finfo(float).eps * scale)
 
 
 class TestBiasConditional:
@@ -252,6 +271,61 @@ class TestVarianceMC:
     def test_rejects_bad_trials(self):
         with pytest.raises(ValueError, match="trials"):
             variance_mc(np.eye(20), identity_problem(), trials=0, seed=0)
+
+
+def trace_formula_variance(transform, problem, trials, seed):
+    """Per-trial noise_var * tr(G^+^2 Z S^2 Z^T), G = Z S Z^T, in the eigenbasis
+    of G, plus the largest ratio of kept Gram eigenvalues over the trials."""
+    sqrt_cov = psd_sqrt(problem.covariance)
+    conjugated = sqrt_cov @ transform @ sqrt_cov
+    conjugated = (conjugated + conjugated.T) / 2.0
+    conjugated_sq = conjugated @ conjugated
+    values, condition = np.zeros(trials), 1.0
+    for trial in range(trials):
+        z = trial_rng(seed, trial).standard_normal((problem.n_train, problem.p))
+        gram = z @ conjugated @ z.T
+        eigenvalues, eigenvectors = np.linalg.eigh((gram + gram.T) / 2.0)
+        cutoff = problem.n_train * np.max(eigenvalues) * PINV_RTOL
+        keep = eigenvalues > max(cutoff, 0.0)
+        if keep.any():
+            basis, kept = eigenvectors[:, keep], eigenvalues[keep]
+            rotated = basis.T @ (z @ conjugated_sq @ z.T) @ basis
+            values[trial] = problem.noise_var * np.sum(np.diagonal(rotated) / kept**2)
+            condition = max(condition, kept.max() / kept.min())
+    return values, condition
+
+
+class TestVarianceTraceOracle:
+    # Both forms lose about eps * cond(G) relative accuracy: against 60-digit
+    # arithmetic, each was off by about 1e-8 at cond(G) = 2e8, which a square
+    # Gaussian Z S Z^T (rank(S) = n) reaches now and then.  So the 1e-9
+    # agreement is asserted for Grams with cond(G) <= 1e6.
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(p=st.integers(2, 12), data=st.data())
+    def test_matches_trace_formula(self, p, data):
+        n = data.draw(st.integers(1, p - 1), label="n")
+        rank = data.draw(st.integers(0, p), label="rank")
+        trials = data.draw(st.integers(1, 12), label="trials")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        basis, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        transform = (basis[:, :rank] * rng.uniform(0.5, 2.0, rank)) @ basis[:, :rank].T
+        transform = (transform + transform.T) / 2.0
+        problem = RegressionProblem(random_psd(rng, p), random_unit_vector(rng, p),
+                                    float(rng.uniform(0.01, 2.0)), n)
+        values, condition = trace_formula_variance(transform, problem, trials, seed)
+        assume(condition <= 1e6)
+        estimate = variance_mc(transform, problem, trials=trials, seed=seed)
+        expected = _estimate(values, trials, seed)
+        assert_allclose(estimate.mean, expected.mean, rtol=1e-9, atol=0)
+        assert_allclose(estimate.std_error, expected.std_error, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("estimator", [bias_mc, variance_mc, excess_risk_mc])
+def test_estimators_reject_non_psd_transform(estimator):
+    problem = identity_problem(p=4, n=2)
+    with pytest.raises(ValueError, match="transform is not PSD"):
+        estimator(np.diag([1.0, 1.0, 1.0, -1.0]), problem, trials=2, seed=0)
 
 
 class TestVarianceLowerBound:
