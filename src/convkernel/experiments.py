@@ -137,12 +137,12 @@ def _ridged_inverse(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     return (inverse + inverse.T) / 2.0, epsilon
 
 
-def _resolve_covariance(
-    cfg: SweepConfig, matrices: dict[int, np.ndarray]
-) -> tuple[np.ndarray, float | None]:
+def _resolve_covariance(cfg: SweepConfig) -> np.ndarray | None:
+    """The identity or file covariance; None for inverse_theta, which needs
+    the transform at sigma_depth."""
     p = cfg.geometry.p
     if cfg.sigma_source == "identity":
-        return np.eye(p), None
+        return np.eye(p)
     if cfg.sigma_source == "file":
         covariance = load_matrix_csv(cfg.sigma_file)
         if covariance.shape != (p, p):
@@ -150,8 +150,8 @@ def _resolve_covariance(
                 f"covariance file {cfg.sigma_file} has shape {covariance.shape}, "
                 f"expected ({p}, {p})"
             )
-        return covariance, None
-    return _ridged_inverse(matrices[cfg.sigma_depth])
+        return covariance
+    return None
 
 
 def run_depth_sweep(cfg: SweepConfig) -> list[DepthSweepRecord]:
@@ -160,13 +160,18 @@ def run_depth_sweep(cfg: SweepConfig) -> list[DepthSweepRecord]:
     The three estimator seeds are derived once from the master seed and
     shared across depths, so per-depth estimates ride on common random
     numbers and depth comparisons are free of independent-sampling noise.
+    Input files are read before any transform is built, so a bad one fails
+    before the depth work.
     """
     coef = _resolve_coef(cfg)
+    covariance = _resolve_covariance(cfg)
     wanted = set(cfg.depths)
     if cfg.sigma_source == "inverse_theta":
         wanted.add(cfg.sigma_depth)
     matrices = _transform_matrices(cfg, coef, tuple(sorted(wanted)))
-    covariance, ridge_epsilon = _resolve_covariance(cfg, matrices)
+    ridge_epsilon = None
+    if covariance is None:
+        covariance, ridge_epsilon = _ridged_inverse(matrices[cfg.sigma_depth])
     problem = RegressionProblem(covariance, coef, cfg.noise_var, cfg.n_train)
     seeds = {name: derive_seed(cfg.seed, name) for name in ("bias", "variance", "risk")}
 
@@ -211,16 +216,19 @@ def participation_ratio(vector: np.ndarray) -> float:
 
 
 def run_eigvec_gallery(cfg: EigvecConfig) -> list[GalleryRecord]:
-    """Leading-eigenvector images across depths as PGM files plus gallery.csv."""
+    """Leading-eigenvector images across depths as PGM files plus gallery.csv.
+
+    One transform is built and held at a time; only the images are kept
+    until all are written.
+    """
     if cfg.geometry.kind is not GeometryKind.TWO_D:
         raise ValueError("the eigenvector gallery requires 2-D geometry")
     side = cfg.geometry.side
-    transforms = feature_transforms(cfg.depths, cfg.geometry, cfg.padding,
-                                    cfg.architecture)
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     records = []
     images: list[tuple[Path, np.ndarray]] = []
-    for ft in transforms:
+    for depth in cfg.depths:
+        (ft,) = feature_transforms([depth], cfg.geometry, cfg.padding, cfg.architecture)
         leading = symmetric_spectrum(ft.matrix).leading_eigenvector
         name = f"eigvec_D{ft.depth}.pgm"
         images.append((cfg.outdir / name, grayscale(leading.reshape(side, side))))
@@ -264,13 +272,15 @@ def run_mnist_experiment(cfg: MnistConfig) -> list[MnistDepthRecord]:
                                                        replace=False)
 
     def mean_losses(transform: np.ndarray) -> np.ndarray:
-        losses = np.empty(cfg.trials)
+        # Each trial's predictor is x @ transform @ x_train.T @ dual_weights;
+        # the trials' x_train.T @ dual_weights columns share one prediction gemm.
+        duals = np.empty((p, cfg.trials))
         for trial in range(cfg.trials):
             rows = subsample_indices(trial)
             fit = fit_ridgeless(transform, subset.x[rows], subset.y[rows])
-            errors = fit.predict(subset.x) - subset.y
-            losses[trial] = float(np.mean(errors**2))
-        return losses
+            duals[:, trial] = fit.x_train.T @ fit.dual_weights
+        errors = subset.x @ (transform @ duals) - subset.y[:, None]
+        return np.mean(errors**2, axis=0)
 
     records = []
     for ft in transforms:

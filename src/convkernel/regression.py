@@ -8,7 +8,7 @@ excess risk; the three are related by risk = bias + variance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,12 +24,17 @@ DEFAULT_RISK_TEST_POINTS = 256
 
 @dataclass(frozen=True)
 class RegressionProblem:
-    """Population model: rows x ~ N(0, covariance), y = x.coef + noise."""
+    """Population model: rows x ~ N(0, covariance), y = x.coef + noise.
+
+    covariance_sqrt, the PSD root the estimators draw designs with, is
+    computed once here, after the covariance is checked.
+    """
 
     covariance: np.ndarray
     coef: np.ndarray
     noise_var: float
     n_train: int
+    covariance_sqrt: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         covariance = np.asarray(self.covariance, dtype=float)
@@ -49,10 +54,12 @@ class RegressionProblem:
                 f"need 1 <= n_train < p for the over-parameterized regime, "
                 f"got n_train={self.n_train}, p={p}"
             )
-        covariance.setflags(write=False)
-        coef.setflags(write=False)
+        covariance_sqrt = psd_sqrt(covariance)
+        for array in (covariance, coef, covariance_sqrt):
+            array.setflags(write=False)
         object.__setattr__(self, "covariance", covariance)
         object.__setattr__(self, "coef", coef)
+        object.__setattr__(self, "covariance_sqrt", covariance_sqrt)
 
     @property
     def p(self) -> int:
@@ -102,9 +109,12 @@ def _apply_pinv(kernel: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root; tiny negative eigenvalues are clamped to zero."""
+    """Symmetric PSD square root; tiny negative eigenvalues are clamped to zero.
+
+    The matrix must be symmetric PSD; RegressionProblem checks its
+    covariance once, before taking the root.
+    """
     matrix = np.asarray(matrix, dtype=float)
-    _check_symmetric_psd(matrix, "matrix")
     eigenvalues, eigenvectors = np.linalg.eigh(matrix)
     root = (eigenvectors * np.sqrt(np.clip(eigenvalues, 0.0, None))) @ eigenvectors.T
     return (root + root.T) / 2.0
@@ -180,7 +190,7 @@ def bias_mc(
         raise ValueError(f"trials must be >= 1, got {trials}")
     transform = np.asarray(transform, dtype=float)
     _check_symmetric_psd(transform, "transform")
-    sqrt_cov = psd_sqrt(problem.covariance)
+    sqrt_cov = problem.covariance_sqrt
     values = np.empty(trials)
     for trial in range(trials):
         rng = trial_rng(seed, trial)
@@ -207,7 +217,7 @@ def variance_mc(
         raise ValueError(f"noise_var must be >= 0, got {problem.noise_var}")
     transform = np.asarray(transform, dtype=float)
     _check_symmetric_psd(transform, "transform")
-    sqrt_cov = psd_sqrt(problem.covariance)
+    sqrt_cov = problem.covariance_sqrt
     conjugated = sqrt_cov @ transform @ sqrt_cov
     conjugated = (conjugated + conjugated.T) / 2.0
     values = np.empty(trials)
@@ -238,7 +248,7 @@ def excess_risk_mc(
         raise ValueError(f"test_points must be >= 1, got {test_points}")
     transform = np.asarray(transform, dtype=float)
     _check_symmetric_psd(transform, "transform")
-    sqrt_cov = psd_sqrt(problem.covariance)
+    sqrt_cov = problem.covariance_sqrt
     noise_scale = np.sqrt(problem.noise_var)
     values = np.empty(trials)
     for trial in range(trials):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import convkernel.experiments
 import convkernel.kernels
 import convkernel.regression
 from _digits import make_synthetic_idx
@@ -215,6 +216,23 @@ class TestDepthSweep:
         assert main(["sweep", str(config)]) == 2
         assert "in.csv: row on line 1 is not finite" in capsys.readouterr().err
         assert list(outdir.iterdir()) == []
+
+    def test_bad_covariance_file_fails_before_any_transform(self, tmp_path, capsys,
+                                                            monkeypatch):
+        def no_transforms(*args):
+            raise AssertionError("feature_transforms called")
+
+        monkeypatch.setattr(convkernel.experiments, "feature_transforms", no_transforms)
+        matrix = np.eye(6)
+        matrix[0, -1] = np.nan
+        save_matrix_csv(matrix, tmp_path / "sigma.csv")
+        config = tmp_path / "sweep.cfg"
+        config.write_text(
+            f"experiment = sweep\nsigma_source = file\nsigma_file = {tmp_path / 'sigma.csv'}\n"
+            f"p = 6\nn = 3\ndepths = 1\n{FAST_TRIALS}outdir = {tmp_path / 'out'}\n"
+        )
+        assert main(["sweep", str(config)]) == 2
+        assert "sigma.csv: row on line 1 is not finite" in capsys.readouterr().err
 
 
 class TestParticipationRatio:

@@ -1,20 +1,26 @@
-"""Feature-transform recursion: initial conditions, normalization, fixed points."""
+"""Feature-transform recursion: initial conditions, normalization, fixed points,
+and the closed form against the stencil iterate."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import convkernel.kernels
 from convkernel import (
     Architecture,
     ConvGeometry,
     FeatureTransform,
     GeometryKind,
     Padding,
+    apply_conv_operator,
     feature_transform,
     feature_transforms,
     initial_transform,
+    limiting_transform,
 )
 
 ARCHS = (Architecture.FLATTENING, Architecture.POOLING)
@@ -105,3 +111,69 @@ class TestFeatureTransformValidation:
         ft = feature_transform(2, geom_1d(4), Padding.ZERO, Architecture.POOLING)
         with pytest.raises(ValueError):
             ft.matrix[0, 0] = 9.0
+
+
+def stencil_iterates(depth: int, geometry, padding, arch) -> list[np.ndarray]:
+    """Depths 0..depth of the normalized recursion, by the direct stencil."""
+    current = initial_transform(geometry, arch)
+    out = [current]
+    for _ in range(depth):
+        current = apply_conv_operator(current, geometry, padding)
+        current = current / np.linalg.norm(current)
+        out.append(current)
+    return out
+
+
+class TestClosedForm:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        geometry=st.one_of(
+            st.builds(geom_1d, st.integers(1, 12)),
+            st.builds(lambda s: ConvGeometry(GeometryKind.TWO_D, s * s), st.integers(1, 5)),
+        ),
+        padding=st.sampled_from(PADDINGS),
+        arch=st.sampled_from(ARCHS),
+        depth=st.integers(0, 80),
+    )
+    def test_matches_stencil_iterate(self, geometry, padding, arch, depth):
+        closed = feature_transforms(range(depth + 1), geometry, padding, arch)
+        for ft, iterate in zip(closed, stencil_iterates(depth, geometry, padding, arch)):
+            assert np.max(np.abs(ft.matrix - iterate)) <= 1e-13, ft.depth
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    @pytest.mark.parametrize("padding", PADDINGS)
+    @pytest.mark.parametrize("side", (1, 2, 3, 5))
+    def test_two_d_is_kron_of_side_transform(self, side, padding, arch):
+        depths = [0, 1, 2, 9, 64]
+        grid = feature_transforms(depths, ConvGeometry(GeometryKind.TWO_D, side * side),
+                                  padding, arch)
+        line = feature_transforms(depths, geom_1d(side), padding, arch)
+        for square, factor in zip(grid, line):
+            assert_allclose(square.matrix, np.kron(factor.matrix, factor.matrix),
+                            rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    @pytest.mark.parametrize("padding", PADDINGS)
+    @pytest.mark.parametrize("geometry", [geom_1d(7), ConvGeometry(GeometryKind.TWO_D, 784)])
+    def test_depth_zero_is_initial_transform_bit_for_bit(self, geometry, padding, arch):
+        ft = feature_transform(0, geometry, padding, arch)
+        assert_array_equal(ft.matrix, initial_transform(geometry, arch))
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    @pytest.mark.parametrize("geometry", [geom_1d(10), ConvGeometry(GeometryKind.TWO_D, 784)])
+    def test_depth_beyond_any_iteration_reaches_the_limit(self, geometry, arch):
+        # Powers of the unscaled eigenvalues would overflow long before this depth.
+        ft = feature_transform(10**6, geometry, Padding.ZERO, arch)
+        limit = limiting_transform(geometry, Padding.ZERO, arch)
+        assert_allclose(ft.matrix, limit.matrix, rtol=0, atol=1e-12)
+
+    def test_deep_transforms_never_call_the_stencil(self, monkeypatch):
+        def stencil(*args):
+            raise AssertionError("apply_conv_operator called")
+
+        monkeypatch.setattr(convkernel.kernels, "apply_conv_operator", stencil)
+        deep = [convkernel.kernels.STENCIL_DEPTH_MAX + 1, 5, 300]
+        for geometry in (geom_1d(6), ConvGeometry(GeometryKind.TWO_D, 16)):
+            for arch in ARCHS:
+                feature_transforms(deep, geometry, Padding.ZERO, arch)
+                feature_transforms([0, 1, 2] + deep, geometry, Padding.CIRCULAR, arch)
