@@ -17,6 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from convkernel.kernels import Architecture, ConvGeometry, GeometryKind, Padding
+from convkernel.regression import (
+    DEFAULT_BIAS_TRIALS,
+    DEFAULT_RISK_TEST_POINTS,
+    DEFAULT_RISK_TRIALS,
+    DEFAULT_VARIANCE_TRIALS,
+)
 
 THETA_FAMILY_CONV = "conv"
 THETA_FAMILY_ALIGNED_SPIKE = "aligned_spike"
@@ -298,10 +304,10 @@ SCHEMAS = {
         Key("beta_file", FILE),
         Key("noise_var", FLOAT, 0.01, 0.0),
         _N_TRAIN,
-        Key("trials_bias", INT, 500, 1),
-        Key("trials_var", INT, 2000, 1),
-        Key("trials_risk", INT, 500, 1),
-        Key("risk_test_points", INT, 256, 1),
+        Key("trials_bias", INT, DEFAULT_BIAS_TRIALS, 1),
+        Key("trials_var", INT, DEFAULT_VARIANCE_TRIALS, 1),
+        Key("trials_risk", INT, DEFAULT_RISK_TRIALS, 1),
+        Key("risk_test_points", INT, DEFAULT_RISK_TEST_POINTS, 1),
         _SEED,
         _OUTDIR,
     ), _check_sweep),

@@ -38,6 +38,7 @@ from convkernel.kernels import (
 )
 from convkernel.regression import (
     RegressionProblem,
+    RiskEstimate,
     _estimate,
     bias_mc,
     excess_risk_mc,
@@ -77,12 +78,16 @@ class MnistDepthRecord:
     misalignment: float
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[float]]) -> None:
+def _csv_text(name: str, header: list[str], rows: list[list[float]]) -> str:
+    """CSV with 17-digit floats; a NaN or Inf cell raises, naming file and column."""
     lines = [",".join(header)]
     for row in rows:
+        for column, value in zip(header, row):
+            if not np.isfinite(value):
+                raise ValueError(f"{name}: column {column} has non-finite value {value}")
         cells = [str(v) if isinstance(v, (int, np.integer)) else format_float(v) for v in row]
         lines.append(",".join(cells))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _json_value(value: Enum | Path) -> str:
@@ -161,7 +166,7 @@ def run_depth_sweep(cfg: SweepConfig) -> list[DepthSweepRecord]:
     shared across depths, so per-depth estimates ride on common random
     numbers and depth comparisons are free of independent-sampling noise.
     Input files are read before any transform is built, so a bad one fails
-    before the depth work.
+    before the depth work; every output is checked before any is written.
     """
     coef = _resolve_coef(cfg)
     covariance = _resolve_covariance(cfg)
@@ -194,14 +199,15 @@ def run_depth_sweep(cfg: SweepConfig) -> list[DepthSweepRecord]:
         )
 
     meta = _meta_json(cfg, derived_seeds=seeds, ridge_epsilon=ridge_epsilon)
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        cfg.outdir / "sweep.csv",
+    csv = _csv_text(
+        "sweep.csv",
         ["depth", "bias_mean", "bias_se", "var_mean", "var_se",
          "risk_mean", "risk_se", "misalignment"],
         [[r.depth, r.bias_mean, r.bias_se, r.var_mean, r.var_se,
           r.risk_mean, r.risk_se, r.misalignment] for r in records],
     )
+    cfg.outdir.mkdir(parents=True, exist_ok=True)
+    write_text_atomic(cfg.outdir / "sweep.csv", csv)
     write_text_atomic(cfg.outdir / "sweep_meta.json", meta)
     return records
 
@@ -233,13 +239,11 @@ def run_eigvec_gallery(cfg: EigvecConfig) -> list[GalleryRecord]:
         name = f"eigvec_D{ft.depth}.pgm"
         images.append((cfg.outdir / name, grayscale(leading.reshape(side, side))))
         records.append(GalleryRecord(ft.depth, participation_ratio(leading), name))
+    csv = _csv_text("gallery.csv", ["depth", "participation_ratio"],
+                    [[r.depth, r.participation_ratio] for r in records])
     for path, image in images:
         write_pgm(path, image)
-    _write_csv(
-        cfg.outdir / "gallery.csv",
-        ["depth", "participation_ratio"],
-        [[r.depth, r.participation_ratio] for r in records],
-    )
+    write_text_atomic(cfg.outdir / "gallery.csv", csv)
     return records
 
 
@@ -249,9 +253,10 @@ def run_mnist_experiment(cfg: MnistConfig) -> list[MnistDepthRecord]:
     Builds the ground-truth set (count_per_class of each digit, labels
     +1/-1), solves the minimum-norm interpolant as the true coefficient
     vector, then per depth averages the squared loss on all ground-truth
-    points over independent n-point training subsamples.  The same
-    subsample streams are reused at every depth and for the identity-
-    transform baseline recorded in mnist_meta.json.
+    points over independent n-point training subsamples.  The subsamples
+    are drawn once and reused at every depth and for the identity-
+    transform baseline recorded in mnist_meta.json; one transform is built
+    and held at a time.
     """
     dataset = load_idx_images(cfg.images, cfg.labels)
     subset = binary_digit_subset(
@@ -263,42 +268,40 @@ def run_mnist_experiment(cfg: MnistConfig) -> list[MnistDepthRecord]:
     coef = min_norm_solve(subset.x, subset.y)
 
     geometry = ConvGeometry(GeometryKind.TWO_D, p)
-    side = geometry.side
-    transforms = feature_transforms(cfg.depths, geometry, cfg.padding, cfg.architecture)
     subsample_seed = derive_seed(cfg.seed, "subsample")
+    subsamples = [
+        trial_rng(subsample_seed, trial).choice(total, size=cfg.n_train, replace=False)
+        for trial in range(cfg.trials)
+    ]
 
-    def subsample_indices(trial: int) -> np.ndarray:
-        return trial_rng(subsample_seed, trial).choice(total, size=cfg.n_train,
-                                                       replace=False)
-
-    def mean_losses(transform: np.ndarray) -> np.ndarray:
-        # Each trial's predictor is x @ transform @ x_train.T @ dual_weights;
-        # the trials' x_train.T @ dual_weights columns share one prediction gemm.
-        duals = np.empty((p, cfg.trials))
-        for trial in range(cfg.trials):
-            rows = subsample_indices(trial)
-            fit = fit_ridgeless(transform, subset.x[rows], subset.y[rows])
-            duals[:, trial] = fit.x_train.T @ fit.dual_weights
-        errors = subset.x @ (transform @ duals) - subset.y[:, None]
-        return np.mean(errors**2, axis=0)
+    def loss_estimate(transform: np.ndarray) -> RiskEstimate:
+        # Each trial predicts x @ transform @ weights; the trials' weight
+        # columns share one prediction gemm.
+        weights = np.empty((p, cfg.trials))
+        for trial, rows in enumerate(subsamples):
+            weights[:, trial] = fit_ridgeless(transform, subset.x[rows], subset.y[rows])
+        errors = subset.x @ (transform @ weights) - subset.y[:, None]
+        return _estimate(np.mean(errors**2, axis=0), cfg.trials, subsample_seed)
 
     records = []
-    for ft in transforms:
-        loss = _estimate(mean_losses(np.asarray(ft.matrix)), cfg.trials, subsample_seed)
+    for depth in cfg.depths:
+        (ft,) = feature_transforms([depth], geometry, cfg.padding, cfg.architecture)
+        loss = loss_estimate(ft.matrix)
         records.append(MnistDepthRecord(ft.depth, loss.mean, loss.std_error,
                                         misalignment(ft.matrix, coef)))
 
-    baseline = _estimate(mean_losses(np.eye(p)), cfg.trials, subsample_seed)
+    baseline = loss_estimate(np.eye(p))
     meta = _meta_json(
-        cfg, side=side,
+        cfg, side=geometry.side,
         baseline_identity_loss_mean=baseline.mean,
         baseline_identity_loss_se=baseline.std_error,
     )
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        cfg.outdir / "mnist.csv",
+    csv = _csv_text(
+        "mnist.csv",
         ["depth", "loss_mean", "loss_se", "misalignment"],
         [[r.depth, r.loss_mean, r.loss_se, r.misalignment] for r in records],
     )
+    cfg.outdir.mkdir(parents=True, exist_ok=True)
+    write_text_atomic(cfg.outdir / "mnist.csv", csv)
     write_text_atomic(cfg.outdir / "mnist_meta.json", meta)
     return records

@@ -305,16 +305,6 @@ def feature_transforms(
     ]
 
 
-def feature_transform(
-    depth: int,
-    geometry: ConvGeometry,
-    padding: Padding,
-    architecture: Architecture,
-) -> FeatureTransform:
-    """Feature transform at a single depth; see feature_transforms."""
-    return feature_transforms([depth], geometry, padding, architecture)[0]
-
-
 def sine_profile(dim: int) -> np.ndarray:
     """Entries sin(i*pi/(dim+1)) for i = 1..dim; all strictly positive."""
     if dim < 1:

@@ -1,14 +1,15 @@
 """Ridgeless regression under a feature transform, with risk estimators.
 
-The predictor is x^T T X^T (X T X^T)^+ y for a PSD transform T.  Monte
-Carlo estimators quantify its bias (error of the mean predictor over
-training-set draws), variance (label-noise contribution), and total
-excess risk; the three are related by risk = bias + variance.
+The predictor is x^T T w with weights w = X^T (X T X^T)^+ y for a PSD
+transform T.  Monte Carlo estimators quantify its bias (error of the mean
+predictor over training-set draws), variance (label-noise contribution),
+and total excess risk; the three are related by risk = bias + variance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -76,22 +77,6 @@ class RiskEstimate:
     seed: int
 
 
-@dataclass(frozen=True)
-class PredictorFit:
-    """Fitted ridgeless predictor: predict(x) = x @ transform @ x_train.T @ dual_weights."""
-
-    transform: np.ndarray
-    x_train: np.ndarray
-    y_train: np.ndarray
-    dual_weights: np.ndarray
-    effective_rank: int
-
-    def predict(self, x: np.ndarray) -> np.ndarray | float:
-        x = np.asarray(x, dtype=float)
-        out = x @ (self.transform @ (self.x_train.T @ self.dual_weights))
-        return float(out) if x.ndim == 1 else out
-
-
 def _apply_pinv(kernel: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
     """Pseudo-inverse solve of a symmetric PSD kernel for a vector or a matrix
     rhs; eigenvalues up to dim * max * PINV_RTOL are dropped.  Returns
@@ -122,8 +107,9 @@ def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
 
 def fit_ridgeless(
     transform: np.ndarray, x_train: np.ndarray, y_train: np.ndarray
-) -> PredictorFit:
-    """Minimum-complexity interpolant under the given feature transform.
+) -> np.ndarray:
+    """Weights w = X^T (X T X^T)^+ y of the minimum-complexity interpolant
+    under the given feature transform; it predicts x @ transform @ w.
 
     The transform must be symmetric PSD; callers check that once, where it
     enters (FeatureTransform, the Monte Carlo estimators), not per fit.
@@ -142,9 +128,8 @@ def fit_ridgeless(
         raise ValueError(
             f"y_train shape {y_train.shape} does not match row count {n}"
         )
-    kernel = x_train @ transform @ x_train.T
-    dual_weights, effective_rank = _apply_pinv(kernel, y_train)
-    return PredictorFit(transform, x_train, y_train, dual_weights, effective_rank)
+    dual_weights, _ = _apply_pinv(x_train @ transform @ x_train.T, y_train)
+    return x_train.T @ dual_weights
 
 
 def bias_conditional(
@@ -167,9 +152,7 @@ def bias_conditional(
             f"inconsistent shapes: transform {transform.shape}, covariance "
             f"{covariance.shape}, x_train {x_train.shape}, coef {coef.shape}"
         )
-    kernel = x_train @ transform @ x_train.T
-    dual, _ = _apply_pinv(kernel, x_train @ coef)
-    residual = coef - transform @ (x_train.T @ dual)
+    residual = coef - transform @ fit_ridgeless(transform, x_train, x_train @ coef)
     return max(float(residual @ covariance @ residual), 0.0)
 
 
@@ -179,6 +162,24 @@ def _estimate(values: np.ndarray, trials: int, seed: int) -> RiskEstimate:
     return RiskEstimate(mean, std_error, trials, seed)
 
 
+def _monte_carlo(
+    trial_value: Callable[[np.random.Generator], float],
+    trials: int,
+    seed: int,
+    transform: np.ndarray,
+) -> RiskEstimate:
+    """Mean and standard error of trial_value(rng) over trials, trial t
+    drawing from trial_rng(seed, t).  The transform the trials use is
+    checked symmetric PSD once, before the first trial."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_symmetric_psd(np.asarray(transform, dtype=float), "transform")
+    values = np.empty(trials)
+    for trial in range(trials):
+        values[trial] = trial_value(trial_rng(seed, trial))
+    return _estimate(values, trials, seed)
+
+
 def bias_mc(
     transform: np.ndarray,
     problem: RegressionProblem,
@@ -186,17 +187,12 @@ def bias_mc(
     seed: int = 0,
 ) -> RiskEstimate:
     """Mean conditional bias over training designs drawn from the problem."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    transform = np.asarray(transform, dtype=float)
-    _check_symmetric_psd(transform, "transform")
-    sqrt_cov = problem.covariance_sqrt
-    values = np.empty(trials)
-    for trial in range(trials):
-        rng = trial_rng(seed, trial)
-        x_train = rng.standard_normal((problem.n_train, problem.p)) @ sqrt_cov
-        values[trial] = bias_conditional(transform, problem.coef, problem.covariance, x_train)
-    return _estimate(values, trials, seed)
+
+    def trial_value(rng: np.random.Generator) -> float:
+        x_train = rng.standard_normal((problem.n_train, problem.p)) @ problem.covariance_sqrt
+        return bias_conditional(transform, problem.coef, problem.covariance, x_train)
+
+    return _monte_carlo(trial_value, trials, seed, transform)
 
 
 def variance_mc(
@@ -211,23 +207,17 @@ def variance_mc(
     noise_var * trace((Z S Z^T)^+^2  Z S^2 Z^T) = noise_var * ||(Z S Z^T)^+ Z S||_F^2
     with S the covariance-conjugated transform sqrt(cov) T sqrt(cov).
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if problem.noise_var < 0:
-        raise ValueError(f"noise_var must be >= 0, got {problem.noise_var}")
-    transform = np.asarray(transform, dtype=float)
-    _check_symmetric_psd(transform, "transform")
     sqrt_cov = problem.covariance_sqrt
     conjugated = sqrt_cov @ transform @ sqrt_cov
     conjugated = (conjugated + conjugated.T) / 2.0
-    values = np.empty(trials)
-    for trial in range(trials):
-        rng = trial_rng(seed, trial)
+
+    def trial_value(rng: np.random.Generator) -> float:
         z = rng.standard_normal((problem.n_train, problem.p))
         zs = z @ conjugated
         solution, _ = _apply_pinv(zs @ z.T, zs)
-        values[trial] = problem.noise_var * float(np.sum(solution**2))
-    return _estimate(values, trials, seed)
+        return problem.noise_var * float(np.sum(solution**2))
+
+    return _monte_carlo(trial_value, trials, seed, transform)
 
 
 def excess_risk_mc(
@@ -242,24 +232,20 @@ def excess_risk_mc(
     Per trial: draw a training set with noisy labels, fit, then average
     (x.coef - prediction)^2 over test_points fresh covariate draws.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     if test_points < 1:
         raise ValueError(f"test_points must be >= 1, got {test_points}")
-    transform = np.asarray(transform, dtype=float)
-    _check_symmetric_psd(transform, "transform")
     sqrt_cov = problem.covariance_sqrt
     noise_scale = np.sqrt(problem.noise_var)
-    values = np.empty(trials)
-    for trial in range(trials):
-        rng = trial_rng(seed, trial)
+
+    def trial_value(rng: np.random.Generator) -> float:
         x_train = rng.standard_normal((problem.n_train, problem.p)) @ sqrt_cov
         y_train = x_train @ problem.coef + noise_scale * rng.standard_normal(problem.n_train)
-        fit = fit_ridgeless(transform, x_train, y_train)
+        weights = fit_ridgeless(transform, x_train, y_train)
         x_test = rng.standard_normal((test_points, problem.p)) @ sqrt_cov
-        errors = x_test @ problem.coef - fit.predict(x_test)
-        values[trial] = float(np.mean(errors**2))
-    return _estimate(values, trials, seed)
+        errors = x_test @ problem.coef - x_test @ (transform @ weights)
+        return float(np.mean(errors**2))
+
+    return _monte_carlo(trial_value, trials, seed, transform)
 
 
 def variance_lower_bound(noise_var: float, n: int, p: int) -> float:

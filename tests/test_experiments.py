@@ -23,6 +23,7 @@ from convkernel.experiments import (
 )
 from convkernel.fileio import save_matrix_csv
 from convkernel.kernels import Architecture, ConvGeometry, GeometryKind, Padding
+from convkernel.rng import derive_seed
 
 
 def sweep_config(tmp_path, body, name="sweep.cfg"):
@@ -234,6 +235,20 @@ class TestDepthSweep:
         assert main(["sweep", str(config)]) == 2
         assert "sigma.csv: row on line 1 is not finite" in capsys.readouterr().err
 
+    def test_overflowing_estimates_exit_2_and_write_nothing(self, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        config = tmp_path / "sweep.cfg"
+        config.write_text(
+            "experiment = sweep\np = 8\nn = 4\ndepths = 1,3\nnoise_var = 1e308\n"
+            "trials_bias = 5\ntrials_var = 5\ntrials_risk = 5\nrisk_test_points = 16\n"
+            f"outdir = {outdir}\n"
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["sweep", str(config)]) == 2
+        assert "sweep.csv: column var_mean has non-finite value" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
 
 class TestParticipationRatio:
     def test_uniform_vector_counts_everything(self):
@@ -284,6 +299,14 @@ class TestEigvecGallery:
             data = (tmp_path / "out" / record.image_file).read_bytes()
             assert data.startswith(b"P5\n5 5\n255\n")
             assert len(data) == len(b"P5\n5 5\n255\n") + 25
+
+    def test_non_finite_ratio_writes_no_image(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(convkernel.experiments, "participation_ratio",
+                            lambda vector: float("nan"))
+        cfg = eigvec_config(tmp_path, f"p = 16\ndepths = 0,4\noutdir = {tmp_path / 'out'}\n")
+        with pytest.raises(ValueError, match="gallery.csv: column participation_ratio"):
+            run_eigvec_gallery(cfg)
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_gallery_csv_matches_records(self, tmp_path):
         cfg = eigvec_config(
@@ -386,6 +409,42 @@ class TestMnistExperiment:
         )
         run_mnist_experiment(cfg)
         assert checked == ["feature transform"] * 3
+
+    def test_builds_one_transform_at_a_time(self, tmp_path, idx_paths, monkeypatch):
+        lengths = []
+        original = convkernel.experiments.feature_transforms
+
+        def recording(depths, *args):
+            lengths.append(len(depths))
+            return original(depths, *args)
+
+        monkeypatch.setattr(convkernel.experiments, "feature_transforms", recording)
+        cfg = self.mnist_cfg(
+            tmp_path,
+            idx_paths,
+            "count_per_class = 20\nn = 6\ntrials = 2\ndepths = 0,2,4\n"
+            f"outdir = {tmp_path / 'out'}\n",
+        )
+        run_mnist_experiment(cfg)
+        assert lengths == [1, 1, 1]
+
+    def test_draws_each_subsample_once(self, tmp_path, idx_paths, monkeypatch):
+        seeds = []
+        original = convkernel.experiments.trial_rng
+
+        def recording(seed, trial):
+            seeds.append(seed)
+            return original(seed, trial)
+
+        monkeypatch.setattr(convkernel.experiments, "trial_rng", recording)
+        cfg = self.mnist_cfg(
+            tmp_path,
+            idx_paths,
+            "count_per_class = 20\nn = 6\ntrials = 5\ndepths = 0,2,4\nseed = 3\n"
+            f"outdir = {tmp_path / 'out'}\n",
+        )
+        run_mnist_experiment(cfg)
+        assert seeds.count(derive_seed(3, "subsample")) == 5
 
     def test_rerun_is_byte_identical(self, tmp_path, idx_paths):
         blobs = []

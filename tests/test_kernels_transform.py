@@ -17,7 +17,6 @@ from convkernel import (
     GeometryKind,
     Padding,
     apply_conv_operator,
-    feature_transform,
     feature_transforms,
     initial_transform,
     limiting_transform,
@@ -33,18 +32,18 @@ def geom_1d(p: int) -> ConvGeometry:
 
 class TestInitialConditions:
     def test_pooling_starts_all_ones(self):
-        ft = feature_transform(0, geom_1d(5), Padding.ZERO, Architecture.POOLING)
+        ft = feature_transforms([0], geom_1d(5), Padding.ZERO, Architecture.POOLING)[0]
         assert_allclose(ft.matrix, np.ones((5, 5)) / 5.0, atol=0, rtol=0)
 
     def test_flattening_starts_identity(self):
-        ft = feature_transform(0, geom_1d(5), Padding.ZERO, Architecture.FLATTENING)
+        ft = feature_transforms([0], geom_1d(5), Padding.ZERO, Architecture.FLATTENING)[0]
         assert_allclose(ft.matrix, np.eye(5) / np.sqrt(5.0), atol=0, rtol=0)
 
 
 class TestCircularFixedPoints:
     def test_flattening_p4_is_half_identity_at_every_depth(self):
-        for depth in (0, 1, 2, 7, 33):
-            ft = feature_transform(depth, geom_1d(4), Padding.CIRCULAR, Architecture.FLATTENING)
+        depths = [0, 1, 2, 7, 33]
+        for ft in feature_transforms(depths, geom_1d(4), Padding.CIRCULAR, Architecture.FLATTENING):
             assert_array_equal(ft.matrix, np.eye(4) / 2.0)
 
     @pytest.mark.parametrize("arch", ARCHS)
@@ -62,7 +61,7 @@ class TestRecursionPlumbing:
         geometry = geom_1d(6)
         batch = feature_transforms([0, 3, 7], geometry, padding, arch)
         for ft in batch:
-            single = feature_transform(ft.depth, geometry, padding, arch)
+            single = feature_transforms([ft.depth], geometry, padding, arch)[0]
             assert_array_equal(ft.matrix, single.matrix)
 
     @pytest.mark.parametrize("arch", ARCHS)
@@ -108,7 +107,7 @@ class TestFeatureTransformValidation:
             FeatureTransform(np.eye(4), geom_1d(4), Padding.ZERO, Architecture.POOLING, 0)
 
     def test_matrix_is_read_only(self):
-        ft = feature_transform(2, geom_1d(4), Padding.ZERO, Architecture.POOLING)
+        ft = feature_transforms([2], geom_1d(4), Padding.ZERO, Architecture.POOLING)[0]
         with pytest.raises(ValueError):
             ft.matrix[0, 0] = 9.0
 
@@ -156,14 +155,14 @@ class TestClosedForm:
     @pytest.mark.parametrize("padding", PADDINGS)
     @pytest.mark.parametrize("geometry", [geom_1d(7), ConvGeometry(GeometryKind.TWO_D, 784)])
     def test_depth_zero_is_initial_transform_bit_for_bit(self, geometry, padding, arch):
-        ft = feature_transform(0, geometry, padding, arch)
+        ft = feature_transforms([0], geometry, padding, arch)[0]
         assert_array_equal(ft.matrix, initial_transform(geometry, arch))
 
     @pytest.mark.parametrize("arch", ARCHS)
     @pytest.mark.parametrize("geometry", [geom_1d(10), ConvGeometry(GeometryKind.TWO_D, 784)])
     def test_depth_beyond_any_iteration_reaches_the_limit(self, geometry, arch):
         # Powers of the unscaled eigenvalues would overflow long before this depth.
-        ft = feature_transform(10**6, geometry, Padding.ZERO, arch)
+        ft = feature_transforms([10**6], geometry, Padding.ZERO, arch)[0]
         limit = limiting_transform(geometry, Padding.ZERO, arch)
         assert_allclose(ft.matrix, limit.matrix, rtol=0, atol=1e-12)
 

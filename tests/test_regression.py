@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from convkernel.regression import (
     PINV_RTOL,
@@ -50,25 +50,27 @@ class TestProblemValidation:
 
 
 class TestFitRidgeless:
+    # fit_ridgeless returns the weights w; the interpolant predicts x @ T @ w.
     def test_orthonormal_rows_identity_transform(self):
         p, n = 6, 3
         x = np.eye(p)[:n]
         y = np.array([2.0, -1.0, 0.5])
-        fit = fit_ridgeless(np.eye(p), x, y)
-        assert fit.effective_rank == n
-        assert_allclose(fit.predict(x), y, atol=1e-12, rtol=0)
+        weights = fit_ridgeless(np.eye(p), x, y)
+        assert weights.shape == (p,)
+        assert_allclose(x @ weights, y, atol=1e-12, rtol=0)
         # Prediction only sees the first n coordinates.
         probe = np.arange(p, dtype=float)
-        assert_allclose(fit.predict(probe), probe[:n] @ y, atol=1e-12, rtol=0)
+        assert_allclose(probe @ weights, probe[:n] @ y, atol=1e-12, rtol=0)
 
     def test_coef_outer_product_recovers_coef_exactly(self):
         rng = np.random.default_rng(1)
         p, n = 7, 3
         coef = rng.standard_normal(p)
         x = rng.standard_normal((n, p))
-        fit = fit_ridgeless(np.outer(coef, coef), x, x @ coef)
+        transform = np.outer(coef, coef)
+        weights = fit_ridgeless(transform, x, x @ coef)
         probes = rng.standard_normal((5, p))
-        assert_allclose(fit.predict(probes), probes @ coef, atol=1e-10, rtol=0)
+        assert_allclose(probes @ transform @ weights, probes @ coef, atol=1e-10, rtol=0)
 
     def test_matches_dense_eigendecomposition_solve(self):
         rng = np.random.default_rng(2)
@@ -77,14 +79,15 @@ class TestFitRidgeless:
             transform = random_psd(rng, p)
             x = rng.standard_normal((n, p))
             y = rng.standard_normal(n)
-            fit = fit_ridgeless(transform, x, y)
+            weights = fit_ridgeless(transform, x, y)
             kernel = x @ transform @ x.T
             w, q = np.linalg.eigh(kernel)
             keep = w > n * w.max() * 1e-12
             inverse = (q[:, keep] / w[keep]) @ q[:, keep].T
+            assert_allclose(weights, x.T @ inverse @ y, atol=1e-10, rtol=0)
             probes = rng.standard_normal((6, p))
             expected = probes @ transform @ x.T @ inverse @ y
-            assert_allclose(fit.predict(probes), expected, atol=1e-10, rtol=0)
+            assert_allclose(probes @ transform @ weights, expected, atol=1e-10, rtol=0)
 
     def test_interpolates_at_full_rank(self):
         rng = np.random.default_rng(3)
@@ -93,16 +96,12 @@ class TestFitRidgeless:
             transform = random_psd(rng, p)
             x = rng.standard_normal((n, p))
             y = rng.standard_normal(n)
-            fit = fit_ridgeless(transform, x, y)
-            assert fit.effective_rank == n
-            assert_allclose(fit.predict(x), y, atol=1e-8, rtol=0)
+            weights = fit_ridgeless(transform, x, y)
+            assert_allclose(x @ transform @ weights, y, atol=1e-8, rtol=0)
 
-    def test_zero_kernel_gives_zero_predictor(self):
-        x = np.ones((3, 5))
-        fit = fit_ridgeless(np.zeros((5, 5)), x, np.ones(3))
-        assert fit.effective_rank == 0
-        assert_allclose(fit.dual_weights, np.zeros(3), atol=0, rtol=0)
-        assert fit.predict(np.ones(5)) == 0.0
+    def test_zero_kernel_gives_zero_weights(self):
+        weights = fit_ridgeless(np.zeros((5, 5)), np.ones((3, 5)), np.ones(3))
+        assert_array_equal(weights, np.zeros(5))
 
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 7.3e4])
     def test_scale_invariance_of_predictions(self, scale):
@@ -114,7 +113,8 @@ class TestFitRidgeless:
         base = fit_ridgeless(transform, x, y)
         scaled = fit_ridgeless(scale * transform, x, y)
         probes = rng.standard_normal((8, p))
-        assert_allclose(scaled.predict(probes), base.predict(probes), atol=1e-10, rtol=0)
+        assert_allclose(probes @ (scale * transform) @ scaled, probes @ transform @ base,
+                        atol=1e-10, rtol=0)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
@@ -268,10 +268,6 @@ class TestVarianceMC:
         b = variance_mc(np.eye(20), problem, trials=30, seed=22)
         assert a == b
 
-    def test_rejects_bad_trials(self):
-        with pytest.raises(ValueError, match="trials"):
-            variance_mc(np.eye(20), identity_problem(), trials=0, seed=0)
-
 
 def trace_formula_variance(transform, problem, trials, seed):
     """Per-trial noise_var * tr(G^+^2 Z S^2 Z^T), G = Z S Z^T, in the eigenbasis
@@ -319,6 +315,13 @@ class TestVarianceTraceOracle:
         expected = _estimate(values, trials, seed)
         assert_allclose(estimate.mean, expected.mean, rtol=1e-9, atol=0)
         assert_allclose(estimate.std_error, expected.std_error, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("estimator", [bias_mc, variance_mc, excess_risk_mc])
+@pytest.mark.parametrize("trials", [0, -3])
+def test_estimators_reject_bad_trials(estimator, trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        estimator(np.eye(20), identity_problem(), trials=trials, seed=0)
 
 
 @pytest.mark.parametrize("estimator", [bias_mc, variance_mc, excess_risk_mc])
