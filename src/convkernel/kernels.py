@@ -74,6 +74,9 @@ class ConvGeometry:
 
 
 def _check_symmetric_psd(matrix: np.ndarray, what: str) -> None:
+    # Every comparison with NaN is false, so the tests below would pass it.
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError(f"{what} has non-finite entries")
     fro = float(np.linalg.norm(matrix))
     if fro == 0.0:
         return

@@ -8,13 +8,14 @@ and total excess risk; the three are related by risk = bias + variance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from convkernel.kernels import _check_symmetric_psd
-from convkernel.rng import trial_rng
+from convkernel.rng import trial_chunks
 
 PINV_RTOL = 1e-12
 DEFAULT_BIAS_TRIALS = 500
@@ -78,19 +79,46 @@ class RiskEstimate:
 
 
 def _apply_pinv(kernel: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
-    """Pseudo-inverse solve of a symmetric PSD kernel for a vector or a matrix
-    rhs; eigenvalues up to dim * max * PINV_RTOL are dropped.  Returns
-    (solution, rank kept)."""
-    kernel = (kernel + kernel.T) / 2.0
-    eigenvalues, eigenvectors = np.linalg.eigh(kernel)
-    cutoff = kernel.shape[0] * float(np.max(eigenvalues, initial=0.0)) * PINV_RTOL
-    keep = eigenvalues > max(cutoff, 0.0)
-    if not np.any(keep):
-        return np.zeros_like(rhs, dtype=float), 0
-    basis = eigenvectors[:, keep]
-    kept = eigenvalues[keep].reshape((-1,) + (1,) * (np.ndim(rhs) - 1))
-    solution = basis @ ((basis.T @ rhs) / kept)
-    return solution, int(np.count_nonzero(keep))
+    """Pseudo-inverse solve of a symmetric PSD kernel, or of each kernel in a
+    stack (..., n, n), for a vector rhs (..., n) or a matrix rhs (..., n, k);
+    eigenvalues up to n * max * PINV_RTOL are dropped.
+
+    Returns (solution, kept): for one kernel the rank kept, for a stack the
+    number of kernels kept at full rank.  Either way kept is below
+    kernel.shape[0] exactly when some rank was dropped.
+    """
+    n = kernel.shape[-1]
+    single = kernel.ndim == 2
+    kernel = (kernel + np.swapaxes(kernel, -1, -2)) / 2.0
+    eigenvalues, eigenvectors = np.linalg.eigh(
+        kernel.reshape((math.prod(kernel.shape[:-2]), n, n)))
+    cutoff = n * np.max(eigenvalues, axis=-1, initial=0.0) * PINV_RTOL
+    ranks = np.sum(eigenvalues > cutoff[:, None], axis=-1)
+    vector = rhs.ndim == kernel.ndim - 1
+    columns = rhs.reshape((ranks.size, n, 1 if vector else rhs.shape[-1]))
+    solution = np.zeros(columns.shape)
+    # Eigenvalues ascend, so the kept ones are the trailing `rank`.  Each
+    # (n, rank) basis is column-major, the layout of eigenvectors[:, keep]:
+    # the products then run one gemv or gemm per kernel with the same
+    # operands whatever the stack, so a kernel's solution does not depend
+    # on the kernels stacked with it.
+    for rank in set(ranks.tolist()) - {0}:
+        group = ranks == rank
+        basis_t = np.ascontiguousarray(
+            np.swapaxes(eigenvectors[group][..., n - rank:], -1, -2))
+        kept = eigenvalues[group][:, n - rank:, None]
+        solution[group] = np.swapaxes(basis_t, -1, -2) @ ((basis_t @ columns[group]) / kept)
+    solution = solution.reshape(rhs.shape)
+    if single:
+        return solution, int(ranks[0])
+    return solution, int(np.sum(ranks == n))
+
+
+def _matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """matrix @ vector over stacks of either, one gemv per vector as for a
+    single 1-D vector, so each trial of a stack rounds as it would alone
+    (vectors @ matrix.T, one gemm, need not)."""
+    return (matrix @ vector[..., None])[..., 0]
 
 
 def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
@@ -111,25 +139,28 @@ def fit_ridgeless(
     """Weights w = X^T (X T X^T)^+ y of the minimum-complexity interpolant
     under the given feature transform; it predicts x @ transform @ w.
 
-    The transform must be symmetric PSD; callers check that once, where it
-    enters (FeatureTransform, the Monte Carlo estimators), not per fit.
+    x_train (..., n, p) and y_train (..., n) may carry leading trial axes;
+    then each trial is fitted and w is (..., p).  The transform must be
+    symmetric PSD; callers check that once, where it enters
+    (FeatureTransform, the Monte Carlo estimators), not per fit.
     """
     transform = np.asarray(transform, dtype=float)
     x_train = np.asarray(x_train, dtype=float)
     y_train = np.asarray(y_train, dtype=float)
-    if x_train.ndim != 2:
-        raise ValueError(f"x_train must be 2-D, got shape {x_train.shape}")
-    n, p = x_train.shape
+    if x_train.ndim < 2:
+        raise ValueError(f"x_train must be at least 2-D, got shape {x_train.shape}")
+    p = x_train.shape[-1]
     if transform.shape != (p, p):
         raise ValueError(
             f"transform shape {transform.shape} does not match feature count {p}"
         )
-    if y_train.shape != (n,):
+    if y_train.shape != x_train.shape[:-1]:
         raise ValueError(
-            f"y_train shape {y_train.shape} does not match row count {n}"
+            f"y_train shape {y_train.shape} does not match rows {x_train.shape[:-1]}"
         )
-    dual_weights, _ = _apply_pinv(x_train @ transform @ x_train.T, y_train)
-    return x_train.T @ dual_weights
+    x_train_t = np.swapaxes(x_train, -1, -2)
+    dual_weights, _ = _apply_pinv(x_train @ transform @ x_train_t, y_train)
+    return _matvec(x_train_t, dual_weights)
 
 
 def bias_conditional(
@@ -137,23 +168,26 @@ def bias_conditional(
     coef: np.ndarray,
     covariance: np.ndarray,
     x_train: np.ndarray,
-) -> float:
+) -> float | np.ndarray:
     """Squared covariance-norm of the part of coef the mean predictor misses.
 
-    Computes r = (I - T X^T (X T X^T)^+ X) coef and returns r^T covariance r.
+    Computes r = (I - T X^T (X T X^T)^+ X) coef and returns r^T covariance r,
+    a float for one design x_train (n, p) and an array for a stack (..., n, p).
     """
     transform = np.asarray(transform, dtype=float)
     coef = np.asarray(coef, dtype=float)
     covariance = np.asarray(covariance, dtype=float)
     x_train = np.asarray(x_train, dtype=float)
     p = coef.shape[0]
-    if transform.shape != (p, p) or covariance.shape != (p, p) or x_train.shape[1] != p:
+    if transform.shape != (p, p) or covariance.shape != (p, p) or x_train.shape[-1] != p:
         raise ValueError(
             f"inconsistent shapes: transform {transform.shape}, covariance "
             f"{covariance.shape}, x_train {x_train.shape}, coef {coef.shape}"
         )
-    residual = coef - transform @ fit_ridgeless(transform, x_train, x_train @ coef)
-    return max(float(residual @ covariance @ residual), 0.0)
+    weights = fit_ridgeless(transform, x_train, x_train @ coef)
+    residual = (coef - _matvec(transform, weights))[..., None, :]
+    value = np.maximum((residual @ covariance @ np.swapaxes(residual, -1, -2))[..., 0, 0], 0.0)
+    return float(value) if value.ndim == 0 else value
 
 
 def _estimate(values: np.ndarray, trials: int, seed: int) -> RiskEstimate:
@@ -163,20 +197,24 @@ def _estimate(values: np.ndarray, trials: int, seed: int) -> RiskEstimate:
 
 
 def _monte_carlo(
-    trial_value: Callable[[np.random.Generator], float],
+    trial_values: Callable[..., np.ndarray],
+    shapes: tuple[tuple[int, ...], ...],
     trials: int,
     seed: int,
     transform: np.ndarray,
 ) -> RiskEstimate:
-    """Mean and standard error of trial_value(rng) over trials, trial t
-    drawing from trial_rng(seed, t).  The transform the trials use is
-    checked symmetric PSD once, before the first trial."""
+    """Mean and standard error of the trial values over trials, where trial t
+    draws standard normal arrays of the given shapes, in order, from
+    trial_rng(seed, t).  Trials run in chunks: trial_values takes one stack
+    per shape, trials on axis 0, and returns one value per trial.  The
+    transform the trials use is checked symmetric PSD once, before the
+    first trial."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     _check_symmetric_psd(np.asarray(transform, dtype=float), "transform")
     values = np.empty(trials)
-    for trial in range(trials):
-        values[trial] = trial_value(trial_rng(seed, trial))
+    for start, draws in trial_chunks(seed, trials, shapes):
+        values[start:start + draws[0].shape[0]] = trial_values(*draws)
     return _estimate(values, trials, seed)
 
 
@@ -188,11 +226,12 @@ def bias_mc(
 ) -> RiskEstimate:
     """Mean conditional bias over training designs drawn from the problem."""
 
-    def trial_value(rng: np.random.Generator) -> float:
-        x_train = rng.standard_normal((problem.n_train, problem.p)) @ problem.covariance_sqrt
-        return bias_conditional(transform, problem.coef, problem.covariance, x_train)
+    def trial_values(z: np.ndarray) -> np.ndarray:
+        return bias_conditional(
+            transform, problem.coef, problem.covariance, z @ problem.covariance_sqrt
+        )
 
-    return _monte_carlo(trial_value, trials, seed, transform)
+    return _monte_carlo(trial_values, ((problem.n_train, problem.p),), trials, seed, transform)
 
 
 def variance_mc(
@@ -211,13 +250,12 @@ def variance_mc(
     conjugated = sqrt_cov @ transform @ sqrt_cov
     conjugated = (conjugated + conjugated.T) / 2.0
 
-    def trial_value(rng: np.random.Generator) -> float:
-        z = rng.standard_normal((problem.n_train, problem.p))
+    def trial_values(z: np.ndarray) -> np.ndarray:
         zs = z @ conjugated
-        solution, _ = _apply_pinv(zs @ z.T, zs)
-        return problem.noise_var * float(np.sum(solution**2))
+        solution, _ = _apply_pinv(zs @ np.swapaxes(z, -1, -2), zs)
+        return problem.noise_var * np.sum(solution**2, axis=(-2, -1))
 
-    return _monte_carlo(trial_value, trials, seed, transform)
+    return _monte_carlo(trial_values, ((problem.n_train, problem.p),), trials, seed, transform)
 
 
 def excess_risk_mc(
@@ -237,15 +275,16 @@ def excess_risk_mc(
     sqrt_cov = problem.covariance_sqrt
     noise_scale = np.sqrt(problem.noise_var)
 
-    def trial_value(rng: np.random.Generator) -> float:
-        x_train = rng.standard_normal((problem.n_train, problem.p)) @ sqrt_cov
-        y_train = x_train @ problem.coef + noise_scale * rng.standard_normal(problem.n_train)
+    def trial_values(z: np.ndarray, noise: np.ndarray, z_test: np.ndarray) -> np.ndarray:
+        x_train = z @ sqrt_cov
+        y_train = x_train @ problem.coef + noise_scale * noise
         weights = fit_ridgeless(transform, x_train, y_train)
-        x_test = rng.standard_normal((test_points, problem.p)) @ sqrt_cov
-        errors = x_test @ problem.coef - x_test @ (transform @ weights)
-        return float(np.mean(errors**2))
+        x_test = z_test @ sqrt_cov
+        errors = x_test @ problem.coef - _matvec(x_test, _matvec(transform, weights))
+        return np.mean(errors**2, axis=-1)
 
-    return _monte_carlo(trial_value, trials, seed, transform)
+    shapes = ((problem.n_train, problem.p), (problem.n_train,), (test_points, problem.p))
+    return _monte_carlo(trial_values, shapes, trials, seed, transform)
 
 
 def variance_lower_bound(noise_var: float, n: int, p: int) -> float:

@@ -97,6 +97,12 @@ class TestFeatureTransformValidation:
         with pytest.raises(ValueError, match="PSD"):
             FeatureTransform(bad, geom_1d(2), Padding.ZERO, Architecture.POOLING, 1)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite(self, value):
+        bad = np.diag([value, 1.0, 1.0]) / np.sqrt(3.0)
+        with pytest.raises(ValueError, match="feature transform has non-finite entries"):
+            FeatureTransform(bad, geom_1d(3), Padding.ZERO, Architecture.POOLING, 1)
+
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="shape"):
             FeatureTransform(np.eye(3) / np.sqrt(3), geom_1d(2), Padding.ZERO,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from convkernel.regression import (
+    DEFAULT_RISK_TEST_POINTS,
     PINV_RTOL,
     RegressionProblem,
     _apply_pinv,
@@ -22,7 +25,7 @@ from convkernel.regression import (
     variance_lower_bound,
     variance_mc,
 )
-from convkernel.rng import trial_rng
+from convkernel.rng import trial_rng, trials_per_chunk
 from _util import random_psd, random_unit_vector
 
 
@@ -47,6 +50,11 @@ class TestProblemValidation:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="covariance shape"):
             RegressionProblem(np.eye(4), np.ones(3), 0.0, 2)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_covariance(self, value):
+        with pytest.raises(ValueError, match="covariance has non-finite entries"):
+            RegressionProblem(np.diag([value, 1.0, 1.0]), np.ones(3), 0.0, 2)
 
 
 class TestFitRidgeless:
@@ -138,6 +146,55 @@ class TestApplyPinv:
             assert {r for _, r in columns} == {rank}
             scale = np.max(np.abs(expected))
             assert_allclose(solution, expected, rtol=0, atol=4 * np.finfo(float).eps * scale)
+
+
+    def test_stack_matches_each_kernel_alone(self):
+        # Mixed ranks, a zero kernel, vector and matrix right-hand sides.
+        rng = np.random.default_rng(31)
+        n, p, stack = 6, 9, 12
+        for columns in ((), (4,)):
+            x = rng.standard_normal((stack, n, p))
+            ranks = rng.integers(0, p + 1, stack)
+            transforms = [random_psd(rng, p) * (np.arange(p) < r) for r in ranks]
+            kernels = np.stack([xi @ t @ xi.T for xi, t in zip(x, transforms)])
+            kernels[3] = 0.0
+            rhs = rng.standard_normal((stack, n) + columns)
+            solution, full = _apply_pinv(kernels, rhs)
+            alone = [_apply_pinv(k, r) for k, r in zip(kernels, rhs)]
+            assert solution.shape == rhs.shape
+            assert_array_equal(solution, np.stack([a for a, _ in alone]))
+            assert full == sum(rank == n for _, rank in alone) < stack
+            assert_array_equal(solution[3], 0.0)
+
+    def test_kept_is_below_leading_dimension_exactly_on_a_rank_drop(self):
+        x = np.eye(4)[:3]
+        assert _apply_pinv(x @ x.T, np.ones(3))[1] == 3
+        assert _apply_pinv(np.diag([1.0, 1.0, 0.0]), np.ones(3))[1] == 2
+        stack = np.stack([np.eye(3), np.eye(3)])
+        assert _apply_pinv(stack, np.ones((2, 3)))[1] == 2
+        stack[1, 2, 2] = 0.0
+        assert _apply_pinv(stack, np.ones((2, 3)))[1] == 1
+
+
+class TestStackedFits:
+    # A leading trial axis fits each trial as the 2-D call would.
+    def test_fit_ridgeless_and_bias_conditional_per_trial(self):
+        rng = np.random.default_rng(32)
+        p, n, trials = 10, 4, 7
+        transform = random_psd(rng, p) * (np.arange(p) < 3)
+        coef, covariance = rng.standard_normal(p), random_psd(rng, p)
+        x = rng.standard_normal((trials, n, p))
+        y = rng.standard_normal((trials, n))
+        weights = fit_ridgeless(transform, x, y)
+        assert_array_equal(weights, np.stack([fit_ridgeless(transform, *t) for t in zip(x, y)]))
+        values = bias_conditional(transform, coef, covariance, x)
+        assert values.shape == (trials,)
+        assert_array_equal(values, [bias_conditional(transform, coef, covariance, xi)
+                                    for xi in x])
+
+    def test_fit_ridgeless_rejects_mismatched_trial_axes(self):
+        with pytest.raises(ValueError, match="y_train"):
+            fit_ridgeless(np.eye(4), np.ones((3, 2, 4)), np.ones((2, 2)))
 
 
 class TestBiasConditional:
@@ -317,11 +374,159 @@ class TestVarianceTraceOracle:
         assert_allclose(estimate.std_error, expected.std_error, rtol=1e-9, atol=0)
 
 
+def oracle_pinv(kernel, rhs):
+    """The single-kernel pseudo-inverse solve, as the per-trial loop ran it."""
+    kernel = (kernel + kernel.T) / 2.0
+    eigenvalues, eigenvectors = np.linalg.eigh(kernel)
+    cutoff = kernel.shape[0] * float(np.max(eigenvalues, initial=0.0)) * PINV_RTOL
+    keep = eigenvalues > max(cutoff, 0.0)
+    if not np.any(keep):
+        return np.zeros_like(rhs, dtype=float), 1.0
+    basis = eigenvectors[:, keep]
+    kept = eigenvalues[keep].reshape((-1,) + (1,) * (np.ndim(rhs) - 1))
+    return basis @ ((basis.T @ rhs) / kept), float(kept.max() / kept.min())
+
+
+def oracle_fit(transform, x_train, y_train):
+    dual_weights, condition = oracle_pinv(x_train @ transform @ x_train.T, y_train)
+    return x_train.T @ dual_weights, condition
+
+
+def oracle_bias_trial(transform, problem, rng):
+    x_train = rng.standard_normal((problem.n_train, problem.p)) @ problem.covariance_sqrt
+    weights, condition = oracle_fit(transform, x_train, x_train @ problem.coef)
+    residual = problem.coef - transform @ weights
+    return max(float(residual @ problem.covariance @ residual), 0.0), condition
+
+
+def oracle_variance_trial(transform, problem, rng):
+    sqrt_cov = problem.covariance_sqrt
+    conjugated = sqrt_cov @ transform @ sqrt_cov
+    conjugated = (conjugated + conjugated.T) / 2.0
+    z = rng.standard_normal((problem.n_train, problem.p))
+    zs = z @ conjugated
+    solution, condition = oracle_pinv(zs @ z.T, zs)
+    return problem.noise_var * float(np.sum(solution**2)), condition
+
+
+def oracle_risk_trial(transform, problem, rng, test_points):
+    sqrt_cov = problem.covariance_sqrt
+    x_train = rng.standard_normal((problem.n_train, problem.p)) @ sqrt_cov
+    noise = np.sqrt(problem.noise_var) * rng.standard_normal(problem.n_train)
+    weights, condition = oracle_fit(transform, x_train, x_train @ problem.coef + noise)
+    x_test = rng.standard_normal((test_points, problem.p)) @ sqrt_cov
+    errors = x_test @ problem.coef - x_test @ (transform @ weights)
+    return float(np.mean(errors**2)), condition
+
+
+def oracle_estimate(name, transform, problem, trials, seed, test_points):
+    """Per-trial loop over trial_rng streams; also the largest Gram condition."""
+    values, condition = np.empty(trials), 1.0
+    for trial in range(trials):
+        rng = trial_rng(seed, trial)
+        if name == "bias":
+            values[trial], cond = oracle_bias_trial(transform, problem, rng)
+        elif name == "variance":
+            values[trial], cond = oracle_variance_trial(transform, problem, rng)
+        else:
+            values[trial], cond = oracle_risk_trial(transform, problem, rng, test_points)
+        condition = max(condition, cond)
+    return _estimate(values, trials, seed), condition
+
+
+class TestPerTrialOracle:
+    # The estimators run trials in chunks of stacked draws; the per-trial
+    # loop is the reference.  Chunk counts are taken from the draw shapes.
+    P, N = 12, 5
+
+    def problem(self, noise_var=0.3):
+        rng = np.random.default_rng(40)
+        return RegressionProblem(random_psd(rng, self.P), random_unit_vector(rng, self.P),
+                                 noise_var, self.N)
+
+    def transform(self, rank):
+        rng = np.random.default_rng(41)
+        basis, _ = np.linalg.qr(rng.standard_normal((self.P, self.P)))
+        transform = (basis[:, :rank] * rng.uniform(0.5, 2.0, rank)) @ basis[:, :rank].T
+        return (transform + transform.T) / 2.0
+
+    def run(self, name, transform, problem, trials, test_points=DEFAULT_RISK_TEST_POINTS):
+        estimator = {"bias": bias_mc, "variance": variance_mc, "risk": excess_risk_mc}[name]
+        extra = {"test_points": test_points} if name == "risk" else {}
+        estimate = estimator(transform, problem, trials=trials, seed=7, **extra)
+        expected, condition = oracle_estimate(name, transform, problem, trials, 7, test_points)
+        assert condition <= 1e6
+        assert estimate.trials == trials
+        assert_allclose(estimate.mean, expected.mean, rtol=1e-12, atol=0)
+        assert_allclose(estimate.std_error, expected.std_error, rtol=1e-12, atol=0)
+        return estimate
+
+    def chunk(self, name, test_points=DEFAULT_RISK_TEST_POINTS):
+        shapes = ((self.N, self.P),)
+        if name == "risk":
+            shapes += ((self.N,), (test_points, self.P))
+        return trials_per_chunk(shapes)
+
+    @pytest.mark.parametrize("name", ["bias", "variance", "risk"])
+    @pytest.mark.parametrize("rank", [3, 8, 12])  # 3 < n: every Gram drops rank
+    @pytest.mark.parametrize("chunks", ["one trial", "one chunk", "three chunks plus one"])
+    def test_matches_per_trial_loop(self, name, rank, chunks):
+        chunk = self.chunk(name)
+        assert chunk > 1
+        trials = {"one trial": 1, "one chunk": chunk, "three chunks plus one": 3 * chunk + 1}
+        self.run(name, self.transform(rank), self.problem(), trials[chunks])
+
+    @pytest.mark.parametrize("name", ["variance", "risk"])
+    def test_zero_noise(self, name):
+        estimate = self.run(name, self.transform(8), self.problem(noise_var=0.0),
+                            3 * self.chunk(name) + 1)
+        if name == "variance":
+            assert estimate.mean == 0.0
+            assert estimate.std_error == 0.0
+
+    def test_one_trial_per_chunk_with_many_test_points(self):
+        test_points = 700
+        assert self.chunk("risk", test_points) == 1
+        self.run("risk", self.transform(12), self.problem(), 4, test_points)
+
+
+class TestMonteCarloMemory:
+    # The chunked draws keep the estimators' working set small; a draw
+    # budget of 32 MB peaks at 61 MB and 69 MB here.
+    @staticmethod
+    def peak_mb(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_variance_sweep_size(self):
+        problem = identity_problem(p=20, n=10)
+        assert self.peak_mb(lambda: variance_mc(np.eye(20), problem, trials=6000)) < 2.0
+
+    def test_risk_on_image_size(self):
+        # The entry PSD check of a 784 x 784 transform peaks at 14 MB by
+        # itself; one trial's draws take 1.7 MB.
+        problem = RegressionProblem(np.eye(784), np.ones(784), 0.01, 10)
+        peak = self.peak_mb(lambda: excess_risk_mc(np.eye(784), problem, trials=20))
+        assert peak < 20.0
+
+
 @pytest.mark.parametrize("estimator", [bias_mc, variance_mc, excess_risk_mc])
 @pytest.mark.parametrize("trials", [0, -3])
 def test_estimators_reject_bad_trials(estimator, trials):
     with pytest.raises(ValueError, match="trials must be >= 1"):
         estimator(np.eye(20), identity_problem(), trials=trials, seed=0)
+
+
+@pytest.mark.parametrize("estimator", [bias_mc, variance_mc, excess_risk_mc])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_estimators_reject_non_finite_transform(estimator, value):
+    problem = identity_problem(p=4, n=2)
+    with pytest.raises(ValueError, match="transform has non-finite entries"):
+        estimator(np.diag([value, 1.0, 1.0, 1.0]), problem, trials=2, seed=0)
 
 
 @pytest.mark.parametrize("estimator", [bias_mc, variance_mc, excess_risk_mc])

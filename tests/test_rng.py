@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from convkernel import derive_seed, trial_rng
+from convkernel.rng import DRAW_BUDGET_BYTES, trial_chunks, trials_per_chunk
 
 
 class TestTrialRng:
@@ -36,6 +37,38 @@ class TestTrialRng:
 
     def test_huge_seed_accepted(self):
         trial_rng(2**63 + 11, 0).standard_normal(1)
+
+
+class TestTrialChunks:
+    # excess_risk_mc's three draws, in its order: design, noise, test points.
+    SHAPES = ((3, 4), (3,), (5, 4))
+
+    @pytest.mark.parametrize("seed", [11, 2**63 + 11])
+    def test_draws_equal_trial_rng_across_chunk_boundaries(self, seed):
+        chunk = trials_per_chunk(self.SHAPES)
+        assert chunk > 1
+        trials = 2 * chunk + 1
+        starts, drawn = [], []
+        for start, stacks in trial_chunks(seed, trials, self.SHAPES):
+            starts.append(start)
+            drawn += [[stack[i] for stack in stacks] for i in range(stacks[0].shape[0])]
+        assert starts == [0, chunk, 2 * chunk]
+        assert len(drawn) == trials
+        for trial in (0, chunk - 1, chunk, chunk + 1, 2 * chunk - 1, 2 * chunk):
+            rng = trial_rng(seed, trial)
+            for array, shape in zip(drawn[trial], self.SHAPES):
+                assert np.array_equal(array, rng.standard_normal(shape))
+
+    def test_chunk_fits_the_budget(self):
+        per_trial = 8 * (12 + 3 + 20)
+        assert trials_per_chunk(self.SHAPES) == DRAW_BUDGET_BYTES // per_trial
+
+    def test_trial_larger_than_budget_gets_a_chunk_of_its_own(self):
+        shapes = ((DRAW_BUDGET_BYTES // 8 + 1,),)
+        assert trials_per_chunk(shapes) == 1
+        chunks = list(trial_chunks(3, 3, shapes))
+        assert [(start, stacks[0].shape[0]) for start, stacks in chunks] == [(0, 1), (1, 1), (2, 1)]
+        assert np.array_equal(chunks[2][1][0][0], trial_rng(3, 2).standard_normal(shapes[0]))
 
 
 class TestDeriveSeed:
