@@ -122,16 +122,11 @@ def _resolve_coef(cfg: SweepConfig) -> np.ndarray:
     return _synthetic_coef(p, cfg.seed)
 
 
-def _transform_matrices(cfg: SweepConfig, coef: np.ndarray, depths: tuple[int, ...]
-                        ) -> dict[int, np.ndarray]:
+def _transform(cfg: SweepConfig, coef: np.ndarray, depth: int) -> np.ndarray:
     if cfg.theta_family == THETA_FAMILY_ALIGNED_SPIKE:
-        spike = np.outer(coef, coef)
-        eye = np.eye(cfg.geometry.p)
-        return {d: spike + abs(d - cfg.family_center) * eye for d in depths}
-    transforms = feature_transforms(
-        sorted(depths), cfg.geometry, cfg.padding, cfg.architecture
-    )
-    return {ft.depth: np.asarray(ft.matrix) for ft in transforms}
+        return np.outer(coef, coef) + abs(depth - cfg.family_center) * np.eye(cfg.geometry.p)
+    (ft,) = feature_transforms([depth], cfg.geometry, cfg.padding, cfg.architecture)
+    return ft.matrix
 
 
 def _ridged_inverse(matrix: np.ndarray) -> tuple[np.ndarray, float]:
@@ -166,23 +161,20 @@ def run_depth_sweep(cfg: SweepConfig) -> list[DepthSweepRecord]:
     shared across depths, so per-depth estimates ride on common random
     numbers and depth comparisons are free of independent-sampling noise.
     Input files are read before any transform is built, so a bad one fails
-    before the depth work; every output is checked before any is written.
+    before the depth work; one transform is built and held at a time, and
+    every output is checked before any is written.
     """
     coef = _resolve_coef(cfg)
     covariance = _resolve_covariance(cfg)
-    wanted = set(cfg.depths)
-    if cfg.sigma_source == "inverse_theta":
-        wanted.add(cfg.sigma_depth)
-    matrices = _transform_matrices(cfg, coef, tuple(sorted(wanted)))
     ridge_epsilon = None
     if covariance is None:
-        covariance, ridge_epsilon = _ridged_inverse(matrices[cfg.sigma_depth])
+        covariance, ridge_epsilon = _ridged_inverse(_transform(cfg, coef, cfg.sigma_depth))
     problem = RegressionProblem(covariance, coef, cfg.noise_var, cfg.n_train)
     seeds = {name: derive_seed(cfg.seed, name) for name in ("bias", "variance", "risk")}
 
     records = []
     for depth in cfg.depths:
-        transform = matrices[depth]
+        transform = _transform(cfg, coef, depth)
         bias = bias_mc(transform, problem, trials=cfg.trials_bias, seed=seeds["bias"])
         variance = variance_mc(transform, problem, trials=cfg.trials_var,
                                seed=seeds["variance"])

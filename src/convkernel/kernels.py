@@ -12,9 +12,11 @@ limits.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -63,7 +65,7 @@ class ConvGeometry:
             raise ValueError(f"unsupported geometry kind: {self.kind!r}")
         if self.p < 1:
             raise ValueError(f"pixel count must be >= 1, got {self.p}")
-        if self.kind is GeometryKind.TWO_D and self.side * self.side != self.p:
+        if math.prod(self.axes) != self.p:
             raise ValueError(f"2-D geometry needs a perfect-square pixel count, got {self.p}")
 
     @property
@@ -71,6 +73,11 @@ class ConvGeometry:
         if self.kind is not GeometryKind.TWO_D:
             raise ValueError("side is only defined for 2-D geometry")
         return math.isqrt(self.p)
+
+    @property
+    def axes(self) -> tuple[int, ...]:
+        """Axis lengths, (p,) or (s, s), that pixels flatten row-major over."""
+        return (self.p,) if self.kind is GeometryKind.ONE_D else (self.side, self.side)
 
 
 def _check_symmetric_psd(matrix: np.ndarray, what: str) -> None:
@@ -80,7 +87,8 @@ def _check_symmetric_psd(matrix: np.ndarray, what: str) -> None:
     fro = float(np.linalg.norm(matrix))
     if fro == 0.0:
         return
-    asym = float(np.max(np.abs(matrix - matrix.T)))
+    # The difference is antisymmetric, so its max is its max magnitude: no abs.
+    asym = float(np.max(matrix - matrix.T))
     if asym > SYMMETRY_RTOL * fro:
         raise ValueError(f"{what} is not symmetric (max asymmetry {asym:.3e})")
     smallest = float(np.linalg.eigvalsh(matrix)[0])
@@ -139,18 +147,16 @@ def basis_matrices(geometry: ConvGeometry, padding: Padding) -> list[np.ndarray]
     """Shift bases of the convolution operator, one per filter tap.
 
     Returns 3 matrices (1-D) ordered by shift -1, 0, +1, or 9 matrices
-    (2-D) ordered row-major over shift pairs.  Conjugating by the shift-k
-    basis moves entry (i, j) to (i+k, j+k); zero padding drops
-    out-of-range entries, circular padding wraps them.
+    (2-D) ordered row-major over shift pairs, each the Kronecker product
+    of one 1-D basis per axis.  Conjugating by the shift-k basis moves
+    entry (i, j) to (i+k, j+k); zero padding drops out-of-range entries,
+    circular padding wraps them.
     """
     if not isinstance(padding, Padding):
         raise ValueError(f"unsupported padding: {padding!r}")
-    shifts = (-1, 0, 1)
-    if geometry.kind is GeometryKind.ONE_D:
-        return [_shift_matrix_1d(geometry.p, k, padding) for k in shifts]
-    side = geometry.side
-    one_d = {k: _shift_matrix_1d(side, k, padding) for k in shifts}
-    return [np.kron(one_d[k], one_d[kp]) for k in shifts for kp in shifts]
+    axes = geometry.axes
+    return [reduce(np.kron, [_shift_matrix_1d(n, k, padding) for n, k in zip(axes, taps)])
+            for taps in itertools.product((-1, 0, 1), repeat=len(axes))]
 
 
 def _shift_slices(size: int, shift: int) -> tuple[slice, slice]:
@@ -177,27 +183,15 @@ def apply_conv_operator(
         raise ValueError(f"matrix shape {matrix.shape} does not match geometry p={p}")
     if not isinstance(padding, Padding):
         raise ValueError(f"unsupported padding: {padding!r}")
-    shifts = (-1, 0, 1)
-    if geometry.kind is GeometryKind.ONE_D:
-        out = np.zeros_like(matrix)
-        for k in shifts:
-            if padding is Padding.CIRCULAR:
-                out += np.roll(matrix, (-k, -k), axis=(0, 1))
-            else:
-                dst, src = _shift_slices(p, k)
-                out[dst, dst] += matrix[src, src]
-        return out
-    side = geometry.side
-    grid = matrix.reshape(side, side, side, side)
+    axes = geometry.axes
+    grid = matrix.reshape(axes + axes)
     out = np.zeros_like(grid)
-    for k in shifts:
-        for kp in shifts:
-            if padding is Padding.CIRCULAR:
-                out += np.roll(grid, (-k, -kp, -k, -kp), axis=(0, 1, 2, 3))
-            else:
-                dst0, src0 = _shift_slices(side, k)
-                dst1, src1 = _shift_slices(side, kp)
-                out[dst0, dst1, dst0, dst1] += grid[src0, src1, src0, src1]
+    for taps in itertools.product((-1, 0, 1), repeat=len(axes)):
+        if padding is Padding.CIRCULAR:
+            out += np.roll(grid, tuple(-k for k in taps) * 2, axis=tuple(range(grid.ndim)))
+        else:
+            dst, src = zip(*(_shift_slices(n, k) for n, k in zip(axes, taps)))
+            out[dst + dst] += grid[src + src]
     return out.reshape(p, p)
 
 
@@ -253,10 +247,10 @@ def _transform_matrix(
     every depth is depth 0.  Under zero padding, depths up to
     STENCIL_DEPTH_MAX iterate the stencil, so depth 0 is initial_transform
     bit for bit and the next ones keep the iterate's bits; deeper ones are
-    in closed form.  In 2-D the operator acts on the row-axis pair and the
-    column-axis pair of the (s, s, s, s) tensor separately, and both
-    depth-0 matrices are products of one s-by-s factor per pair, so the
-    transform is kron(V, V) with V the 1-D transform on s pixels.
+    in closed form.  The operator acts on each axis's index pair of the
+    axes + axes tensor separately, and both depth-0 matrices are Kronecker
+    products of one factor per axis, so the transform is the product over
+    geometry.axes of the 1-D transform on each axis (kron(V, V) in 2-D).
     """
     if padding is Padding.CIRCULAR:
         return initial_transform(geometry, architecture)
@@ -266,12 +260,11 @@ def _transform_matrix(
             matrix = apply_conv_operator(matrix, geometry, padding)
             matrix /= np.linalg.norm(matrix)
         return matrix
-    if geometry.kind is GeometryKind.ONE_D:
-        matrix = _zero_padding_power(initial_transform(geometry, architecture), depth)
-    else:
-        line = ConvGeometry(GeometryKind.ONE_D, geometry.side)
-        factor = _zero_padding_power(initial_transform(line, architecture), depth)
-        matrix = np.kron(factor, factor)
+    # One factor per distinct axis length: a square grid computes it once.
+    factors = {n: _zero_padding_power(initial_transform(ConvGeometry(GeometryKind.ONE_D, n),
+                                                        architecture), depth)
+               for n in set(geometry.axes)}
+    matrix = reduce(np.kron, [factors[n] for n in geometry.axes])
     return matrix / np.linalg.norm(matrix)
 
 
@@ -357,12 +350,9 @@ def limiting_transform(
     """
     if padding is Padding.CIRCULAR:
         limit = initial_transform(geometry, architecture)
-    elif geometry.kind is GeometryKind.ONE_D:
-        limit = np.diag(sine_profile(geometry.p))
-        limit /= np.linalg.norm(limit)
     else:
-        profile = sine_profile(geometry.side)
-        limit = np.diag(np.outer(profile, profile).ravel())
+        profiles = [sine_profile(n) for n in geometry.axes]
+        limit = np.diag(reduce(np.multiply.outer, profiles).ravel())
         limit /= np.linalg.norm(limit)
     return FeatureTransform(limit, geometry, padding, architecture, math.inf)
 
@@ -381,7 +371,7 @@ def symmetric_spectrum(matrix: np.ndarray) -> SpectralSummary:
     """Numerical eigendecomposition of a symmetric matrix, descending order."""
     matrix = np.asarray(matrix, dtype=float)
     fro = float(np.linalg.norm(matrix))
-    asym = float(np.max(np.abs(matrix - matrix.T))) if matrix.size else 0.0
+    asym = float(np.max(matrix - matrix.T)) if matrix.size else 0.0
     if fro > 0.0 and asym > SYMMETRY_RTOL * fro:
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
     eigenvalues, eigenvectors = np.linalg.eigh(matrix)

@@ -201,17 +201,13 @@ def _monte_carlo(
     shapes: tuple[tuple[int, ...], ...],
     trials: int,
     seed: int,
-    transform: np.ndarray,
 ) -> RiskEstimate:
     """Mean and standard error of the trial values over trials, where trial t
     draws standard normal arrays of the given shapes, in order, from
     trial_rng(seed, t).  Trials run in chunks: trial_values takes one stack
-    per shape, trials on axis 0, and returns one value per trial.  The
-    transform the trials use is checked symmetric PSD once, before the
-    first trial."""
+    per shape, trials on axis 0, and returns one value per trial."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    _check_symmetric_psd(np.asarray(transform, dtype=float), "transform")
     values = np.empty(trials)
     for start, draws in trial_chunks(seed, trials, shapes):
         values[start:start + draws[0].shape[0]] = trial_values(*draws)
@@ -225,13 +221,14 @@ def bias_mc(
     seed: int = 0,
 ) -> RiskEstimate:
     """Mean conditional bias over training designs drawn from the problem."""
+    _check_symmetric_psd(np.asarray(transform, dtype=float), "transform")
 
     def trial_values(z: np.ndarray) -> np.ndarray:
         return bias_conditional(
             transform, problem.coef, problem.covariance, z @ problem.covariance_sqrt
         )
 
-    return _monte_carlo(trial_values, ((problem.n_train, problem.p),), trials, seed, transform)
+    return _monte_carlo(trial_values, ((problem.n_train, problem.p),), trials, seed)
 
 
 def variance_mc(
@@ -246,6 +243,7 @@ def variance_mc(
     noise_var * trace((Z S Z^T)^+^2  Z S^2 Z^T) = noise_var * ||(Z S Z^T)^+ Z S||_F^2
     with S the covariance-conjugated transform sqrt(cov) T sqrt(cov).
     """
+    _check_symmetric_psd(np.asarray(transform, dtype=float), "transform")
     sqrt_cov = problem.covariance_sqrt
     conjugated = sqrt_cov @ transform @ sqrt_cov
     conjugated = (conjugated + conjugated.T) / 2.0
@@ -255,7 +253,7 @@ def variance_mc(
         solution, _ = _apply_pinv(zs @ np.swapaxes(z, -1, -2), zs)
         return problem.noise_var * np.sum(solution**2, axis=(-2, -1))
 
-    return _monte_carlo(trial_values, ((problem.n_train, problem.p),), trials, seed, transform)
+    return _monte_carlo(trial_values, ((problem.n_train, problem.p),), trials, seed)
 
 
 def excess_risk_mc(
@@ -270,6 +268,7 @@ def excess_risk_mc(
     Per trial: draw a training set with noisy labels, fit, then average
     (x.coef - prediction)^2 over test_points fresh covariate draws.
     """
+    _check_symmetric_psd(np.asarray(transform, dtype=float), "transform")
     if test_points < 1:
         raise ValueError(f"test_points must be >= 1, got {test_points}")
     sqrt_cov = problem.covariance_sqrt
@@ -284,7 +283,7 @@ def excess_risk_mc(
         return np.mean(errors**2, axis=-1)
 
     shapes = ((problem.n_train, problem.p), (problem.n_train,), (test_points, problem.p))
-    return _monte_carlo(trial_values, shapes, trials, seed, transform)
+    return _monte_carlo(trial_values, shapes, trials, seed)
 
 
 def variance_lower_bound(noise_var: float, n: int, p: int) -> float:

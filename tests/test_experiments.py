@@ -125,6 +125,23 @@ class TestDepthSweep:
         assert outputs[0][0] == outputs[1][0]
         assert outputs[0][1] == outputs[1][1]
 
+    def test_builds_one_transform_at_a_time(self, tmp_path, monkeypatch):
+        built = []
+        original = convkernel.experiments.feature_transforms
+
+        def recording(depths, *args):
+            built.append(list(depths))
+            return original(depths, *args)
+
+        monkeypatch.setattr(convkernel.experiments, "feature_transforms", recording)
+        cfg = sweep_config(
+            tmp_path,
+            "sigma_source = inverse_theta\nsigma_depth = 4\n"
+            f"p = 10\nn = 5\ndepths = 1,4,9\n{FAST_TRIALS}outdir = {tmp_path / 'out'}\n",
+        )
+        run_depth_sweep(cfg)
+        assert built == [[4], [1], [4], [9]]
+
     def test_meta_records_ridge_for_inverse_sigma(self, tmp_path):
         cfg = sweep_config(
             tmp_path,

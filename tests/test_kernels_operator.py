@@ -110,6 +110,33 @@ class TestApplyMatchesBases:
             )
 
 
+class TestTwoDIsPerAxisProduct:
+    # On an s-by-s grid the operator acts on each axis separately: it maps
+    # kron(A, B) to kron(op(A), op(B)) with op the 1-D operator on s pixels.
+    @pytest.mark.parametrize("padding", PADDINGS)
+    @pytest.mark.parametrize("side", range(1, 6))
+    def test_operator_maps_kron_to_kron(self, side, padding):
+        rng = np.random.default_rng(300 * side + (padding is Padding.ZERO))
+        for _ in range(20):
+            a, b = random_symmetric(rng, side), random_symmetric(rng, side)
+            assert_allclose(
+                apply_conv_operator(np.kron(a, b), geom_2d(side), padding),
+                np.kron(apply_conv_operator(a, geom_1d(side), padding),
+                        apply_conv_operator(b, geom_1d(side), padding)),
+                atol=1e-12,
+                rtol=0,
+            )
+
+    @pytest.mark.parametrize("padding", PADDINGS)
+    @pytest.mark.parametrize("side", range(1, 6))
+    def test_bases_are_kron_of_1d_bases(self, side, padding):
+        line = basis_matrices(geom_1d(side), padding)
+        grid = basis_matrices(geom_2d(side), padding)
+        for k in range(3):
+            for kp in range(3):
+                assert_array_equal(grid[3 * k + kp], np.kron(line[k], line[kp]))
+
+
 class TestApplyKnownValues:
     def test_identity_zero_padding(self):
         got = apply_conv_operator(np.eye(4), geom_1d(4), Padding.ZERO)

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from convkernel.kernels import _check_symmetric_psd
 from convkernel.regression import (
     DEFAULT_RISK_TEST_POINTS,
     PINV_RTOL,
@@ -506,12 +507,19 @@ class TestMonteCarloMemory:
         problem = identity_problem(p=20, n=10)
         assert self.peak_mb(lambda: variance_mc(np.eye(20), problem, trials=6000)) < 2.0
 
+    def test_entry_check_holds_one_temporary(self):
+        # Beyond the matrix itself: one p-by-p temporary (the asymmetry
+        # test, freed before eigvalsh) or eigvalsh's own copy, not both.
+        transform = np.eye(784)
+        peak = self.peak_mb(lambda: _check_symmetric_psd(transform, "transform"))
+        assert peak <= 1.2 * transform.nbytes / 2**20
+
     def test_risk_on_image_size(self):
-        # The entry PSD check of a 784 x 784 transform peaks at 14 MB by
-        # itself; one trial's draws take 1.7 MB.
+        # The 784 x 784 transform and the entry PSD check of it take 4.7 MB
+        # each; one trial's draws take 1.7 MB.
         problem = RegressionProblem(np.eye(784), np.ones(784), 0.01, 10)
         peak = self.peak_mb(lambda: excess_risk_mc(np.eye(784), problem, trials=20))
-        assert peak < 20.0
+        assert peak < 12.0
 
 
 @pytest.mark.parametrize("estimator", [bias_mc, variance_mc, excess_risk_mc])
@@ -521,9 +529,11 @@ def test_estimators_reject_bad_trials(estimator, trials):
         estimator(np.eye(20), identity_problem(), trials=trials, seed=0)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("estimator", [bias_mc, variance_mc, excess_risk_mc])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_estimators_reject_non_finite_transform(estimator, value):
+    # The check runs before any arithmetic on the transform, which would warn.
     problem = identity_problem(p=4, n=2)
     with pytest.raises(ValueError, match="transform has non-finite entries"):
         estimator(np.diag([value, 1.0, 1.0, 1.0]), problem, trials=2, seed=0)
