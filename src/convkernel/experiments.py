@@ -3,7 +3,8 @@ two-digit image regression.
 
 Every runner computes all records first and only then writes its outputs
 atomically, so a failed run leaves no partial files.  Output is fully
-determined by the config (including its seed): reruns are byte-identical.
+determined by the config (including its seed) and the BLAS thread count:
+reruns at the same thread count are byte-identical.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from convkernel.kernels import (
     ConvGeometry,
     GeometryKind,
     feature_transforms,
-    symmetric_spectrum,
+    leading_eigenvector,
 )
 from convkernel.regression import (
     RegressionProblem,
@@ -227,7 +228,7 @@ def run_eigvec_gallery(cfg: EigvecConfig) -> list[GalleryRecord]:
     images: list[tuple[Path, np.ndarray]] = []
     for depth in cfg.depths:
         (ft,) = feature_transforms([depth], cfg.geometry, cfg.padding, cfg.architecture)
-        leading = symmetric_spectrum(ft.matrix).leading_eigenvector
+        leading = leading_eigenvector(ft)
         name = f"eigvec_D{ft.depth}.pgm"
         images.append((cfg.outdir / name, grayscale(leading.reshape(side, side))))
         records.append(GalleryRecord(ft.depth, participation_ratio(leading), name))
@@ -261,18 +262,17 @@ def run_mnist_experiment(cfg: MnistConfig) -> list[MnistDepthRecord]:
 
     geometry = ConvGeometry(GeometryKind.TWO_D, p)
     subsample_seed = derive_seed(cfg.seed, "subsample")
-    subsamples = [
+    # Row t holds trial t's n_train subsample indices; every depth fits all
+    # trials in one stacked call.
+    rows = np.stack([
         trial_rng(subsample_seed, trial).choice(total, size=cfg.n_train, replace=False)
         for trial in range(cfg.trials)
-    ]
+    ])
+    x_trials, y_trials = subset.x[rows], subset.y[rows]
 
     def loss_estimate(transform: np.ndarray) -> RiskEstimate:
-        # Each trial predicts x @ transform @ weights; the trials' weight
-        # columns share one prediction gemm.
-        weights = np.empty((p, cfg.trials))
-        for trial, rows in enumerate(subsamples):
-            weights[:, trial] = fit_ridgeless(transform, subset.x[rows], subset.y[rows])
-        errors = subset.x @ (transform @ weights) - subset.y[:, None]
+        fitted = fit_ridgeless(transform, x_trials, y_trials)
+        errors = subset.x @ fitted.T - subset.y[:, None]
         return _estimate(np.mean(errors**2, axis=0), cfg.trials, subsample_seed)
 
     records = []

@@ -102,25 +102,51 @@ class FeatureTransform:
 
     depth is an integer for finite-depth iterates and math.inf for the
     closed-form limit.  The matrix has unit Frobenius norm.
+
+    factors are PSD matrices whose Kronecker product, normalized, is the
+    matrix: one s x s factor per axis for a closed-form zero-padding
+    transform (the same array twice on a square grid), else the matrix
+    alone.  Pass either the matrix, or None and factors=..., from which
+    the matrix is formed; the PSD check then runs on each distinct factor
+    instead of the p x p product.
     """
 
-    matrix: np.ndarray
+    matrix: np.ndarray | None
     geometry: ConvGeometry
     padding: Padding
     architecture: Architecture
     depth: int | float
+    factors: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self) -> None:
-        matrix = np.asarray(self.matrix, dtype=float)
+        if self.factors and self.matrix is not None:
+            raise ValueError("pass a transform's matrix or its factors, not both")
+        factors = tuple(np.asarray(f, dtype=float) for f in self.factors or (self.matrix,))
         p = self.geometry.p
-        if matrix.shape != (p, p):
-            raise ValueError(f"matrix shape {matrix.shape} does not match geometry p={p}")
-        _check_symmetric_psd(matrix, "feature transform")
+        if (any(f.ndim != 2 or f.shape[0] != f.shape[1] for f in factors)
+                or math.prod(f.shape[0] for f in factors) != p):
+            shapes = " x ".join(str(f.shape) for f in factors)
+            raise ValueError(f"matrix shape {shapes} does not match geometry p={p}")
+        # If each factor's smallest eigenvalue is at least -PSD_RTOL times its
+        # Frobenius norm, so is their normalized product's: a product of
+        # eigenvalues is negative only through one negative factor eigenvalue,
+        # and the others are at most their factors' norms.
+        for factor in {id(f): f for f in factors}.values():
+            _check_symmetric_psd(factor, "feature transform")
+        if self.factors:
+            matrix = reduce(np.kron, factors)
+            matrix = matrix / np.linalg.norm(matrix)
+        else:
+            (matrix,) = factors
+        if not np.all(np.isfinite(matrix)):
+            raise ValueError("feature transform has non-finite entries")
         fro = float(np.linalg.norm(matrix))
         if abs(fro - 1.0) > UNIT_NORM_ATOL:
             raise ValueError(f"normalized transform has Frobenius norm {fro!r}")
-        matrix.setflags(write=False)
+        for array in (matrix,) + factors:
+            array.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "factors", factors)
 
 
 @dataclass(frozen=True)
@@ -237,10 +263,10 @@ def _zero_padding_power(start: np.ndarray, depth: int) -> np.ndarray:
     return out
 
 
-def _transform_matrix(
+def _feature_transform(
     depth: int, geometry: ConvGeometry, padding: Padding, architecture: Architecture
-) -> np.ndarray:
-    """Unit-Frobenius depth-`depth` transform.
+) -> FeatureTransform:
+    """The unit-Frobenius depth-`depth` transform.
 
     Circular padding leaves both depth-0 matrices fixed (each tap's shift
     permutes the identity and the all-ones matrix onto themselves), so
@@ -250,22 +276,22 @@ def _transform_matrix(
     in closed form.  The operator acts on each axis's index pair of the
     axes + axes tensor separately, and both depth-0 matrices are Kronecker
     products of one factor per axis, so the transform is the product over
-    geometry.axes of the 1-D transform on each axis (kron(V, V) in 2-D).
+    geometry.axes of the 1-D transform on each axis (kron(V, V) in 2-D),
+    and it keeps those factors.
     """
-    if padding is Padding.CIRCULAR:
-        return initial_transform(geometry, architecture)
-    if depth <= STENCIL_DEPTH_MAX:
-        matrix = initial_transform(geometry, architecture)
+    if padding is Padding.ZERO and depth > STENCIL_DEPTH_MAX:
+        # One factor per distinct axis length: a square grid computes it once.
+        factors = {n: _zero_padding_power(initial_transform(ConvGeometry(GeometryKind.ONE_D, n),
+                                                            architecture), depth)
+                   for n in set(geometry.axes)}
+        return FeatureTransform(None, geometry, padding, architecture, depth,
+                                factors=tuple(factors[n] for n in geometry.axes))
+    matrix = initial_transform(geometry, architecture)
+    if padding is Padding.ZERO:
         for _ in range(depth):
             matrix = apply_conv_operator(matrix, geometry, padding)
             matrix /= np.linalg.norm(matrix)
-        return matrix
-    # One factor per distinct axis length: a square grid computes it once.
-    factors = {n: _zero_padding_power(initial_transform(ConvGeometry(GeometryKind.ONE_D, n),
-                                                        architecture), depth)
-               for n in set(geometry.axes)}
-    matrix = reduce(np.kron, [factors[n] for n in geometry.axes])
-    return matrix / np.linalg.norm(matrix)
+    return FeatureTransform(matrix, geometry, padding, architecture, depth)
 
 
 def feature_transforms(
@@ -277,7 +303,7 @@ def feature_transforms(
     """Feature transforms at the given strictly increasing depths.
 
     Each depth is computed on its own, beyond STENCIL_DEPTH_MAX in closed
-    form (see _transform_matrix) at a cost that does not depend on the
+    form (see _feature_transform) at a cost that does not depend on the
     depth; apply_conv_operator, iterated with renormalization, is the
     reference it matches.  The recursion's scale factor does not affect
     downstream regression quantities, so every transform has unit
@@ -292,13 +318,7 @@ def feature_transforms(
         raise ValueError(f"depths must be strictly increasing, got {depths}")
     if not isinstance(padding, Padding):
         raise ValueError(f"unsupported padding: {padding!r}")
-    return [
-        FeatureTransform(
-            _transform_matrix(int(d), geometry, padding, architecture),
-            geometry, padding, architecture, int(d),
-        )
-        for d in depths
-    ]
+    return [_feature_transform(int(d), geometry, padding, architecture) for d in depths]
 
 
 def sine_profile(dim: int) -> np.ndarray:
@@ -380,3 +400,16 @@ def symmetric_spectrum(matrix: np.ndarray) -> SpectralSummary:
     gap = float(eigenvalues[0] - eigenvalues[1]) if eigenvalues.size >= 2 else 0.0
     return SpectralSummary(eigenvalues, leading, gap)
 
+
+def leading_eigenvector(transform: FeatureTransform) -> np.ndarray:
+    """Sign-fixed unit leading eigenvector of transform.matrix.
+
+    The Kronecker product of each factor's leading eigenvector (the top
+    eigenvalue of a product of PSD factors is the product of theirs), so
+    each distinct factor is solved once, at its own size.  Under a tied top
+    eigenvalue any unit vector of its eigenspace is leading, and the one
+    returned may differ from a dense solve's.
+    """
+    distinct = {id(f): f for f in transform.factors}
+    vectors = {key: symmetric_spectrum(f).leading_eigenvector for key, f in distinct.items()}
+    return _fix_sign(reduce(np.kron, [vectors[id(f)] for f in transform.factors]))

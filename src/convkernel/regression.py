@@ -1,7 +1,7 @@
 """Ridgeless regression under a feature transform, with risk estimators.
 
-The predictor is x^T T w with weights w = X^T (X T X^T)^+ y for a PSD
-transform T.  Monte Carlo estimators quantify its bias (error of the mean
+The predictor is x^T b with coefficients b = T X^T (X T X^T)^+ y for a
+PSD transform T.  Monte Carlo estimators quantify its bias (error of the mean
 predictor over training-set draws), variance (label-noise contribution),
 and total excess risk; the three are related by risk = bias + variance.
 """
@@ -136,11 +136,11 @@ def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
 def fit_ridgeless(
     transform: np.ndarray, x_train: np.ndarray, y_train: np.ndarray
 ) -> np.ndarray:
-    """Weights w = X^T (X T X^T)^+ y of the minimum-complexity interpolant
-    under the given feature transform; it predicts x @ transform @ w.
+    """Coefficients b = T X^T (X T X^T)^+ y of the minimum-complexity
+    interpolant under the given feature transform T; it predicts x @ b.
 
     x_train (..., n, p) and y_train (..., n) may carry leading trial axes;
-    then each trial is fitted and w is (..., p).  The transform must be
+    then each trial is fitted and b is (..., p).  The transform must be
     symmetric PSD; callers check that once, where it enters
     (FeatureTransform, the Monte Carlo estimators), not per fit.
     """
@@ -160,7 +160,7 @@ def fit_ridgeless(
         )
     x_train_t = np.swapaxes(x_train, -1, -2)
     dual_weights, _ = _apply_pinv(x_train @ transform @ x_train_t, y_train)
-    return _matvec(x_train_t, dual_weights)
+    return _matvec(transform, _matvec(x_train_t, dual_weights))
 
 
 def bias_conditional(
@@ -184,8 +184,7 @@ def bias_conditional(
             f"inconsistent shapes: transform {transform.shape}, covariance "
             f"{covariance.shape}, x_train {x_train.shape}, coef {coef.shape}"
         )
-    weights = fit_ridgeless(transform, x_train, x_train @ coef)
-    residual = (coef - _matvec(transform, weights))[..., None, :]
+    residual = (coef - fit_ridgeless(transform, x_train, x_train @ coef))[..., None, :]
     value = np.maximum((residual @ covariance @ np.swapaxes(residual, -1, -2))[..., 0, 0], 0.0)
     return float(value) if value.ndim == 0 else value
 
@@ -277,9 +276,9 @@ def excess_risk_mc(
     def trial_values(z: np.ndarray, noise: np.ndarray, z_test: np.ndarray) -> np.ndarray:
         x_train = z @ sqrt_cov
         y_train = x_train @ problem.coef + noise_scale * noise
-        weights = fit_ridgeless(transform, x_train, y_train)
+        fitted = fit_ridgeless(transform, x_train, y_train)
         x_test = z_test @ sqrt_cov
-        errors = x_test @ problem.coef - _matvec(x_test, _matvec(transform, weights))
+        errors = x_test @ problem.coef - _matvec(x_test, fitted)
         return np.mean(errors**2, axis=-1)
 
     shapes = ((problem.n_train, problem.p), (problem.n_train,), (test_points, problem.p))

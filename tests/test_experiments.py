@@ -344,6 +344,20 @@ class TestEigvecGallery:
         ratios = [r.participation_ratio for r in run_eigvec_gallery(cfg)]
         assert all(b < a for a, b in zip(ratios, ratios[1:]))
 
+    def test_closed_form_depths_solve_only_the_side_factor(self, tmp_path, monkeypatch):
+        # Depths 0..2 iterate the stencil and stay dense (p x p); deeper ones
+        # check and solve their s x s factor once.
+        shapes = {"_check_symmetric_psd": [], "symmetric_spectrum": []}
+        for name, seen in shapes.items():
+            original = getattr(convkernel.kernels, name)
+            monkeypatch.setattr(convkernel.kernels, name,
+                                lambda matrix, *args, original=original, seen=seen:
+                                seen.append(matrix.shape) or original(matrix, *args))
+        cfg = eigvec_config(tmp_path, f"p = 25\ndepths = 0,1,2,3,9\noutdir = {tmp_path / 'out'}\n")
+        run_eigvec_gallery(cfg)
+        expected = [(25, 25)] * 3 + [(5, 5)] * 2
+        assert shapes == {"_check_symmetric_psd": expected, "symmetric_spectrum": expected}
+
     def test_rerun_is_byte_identical(self, tmp_path):
         blobs = []
         for name in ("a", "b"):

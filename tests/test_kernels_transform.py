@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -19,8 +19,11 @@ from convkernel import (
     apply_conv_operator,
     feature_transforms,
     initial_transform,
+    leading_eigenvector,
     limiting_transform,
+    symmetric_spectrum,
 )
+from convkernel.experiments import participation_ratio
 
 ARCHS = (Architecture.FLATTENING, Architecture.POOLING)
 PADDINGS = (Padding.ZERO, Padding.CIRCULAR)
@@ -182,3 +185,64 @@ class TestClosedForm:
             for arch in ARCHS:
                 feature_transforms(deep, geometry, Padding.ZERO, arch)
                 feature_transforms([0, 1, 2] + deep, geometry, Padding.CIRCULAR, arch)
+
+
+class TestFactors:
+    # Closed-form 2-D zero-padding transforms keep their per-axis factor; the
+    # PSD check and the leading eigenvector run on it.
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(side=st.integers(1, 6), arch=st.sampled_from(ARCHS), depth=st.integers(3, 80))
+    def test_leading_eigenvector_matches_dense_solve(self, side, arch, depth):
+        geometry = ConvGeometry(GeometryKind.TWO_D, side * side)
+        (ft,) = feature_transforms([depth], geometry, Padding.ZERO, arch)
+        assert len(ft.factors) == 2 and ft.factors[0] is ft.factors[1]
+        assert ft.factors[0].shape == (side, side)
+        dense = symmetric_spectrum(ft.matrix)
+        # A tied top eigenvalue (flattening on an even side) has no unique
+        # leading eigenvector to compare.  Under a relative gap g the dense
+        # solve's vector is itself only determined to about eps / g.
+        gap = 1.0 if side == 1 else dense.spectral_gap / dense.eigenvalues[0]
+        assume(gap >= 1e-8)
+        tol = 1e-12 + 10 * np.finfo(float).eps / gap
+        factored = leading_eigenvector(ft)
+        assert_allclose(factored, dense.leading_eigenvector, rtol=0, atol=tol)
+        assert_allclose(participation_ratio(factored),
+                        participation_ratio(dense.leading_eigenvector), rtol=tol, atol=0)
+
+    def test_matrix_is_normalized_kron_of_factors(self):
+        a, b = np.diag([1.0, 2.0]), np.ones((3, 3))
+        ft = FeatureTransform(None, geom_1d(6), Padding.ZERO, Architecture.POOLING, 3,
+                              factors=(a, b))
+        product = np.kron(a, b)
+        assert_array_equal(ft.matrix, product / np.linalg.norm(product))
+        assert ft.factors == (a, b)
+
+    def test_dense_transform_is_its_own_factor(self):
+        for ft in feature_transforms([0, 1, 2], ConvGeometry(GeometryKind.TWO_D, 9),
+                                     Padding.ZERO, Architecture.POOLING):
+            assert len(ft.factors) == 1 and ft.factors[0] is ft.matrix
+
+    def test_rejects_indefinite_factor(self):
+        flip = np.diag([1.0, -1.0])
+        with pytest.raises(ValueError, match="PSD"):
+            FeatureTransform(None, ConvGeometry(GeometryKind.TWO_D, 4), Padding.ZERO,
+                             Architecture.POOLING, 3, factors=(flip, flip))
+
+    def test_rejects_non_finite_factor(self):
+        with pytest.raises(ValueError, match="feature transform has non-finite entries"):
+            FeatureTransform(None, ConvGeometry(GeometryKind.TWO_D, 4), Padding.ZERO,
+                             Architecture.POOLING, 3,
+                             factors=(np.diag([np.nan, 1.0]), np.eye(2)))
+
+    def test_rejects_factors_that_do_not_match_geometry(self):
+        with pytest.raises(ValueError, match="shape"):
+            FeatureTransform(None, ConvGeometry(GeometryKind.TWO_D, 9), Padding.ZERO,
+                             Architecture.POOLING, 3, factors=(np.eye(2), np.eye(2)))
+        with pytest.raises(ValueError, match="shape"):
+            FeatureTransform(None, geom_1d(6), Padding.ZERO, Architecture.POOLING, 3,
+                             factors=(np.ones((2, 3)), np.ones((3, 2))))
+
+    def test_rejects_matrix_beside_factors(self):
+        with pytest.raises(ValueError, match="not both"):
+            FeatureTransform(np.eye(4) / 2.0, ConvGeometry(GeometryKind.TWO_D, 4), Padding.ZERO,
+                             Architecture.FLATTENING, 3, factors=(np.eye(2), np.eye(2)))

@@ -59,17 +59,17 @@ class TestProblemValidation:
 
 
 class TestFitRidgeless:
-    # fit_ridgeless returns the weights w; the interpolant predicts x @ T @ w.
+    # fit_ridgeless returns the coefficients b; the interpolant predicts x @ b.
     def test_orthonormal_rows_identity_transform(self):
         p, n = 6, 3
         x = np.eye(p)[:n]
         y = np.array([2.0, -1.0, 0.5])
-        weights = fit_ridgeless(np.eye(p), x, y)
-        assert weights.shape == (p,)
-        assert_allclose(x @ weights, y, atol=1e-12, rtol=0)
+        fitted = fit_ridgeless(np.eye(p), x, y)
+        assert fitted.shape == (p,)
+        assert_allclose(x @ fitted, y, atol=1e-12, rtol=0)
         # Prediction only sees the first n coordinates.
         probe = np.arange(p, dtype=float)
-        assert_allclose(probe @ weights, probe[:n] @ y, atol=1e-12, rtol=0)
+        assert_allclose(probe @ fitted, probe[:n] @ y, atol=1e-12, rtol=0)
 
     def test_coef_outer_product_recovers_coef_exactly(self):
         rng = np.random.default_rng(1)
@@ -77,9 +77,9 @@ class TestFitRidgeless:
         coef = rng.standard_normal(p)
         x = rng.standard_normal((n, p))
         transform = np.outer(coef, coef)
-        weights = fit_ridgeless(transform, x, x @ coef)
+        fitted = fit_ridgeless(transform, x, x @ coef)
         probes = rng.standard_normal((5, p))
-        assert_allclose(probes @ transform @ weights, probes @ coef, atol=1e-10, rtol=0)
+        assert_allclose(probes @ fitted, probes @ coef, atol=1e-10, rtol=0)
 
     def test_matches_dense_eigendecomposition_solve(self):
         rng = np.random.default_rng(2)
@@ -88,15 +88,15 @@ class TestFitRidgeless:
             transform = random_psd(rng, p)
             x = rng.standard_normal((n, p))
             y = rng.standard_normal(n)
-            weights = fit_ridgeless(transform, x, y)
+            fitted = fit_ridgeless(transform, x, y)
             kernel = x @ transform @ x.T
             w, q = np.linalg.eigh(kernel)
             keep = w > n * w.max() * 1e-12
             inverse = (q[:, keep] / w[keep]) @ q[:, keep].T
-            assert_allclose(weights, x.T @ inverse @ y, atol=1e-10, rtol=0)
+            assert_allclose(fitted, transform @ x.T @ inverse @ y, atol=1e-10, rtol=0)
             probes = rng.standard_normal((6, p))
             expected = probes @ transform @ x.T @ inverse @ y
-            assert_allclose(probes @ transform @ weights, expected, atol=1e-10, rtol=0)
+            assert_allclose(probes @ fitted, expected, atol=1e-10, rtol=0)
 
     def test_interpolates_at_full_rank(self):
         rng = np.random.default_rng(3)
@@ -105,8 +105,8 @@ class TestFitRidgeless:
             transform = random_psd(rng, p)
             x = rng.standard_normal((n, p))
             y = rng.standard_normal(n)
-            weights = fit_ridgeless(transform, x, y)
-            assert_allclose(x @ transform @ weights, y, atol=1e-8, rtol=0)
+            fitted = fit_ridgeless(transform, x, y)
+            assert_allclose(x @ fitted, y, atol=1e-8, rtol=0)
 
     def test_zero_kernel_gives_zero_weights(self):
         weights = fit_ridgeless(np.zeros((5, 5)), np.ones((3, 5)), np.ones(3))
@@ -122,8 +122,7 @@ class TestFitRidgeless:
         base = fit_ridgeless(transform, x, y)
         scaled = fit_ridgeless(scale * transform, x, y)
         probes = rng.standard_normal((8, p))
-        assert_allclose(probes @ (scale * transform) @ scaled, probes @ transform @ base,
-                        atol=1e-10, rtol=0)
+        assert_allclose(probes @ scaled, probes @ base, atol=1e-10, rtol=0)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
