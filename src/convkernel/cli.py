@@ -16,7 +16,6 @@ import sys
 from pathlib import Path
 
 from convkernel.config import ConfigError, parse_config
-from convkernel.data import IdxFormatError
 from convkernel.experiments import (
     run_depth_sweep,
     run_eigvec_gallery,
@@ -80,7 +79,7 @@ def _run(command: str, config_path: Path) -> int:
         else:
             run_mnist_experiment(cfg)
             written = ["mnist.csv", "mnist_meta.json"]
-    except (IdxFormatError, ValueError, ArithmeticError, OSError) as error:
+    except (ValueError, ArithmeticError, OSError) as error:
         print(f"runtime error: {error}", file=sys.stderr)
         return EXIT_RUNTIME
 

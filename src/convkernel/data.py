@@ -26,18 +26,11 @@ class IdxFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class IdxHeader:
-    magic: int
-    dims: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Dataset:
-    """Flattened examples with labels and a provenance note."""
+    """Flattened examples with labels."""
 
     x: np.ndarray
     y: np.ndarray
-    source: str
 
     def __post_init__(self) -> None:
         x = np.asarray(self.x, dtype=float)
@@ -57,7 +50,8 @@ class Dataset:
         return self.x.shape[0]
 
 
-def _read_idx(path: str | Path, expected_magic: int, what: str) -> tuple[IdxHeader, bytes]:
+def _read_idx(path: str | Path, expected_magic: int, what: str) -> tuple[tuple, bytes]:
+    """The dims and payload of an IDX file, checked against expected_magic."""
     raw = Path(path).read_bytes()
     if len(raw) < 4:
         raise IdxFormatError(f"{path}: truncated magic in {what} file")
@@ -79,26 +73,25 @@ def _read_idx(path: str | Path, expected_magic: int, what: str) -> tuple[IdxHead
             f"{path}: payload of {what} file holds {len(payload)} bytes, "
             f"dims {dims} require {expected_bytes}"
         )
-    return IdxHeader(magic, dims), payload
+    return dims, payload
 
 
 def load_idx_images(images_path: str | Path, labels_path: str | Path) -> Dataset:
     """Images plus companion labels; pixels scaled to [0, 1], flattened row-major."""
-    images_header, pixels = _read_idx(images_path, IMAGES_MAGIC, "images")
-    labels_header, labels = _read_idx(labels_path, LABELS_MAGIC, "labels")
-    count, rows, cols = images_header.dims
+    (count, rows, cols), pixels = _read_idx(images_path, IMAGES_MAGIC, "images")
+    (label_count,), labels = _read_idx(labels_path, LABELS_MAGIC, "labels")
     if rows != cols:
         raise IdxFormatError(
             f"{images_path}: images must be square, got {rows}x{cols}"
         )
-    if labels_header.dims[0] != count:
+    if label_count != count:
         raise IdxFormatError(
             f"count mismatch: {images_path} holds {count} images but "
-            f"{labels_path} holds {labels_header.dims[0]} labels"
+            f"{labels_path} holds {label_count} labels"
         )
     x = np.frombuffer(pixels, dtype=np.uint8).reshape(count, rows * cols) / 255.0
     y = np.frombuffer(labels, dtype=np.uint8).astype(float)
-    return Dataset(x, y, f"idx:{images_path}")
+    return Dataset(x, y)
 
 
 def binary_digit_subset(
@@ -129,7 +122,7 @@ def binary_digit_subset(
         picks.append((indices[:count_per_class], sign))
     x = np.vstack([dataset.x[idx] for idx, _ in picks])
     y = np.concatenate([np.full(count_per_class, sign) for _, sign in picks])
-    return Dataset(x, y, f"{dataset.source}|digits {digit_pos}/{digit_neg}")
+    return Dataset(x, y)
 
 
 def min_norm_solve(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -33,6 +33,7 @@ from convkernel.fileio import (
 )
 from convkernel.kernels import (
     ConvGeometry,
+    FeatureTransform,
     GeometryKind,
     feature_transforms,
     leading_eigenvector,
@@ -223,7 +224,6 @@ def run_eigvec_gallery(cfg: EigvecConfig) -> list[GalleryRecord]:
     if cfg.geometry.kind is not GeometryKind.TWO_D:
         raise ValueError("the eigenvector gallery requires 2-D geometry")
     side = cfg.geometry.side
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
     records = []
     images: list[tuple[Path, np.ndarray]] = []
     for depth in cfg.depths:
@@ -234,6 +234,7 @@ def run_eigvec_gallery(cfg: EigvecConfig) -> list[GalleryRecord]:
         records.append(GalleryRecord(ft.depth, participation_ratio(leading), name))
     csv = _csv_text("gallery.csv", ["depth", "participation_ratio"],
                     [[r.depth, r.participation_ratio] for r in records])
+    cfg.outdir.mkdir(parents=True, exist_ok=True)
     for path, image in images:
         write_pgm(path, image)
     write_text_atomic(cfg.outdir / "gallery.csv", csv)
@@ -270,7 +271,7 @@ def run_mnist_experiment(cfg: MnistConfig) -> list[MnistDepthRecord]:
     ])
     x_trials, y_trials = subset.x[rows], subset.y[rows]
 
-    def loss_estimate(transform: np.ndarray) -> RiskEstimate:
+    def loss_estimate(transform: np.ndarray | FeatureTransform) -> RiskEstimate:
         fitted = fit_ridgeless(transform, x_trials, y_trials)
         errors = subset.x @ fitted.T - subset.y[:, None]
         return _estimate(np.mean(errors**2, axis=0), cfg.trials, subsample_seed)
@@ -278,9 +279,10 @@ def run_mnist_experiment(cfg: MnistConfig) -> list[MnistDepthRecord]:
     records = []
     for depth in cfg.depths:
         (ft,) = feature_transforms([depth], geometry, cfg.padding, cfg.architecture)
-        loss = loss_estimate(ft.matrix)
+        # A factored transform's p x p product is formed where the fit reads it.
+        loss = loss_estimate(ft)
         records.append(MnistDepthRecord(ft.depth, loss.mean, loss.std_error,
-                                        misalignment(ft.matrix, coef)))
+                                        misalignment(ft, coef)))
 
     baseline = loss_estimate(np.eye(p))
     meta = _meta_json(

@@ -16,14 +16,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
-from typing import Iterable, Sequence
+from functools import cached_property, reduce
+from typing import Sequence
 
 import numpy as np
 
 SYMMETRY_RTOL = 1e-12
 PSD_RTOL = 1e-10
-UNIT_NORM_ATOL = 1e-12
 CONVERGENCE_MAX_ITER = 100_000
 # Zero-padding depths up to this one iterate the stencil instead of using the
 # closed form.  Both agree to about 1e-16, but ridgeless regression on pooled
@@ -98,32 +97,25 @@ def _check_symmetric_psd(matrix: np.ndarray, what: str) -> None:
 
 @dataclass(frozen=True)
 class FeatureTransform:
-    """A PSD feature-transform matrix together with how it was produced.
+    """A PSD feature transform as its factors, and how it was produced.
 
-    depth is an integer for finite-depth iterates and math.inf for the
-    closed-form limit.  The matrix has unit Frobenius norm.
-
-    factors are PSD matrices whose Kronecker product, normalized, is the
-    matrix: one s x s factor per axis for a closed-form zero-padding
-    transform (the same array twice on a square grid), else the matrix
-    alone.  Pass either the matrix, or None and factors=..., from which
-    the matrix is formed; the PSD check then runs on each distinct factor
-    instead of the p x p product.
+    The transform is the Kronecker product of factors scaled to unit
+    Frobenius norm.  A single p x p factor is scaled once, here, and is its
+    own matrix; several (one per axis, the same array twice on a square
+    grid) are kept as given and multiplied out on the first read of matrix.
+    depth is an integer, or math.inf for the closed-form limit.
     """
 
-    matrix: np.ndarray | None
+    factors: tuple[np.ndarray, ...]
     geometry: ConvGeometry
     padding: Padding
     architecture: Architecture
     depth: int | float
-    factors: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.factors and self.matrix is not None:
-            raise ValueError("pass a transform's matrix or its factors, not both")
-        factors = tuple(np.asarray(f, dtype=float) for f in self.factors or (self.matrix,))
+        factors = tuple(np.asarray(f, dtype=float) for f in self.factors)
         p = self.geometry.p
-        if (any(f.ndim != 2 or f.shape[0] != f.shape[1] for f in factors)
+        if (not factors or any(f.ndim != 2 or f.shape[0] != f.shape[1] for f in factors)
                 or math.prod(f.shape[0] for f in factors) != p):
             shapes = " x ".join(str(f.shape) for f in factors)
             raise ValueError(f"matrix shape {shapes} does not match geometry p={p}")
@@ -133,20 +125,28 @@ class FeatureTransform:
         # and the others are at most their factors' norms.
         for factor in {id(f): f for f in factors}.values():
             _check_symmetric_psd(factor, "feature transform")
-        if self.factors:
-            matrix = reduce(np.kron, factors)
-            matrix = matrix / np.linalg.norm(matrix)
-        else:
-            (matrix,) = factors
-        if not np.all(np.isfinite(matrix)):
-            raise ValueError("feature transform has non-finite entries")
-        fro = float(np.linalg.norm(matrix))
-        if abs(fro - 1.0) > UNIT_NORM_ATOL:
-            raise ValueError(f"normalized transform has Frobenius norm {fro!r}")
-        for array in (matrix,) + factors:
-            array.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
+        norm = math.prod(float(np.linalg.norm(f)) for f in factors)
+        if not 0.0 < norm * norm < math.inf:  # np.linalg.norm sums squares: keep them finite
+            raise ValueError(f"feature transform is zero or too large (norm {norm!r})")
+        if len(factors) == 1:
+            factors = (factors[0] / norm,)
+        for factor in factors:
+            factor.setflags(write=False)
         object.__setattr__(self, "factors", factors)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The unit-Frobenius p x p transform, read-only."""
+        if len(self.factors) == 1:
+            return self.factors[0]
+        matrix = reduce(np.kron, self.factors)
+        matrix /= np.linalg.norm(matrix)
+        matrix.setflags(write=False)
+        return matrix
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """matrix, so np.asarray(transform) reads (and first forms) it."""
+        return np.array(self.matrix, dtype=dtype, copy=copy)
 
 
 @dataclass(frozen=True)
@@ -221,14 +221,18 @@ def apply_conv_operator(
     return out.reshape(p, p)
 
 
+def _start(n: int, architecture: Architecture) -> np.ndarray:
+    """Unnormalized depth-0 matrix on n pixels: identity or all-ones."""
+    if architecture is Architecture.FLATTENING:
+        return np.eye(n)
+    if architecture is Architecture.POOLING:
+        return np.ones((n, n))
+    raise ValueError(f"unsupported architecture: {architecture!r}")
+
+
 def initial_transform(geometry: ConvGeometry, architecture: Architecture) -> np.ndarray:
     """Depth-0 matrix: identity (flattening) or all-ones (pooling), unit Frobenius."""
-    if architecture is Architecture.FLATTENING:
-        start = np.eye(geometry.p)
-    elif architecture is Architecture.POOLING:
-        start = np.ones((geometry.p, geometry.p))
-    else:
-        raise ValueError(f"unsupported architecture: {architecture!r}")
+    start = _start(geometry.p, architecture)
     return start / np.linalg.norm(start)
 
 
@@ -263,35 +267,42 @@ def _zero_padding_power(start: np.ndarray, depth: int) -> np.ndarray:
     return out
 
 
+def _axis_factor(n: int, depth: int | float, padding: Padding,
+                 architecture: Architecture) -> np.ndarray:
+    """Unnormalized 1-D transform on an axis of n pixels; depth math.inf is the limit."""
+    if padding is Padding.CIRCULAR:
+        return _start(n, architecture)
+    if depth == math.inf:
+        return np.diag(sine_profile(n))
+    return _zero_padding_power(
+        initial_transform(ConvGeometry(GeometryKind.ONE_D, n), architecture), depth)
+
+
 def _feature_transform(
-    depth: int, geometry: ConvGeometry, padding: Padding, architecture: Architecture
+    depth: int | float, geometry: ConvGeometry, padding: Padding, architecture: Architecture
 ) -> FeatureTransform:
-    """The unit-Frobenius depth-`depth` transform.
+    """The unit-Frobenius depth-`depth` transform (math.inf: the limit).
 
     Circular padding leaves both depth-0 matrices fixed (each tap's shift
     permutes the identity and the all-ones matrix onto themselves), so
     every depth is depth 0.  Under zero padding, depths up to
-    STENCIL_DEPTH_MAX iterate the stencil, so depth 0 is initial_transform
-    bit for bit and the next ones keep the iterate's bits; deeper ones are
-    in closed form.  The operator acts on each axis's index pair of the
-    axes + axes tensor separately, and both depth-0 matrices are Kronecker
-    products of one factor per axis, so the transform is the product over
-    geometry.axes of the 1-D transform on each axis (kron(V, V) in 2-D),
-    and it keeps those factors.
+    STENCIL_DEPTH_MAX iterate the stencil from the unnormalized start,
+    normalizing before each layer, so the transform's own scaling keeps the
+    iterate's bits (depth 0 is initial_transform's).  The operator acts on
+    each axis's index pair of the axes + axes tensor separately, and both
+    depth-0 matrices are products of one factor per axis, so every other
+    transform is the product over geometry.axes of the 1-D transform on
+    each axis (kron(V, V) in 2-D), computed once per distinct axis length.
     """
-    if padding is Padding.ZERO and depth > STENCIL_DEPTH_MAX:
-        # One factor per distinct axis length: a square grid computes it once.
-        factors = {n: _zero_padding_power(initial_transform(ConvGeometry(GeometryKind.ONE_D, n),
-                                                            architecture), depth)
-                   for n in set(geometry.axes)}
-        return FeatureTransform(None, geometry, padding, architecture, depth,
-                                factors=tuple(factors[n] for n in geometry.axes))
-    matrix = initial_transform(geometry, architecture)
-    if padding is Padding.ZERO:
-        for _ in range(depth):
-            matrix = apply_conv_operator(matrix, geometry, padding)
-            matrix /= np.linalg.norm(matrix)
-    return FeatureTransform(matrix, geometry, padding, architecture, depth)
+    if padding is Padding.CIRCULAR or depth > STENCIL_DEPTH_MAX:
+        factors = {n: _axis_factor(n, depth, padding, architecture) for n in set(geometry.axes)}
+        return FeatureTransform(tuple(factors[n] for n in geometry.axes),
+                                geometry, padding, architecture, depth)
+    matrix = _start(geometry.p, architecture)
+    for _ in range(depth):
+        matrix /= np.linalg.norm(matrix)
+        matrix = apply_conv_operator(matrix, geometry, padding)
+    return FeatureTransform((matrix,), geometry, padding, architecture, depth)
 
 
 def feature_transforms(
@@ -368,13 +379,7 @@ def limiting_transform(
     normalized depth-0 matrix fixed, so the limit is identity (flattening)
     or all-ones (pooling).
     """
-    if padding is Padding.CIRCULAR:
-        limit = initial_transform(geometry, architecture)
-    else:
-        profiles = [sine_profile(n) for n in geometry.axes]
-        limit = np.diag(reduce(np.multiply.outer, profiles).ravel())
-        limit /= np.linalg.norm(limit)
-    return FeatureTransform(limit, geometry, padding, architecture, math.inf)
+    return _feature_transform(math.inf, geometry, padding, architecture)
 
 
 def _fix_sign(vector: np.ndarray) -> np.ndarray:

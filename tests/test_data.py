@@ -21,11 +21,11 @@ from _digits import make_synthetic_idx, synthetic_digit_arrays, write_idx_pair
 class TestDatasetInvariants:
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="row counts"):
-            Dataset(np.ones((3, 2)), np.ones(2), "synthetic")
+            Dataset(np.ones((3, 2)), np.ones(2))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
-            Dataset(np.array([[np.nan, 0.0]]), np.zeros(1), "synthetic")
+            Dataset(np.array([[np.nan, 0.0]]), np.zeros(1))
 
 
 class TestIdxParsing:

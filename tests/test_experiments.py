@@ -1,6 +1,7 @@
 """Experiment runners: sweep records, gallery images, digit regression."""
 
 import json
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -323,7 +324,34 @@ class TestEigvecGallery:
         cfg = eigvec_config(tmp_path, f"p = 16\ndepths = 0,4\noutdir = {tmp_path / 'out'}\n")
         with pytest.raises(ValueError, match="gallery.csv: column participation_ratio"):
             run_eigvec_gallery(cfg)
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
+
+    def test_failure_mid_run_leaves_no_outdir(self, tmp_path, monkeypatch):
+        solved = []
+
+        def leading(ft):
+            solved.append(ft.depth)
+            if len(solved) == 2:
+                raise ValueError("second depth fails")
+            return convkernel.kernels.leading_eigenvector(ft)
+
+        monkeypatch.setattr(convkernel.experiments, "leading_eigenvector", leading)
+        cfg = eigvec_config(tmp_path, f"p = 16\ndepths = 0,4,9\noutdir = {tmp_path / 'out'}\n")
+        with pytest.raises(ValueError, match="second depth"):
+            run_eigvec_gallery(cfg)
+        assert solved == [0, 4] and not (tmp_path / "out").exists()
+
+    def test_closed_form_depths_never_form_the_pixel_matrix(self, tmp_path):
+        # One 784 x 784 float64 array is 4.9 MB; the 28 x 28 factors, their
+        # eigenvectors and the images stay far below a quarter of that.
+        cfg = eigvec_config(tmp_path, f"p = 784\ndepths = 3,10,48\noutdir = {tmp_path / 'out'}\n")
+        tracemalloc.start()
+        try:
+            run_eigvec_gallery(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 784 * 784 * 8 / 4
 
     def test_gallery_csv_matches_records(self, tmp_path):
         cfg = eigvec_config(

@@ -3,6 +3,8 @@ and the closed form against the stencil iterate."""
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -21,6 +23,7 @@ from convkernel import (
     initial_transform,
     leading_eigenvector,
     limiting_transform,
+    sine_profile,
     symmetric_spectrum,
 )
 from convkernel.experiments import participation_ratio
@@ -92,28 +95,46 @@ class TestFeatureTransformValidation:
         bad = np.array([[1.0, 0.5], [0.0, 1.0]])
         bad /= np.linalg.norm(bad)
         with pytest.raises(ValueError, match="symmetric"):
-            FeatureTransform(bad, geom_1d(2), Padding.ZERO, Architecture.POOLING, 1)
+            FeatureTransform((bad,), geom_1d(2), Padding.ZERO, Architecture.POOLING, 1)
 
     def test_rejects_indefinite(self):
         bad = np.diag([1.0, -1.0])
         bad /= np.linalg.norm(bad)
         with pytest.raises(ValueError, match="PSD"):
-            FeatureTransform(bad, geom_1d(2), Padding.ZERO, Architecture.POOLING, 1)
+            FeatureTransform((bad,), geom_1d(2), Padding.ZERO, Architecture.POOLING, 1)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_non_finite(self, value):
         bad = np.diag([value, 1.0, 1.0]) / np.sqrt(3.0)
         with pytest.raises(ValueError, match="feature transform has non-finite entries"):
-            FeatureTransform(bad, geom_1d(3), Padding.ZERO, Architecture.POOLING, 1)
+            FeatureTransform((bad,), geom_1d(3), Padding.ZERO, Architecture.POOLING, 1)
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="shape"):
-            FeatureTransform(np.eye(3) / np.sqrt(3), geom_1d(2), Padding.ZERO,
+            FeatureTransform((np.eye(3) / np.sqrt(3),), geom_1d(2), Padding.ZERO,
                              Architecture.POOLING, 0)
 
-    def test_rejects_unnormalized_when_flagged(self):
-        with pytest.raises(ValueError, match="norm"):
-            FeatureTransform(np.eye(4), geom_1d(4), Padding.ZERO, Architecture.POOLING, 0)
+    def test_scales_a_single_factor(self):
+        f = np.array([[2.0, 1.0], [1.0, 3.0]])
+        ft = FeatureTransform((f,), geom_1d(2), Padding.ZERO, Architecture.POOLING, 0)
+        assert_array_equal(ft.matrix, f / np.linalg.norm(f))
+        assert ft.factors == (ft.matrix,)
+
+    @pytest.mark.parametrize("factors", [(np.zeros((4, 4)),), (np.eye(2), np.zeros((2, 2)))])
+    def test_rejects_zero_factor_without_warning(self, factors):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="zero"):
+                FeatureTransform(factors, ConvGeometry(GeometryKind.TWO_D, 4), Padding.ZERO,
+                                 Architecture.POOLING, 0)
+
+    @pytest.mark.parametrize("factors", [(np.eye(4) * 1e200,),
+                                         (np.eye(2) * 1e100, np.eye(2) * 1e100)])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_rejects_factors_whose_product_overflows(self, factors):
+        with pytest.raises(ValueError, match="too large"):
+            FeatureTransform(factors, ConvGeometry(GeometryKind.TWO_D, 4), Padding.ZERO,
+                             Architecture.POOLING, 0)
 
     def test_matrix_is_read_only(self):
         ft = feature_transforms([2], geom_1d(4), Padding.ZERO, Architecture.POOLING)[0]
@@ -211,11 +232,39 @@ class TestFactors:
 
     def test_matrix_is_normalized_kron_of_factors(self):
         a, b = np.diag([1.0, 2.0]), np.ones((3, 3))
-        ft = FeatureTransform(None, geom_1d(6), Padding.ZERO, Architecture.POOLING, 3,
-                              factors=(a, b))
+        ft = FeatureTransform((a, b), geom_1d(6), Padding.ZERO, Architecture.POOLING, 3)
         product = np.kron(a, b)
         assert_array_equal(ft.matrix, product / np.linalg.norm(product))
         assert ft.factors == (a, b)
+
+    def test_product_is_formed_once_on_first_read_and_read_only(self, monkeypatch):
+        calls = []
+        kron = np.kron
+        monkeypatch.setattr(np, "kron", lambda a, b: calls.append(1) or kron(a, b))
+        ft = FeatureTransform((np.eye(2), np.ones((3, 3))), geom_1d(6), Padding.ZERO,
+                              Architecture.POOLING, 3)
+        assert calls == []
+        first = ft.matrix
+        assert ft.matrix is first and np.asarray(ft) is first and calls == [1]
+        with pytest.raises(ValueError):
+            first[0, 0] = 9.0
+        copy = np.array(ft)
+        assert copy.flags.writeable and not np.shares_memory(copy, first)
+
+    @pytest.mark.parametrize("side", (1, 2, 3, 5, 28))
+    def test_per_axis_transforms_keep_the_dense_bits(self, side):
+        geometry = ConvGeometry(GeometryKind.TWO_D, side * side)
+        profile = sine_profile(side)
+        diagonal = np.diag(np.multiply.outer(profile, profile).ravel())
+        for arch in ARCHS:
+            limit = limiting_transform(geometry, Padding.ZERO, arch)
+            assert len(limit.factors) == 2
+            assert_array_equal(limit.matrix, diagonal / np.linalg.norm(diagonal))
+            start = initial_transform(geometry, arch)
+            circular = feature_transforms([0, 1, 5], geometry, Padding.CIRCULAR, arch)
+            for ft in circular + [limiting_transform(geometry, Padding.CIRCULAR, arch)]:
+                assert len(ft.factors) == 2
+                assert_array_equal(ft.matrix, start)
 
     def test_dense_transform_is_its_own_factor(self):
         for ft in feature_transforms([0, 1, 2], ConvGeometry(GeometryKind.TWO_D, 9),
@@ -225,24 +274,19 @@ class TestFactors:
     def test_rejects_indefinite_factor(self):
         flip = np.diag([1.0, -1.0])
         with pytest.raises(ValueError, match="PSD"):
-            FeatureTransform(None, ConvGeometry(GeometryKind.TWO_D, 4), Padding.ZERO,
-                             Architecture.POOLING, 3, factors=(flip, flip))
+            FeatureTransform((flip, flip), ConvGeometry(GeometryKind.TWO_D, 4), Padding.ZERO,
+                             Architecture.POOLING, 3)
 
     def test_rejects_non_finite_factor(self):
         with pytest.raises(ValueError, match="feature transform has non-finite entries"):
-            FeatureTransform(None, ConvGeometry(GeometryKind.TWO_D, 4), Padding.ZERO,
-                             Architecture.POOLING, 3,
-                             factors=(np.diag([np.nan, 1.0]), np.eye(2)))
+            FeatureTransform((np.diag([np.nan, 1.0]), np.eye(2)),
+                             ConvGeometry(GeometryKind.TWO_D, 4), Padding.ZERO,
+                             Architecture.POOLING, 3)
 
     def test_rejects_factors_that_do_not_match_geometry(self):
         with pytest.raises(ValueError, match="shape"):
-            FeatureTransform(None, ConvGeometry(GeometryKind.TWO_D, 9), Padding.ZERO,
-                             Architecture.POOLING, 3, factors=(np.eye(2), np.eye(2)))
+            FeatureTransform((np.eye(2), np.eye(2)), ConvGeometry(GeometryKind.TWO_D, 9),
+                             Padding.ZERO, Architecture.POOLING, 3)
         with pytest.raises(ValueError, match="shape"):
-            FeatureTransform(None, geom_1d(6), Padding.ZERO, Architecture.POOLING, 3,
-                             factors=(np.ones((2, 3)), np.ones((3, 2))))
-
-    def test_rejects_matrix_beside_factors(self):
-        with pytest.raises(ValueError, match="not both"):
-            FeatureTransform(np.eye(4) / 2.0, ConvGeometry(GeometryKind.TWO_D, 4), Padding.ZERO,
-                             Architecture.FLATTENING, 3, factors=(np.eye(2), np.eye(2)))
+            FeatureTransform((np.ones((2, 3)), np.ones((3, 2))), geom_1d(6), Padding.ZERO,
+                             Architecture.POOLING, 3)
