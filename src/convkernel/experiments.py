@@ -124,11 +124,11 @@ def _resolve_coef(cfg: SweepConfig) -> np.ndarray:
     return _synthetic_coef(p, cfg.seed)
 
 
-def _transform(cfg: SweepConfig, coef: np.ndarray, depth: int) -> np.ndarray:
+def _transform(cfg: SweepConfig, coef: np.ndarray, depth: int) -> FeatureTransform:
     if cfg.theta_family == THETA_FAMILY_ALIGNED_SPIKE:
-        return np.outer(coef, coef) + abs(depth - cfg.family_center) * np.eye(cfg.geometry.p)
-    (ft,) = feature_transforms([depth], cfg.geometry, cfg.padding, cfg.architecture)
-    return ft.matrix
+        spike = np.outer(coef, coef) + abs(depth - cfg.family_center) * np.eye(cfg.geometry.p)
+        return FeatureTransform((spike,))
+    return feature_transforms([depth], cfg.geometry, cfg.padding, cfg.architecture)[0]
 
 
 def _ridged_inverse(matrix: np.ndarray) -> tuple[np.ndarray, float]:
@@ -170,7 +170,7 @@ def run_depth_sweep(cfg: SweepConfig) -> list[DepthSweepRecord]:
     covariance = _resolve_covariance(cfg)
     ridge_epsilon = None
     if covariance is None:
-        covariance, ridge_epsilon = _ridged_inverse(_transform(cfg, coef, cfg.sigma_depth))
+        covariance, ridge_epsilon = _ridged_inverse(_transform(cfg, coef, cfg.sigma_depth).matrix)
     problem = RegressionProblem(covariance, coef, cfg.noise_var, cfg.n_train)
     seeds = {name: derive_seed(cfg.seed, name) for name in ("bias", "variance", "risk")}
 
@@ -229,9 +229,9 @@ def run_eigvec_gallery(cfg: EigvecConfig) -> list[GalleryRecord]:
     for depth in cfg.depths:
         (ft,) = feature_transforms([depth], cfg.geometry, cfg.padding, cfg.architecture)
         leading = leading_eigenvector(ft)
-        name = f"eigvec_D{ft.depth}.pgm"
+        name = f"eigvec_D{depth}.pgm"
         images.append((cfg.outdir / name, grayscale(leading.reshape(side, side))))
-        records.append(GalleryRecord(ft.depth, participation_ratio(leading), name))
+        records.append(GalleryRecord(depth, participation_ratio(leading), name))
     csv = _csv_text("gallery.csv", ["depth", "participation_ratio"],
                     [[r.depth, r.participation_ratio] for r in records])
     cfg.outdir.mkdir(parents=True, exist_ok=True)
@@ -271,7 +271,7 @@ def run_mnist_experiment(cfg: MnistConfig) -> list[MnistDepthRecord]:
     ])
     x_trials, y_trials = subset.x[rows], subset.y[rows]
 
-    def loss_estimate(transform: np.ndarray | FeatureTransform) -> RiskEstimate:
+    def loss_estimate(transform: FeatureTransform) -> RiskEstimate:
         fitted = fit_ridgeless(transform, x_trials, y_trials)
         errors = subset.x @ fitted.T - subset.y[:, None]
         return _estimate(np.mean(errors**2, axis=0), cfg.trials, subsample_seed)
@@ -279,12 +279,11 @@ def run_mnist_experiment(cfg: MnistConfig) -> list[MnistDepthRecord]:
     records = []
     for depth in cfg.depths:
         (ft,) = feature_transforms([depth], geometry, cfg.padding, cfg.architecture)
-        # A factored transform's p x p product is formed where the fit reads it.
         loss = loss_estimate(ft)
-        records.append(MnistDepthRecord(ft.depth, loss.mean, loss.std_error,
+        records.append(MnistDepthRecord(depth, loss.mean, loss.std_error,
                                         misalignment(ft, coef)))
 
-    baseline = loss_estimate(np.eye(p))
+    baseline = loss_estimate(FeatureTransform((np.eye(geometry.side),) * 2))
     meta = _meta_json(
         cfg, side=geometry.side,
         baseline_identity_loss_mean=baseline.mean,

@@ -79,53 +79,56 @@ class ConvGeometry:
         return (self.p,) if self.kind is GeometryKind.ONE_D else (self.side, self.side)
 
 
-def _check_symmetric_psd(matrix: np.ndarray, what: str) -> None:
+def _check_finite_symmetric(matrix: np.ndarray, what: str) -> float:
+    """Raise unless matrix and its Frobenius norm are finite and it is
+    symmetric to SYMMETRY_RTOL of that norm; return the norm."""
     # Every comparison with NaN is false, so the tests below would pass it.
     if not np.all(np.isfinite(matrix)):
         raise ValueError(f"{what} has non-finite entries")
-    fro = float(np.linalg.norm(matrix))
-    if fro == 0.0:
-        return
+    # np.linalg.norm sums squares, which overflow for entries above about 1e154.
+    with np.errstate(over="ignore"):
+        fro = float(np.linalg.norm(matrix))
+    if fro == math.inf:
+        raise ValueError(f"{what} is too large (its Frobenius norm overflows)")
     # The difference is antisymmetric, so its max is its max magnitude: no abs.
-    asym = float(np.max(matrix - matrix.T))
+    asym = float(np.max(matrix - matrix.T, initial=0.0))
     if asym > SYMMETRY_RTOL * fro:
         raise ValueError(f"{what} is not symmetric (max asymmetry {asym:.3e})")
-    smallest = float(np.linalg.eigvalsh(matrix)[0])
+    return fro
+
+
+def _check_symmetric_psd(matrix: np.ndarray, what: str) -> float:
+    """_check_finite_symmetric, then PSD to PSD_RTOL of the norm; returns the norm."""
+    fro = _check_finite_symmetric(matrix, what)
+    smallest = float(np.linalg.eigvalsh(matrix)[0]) if fro > 0.0 else 0.0
     if smallest < -PSD_RTOL * fro:
         raise ValueError(f"{what} is not PSD (smallest eigenvalue {smallest:.3e})")
+    return fro
 
 
 @dataclass(frozen=True)
 class FeatureTransform:
-    """A PSD feature transform as its factors, and how it was produced.
-
-    The transform is the Kronecker product of factors scaled to unit
-    Frobenius norm.  A single p x p factor is scaled once, here, and is its
-    own matrix; several (one per axis, the same array twice on a square
-    grid) are kept as given and multiplied out on the first read of matrix.
-    depth is an integer, or math.inf for the closed-form limit.
+    """A PSD feature transform T on p pixels: the Kronecker product of one
+    or two symmetric PSD factors (one per axis of an s x s grid, the same
+    array twice), scaled to unit Frobenius norm.  A single factor is scaled
+    here and is its own matrix; two are kept as given and act per axis.
     """
 
     factors: tuple[np.ndarray, ...]
-    geometry: ConvGeometry
-    padding: Padding
-    architecture: Architecture
-    depth: int | float
 
     def __post_init__(self) -> None:
         factors = tuple(np.asarray(f, dtype=float) for f in self.factors)
-        p = self.geometry.p
-        if (not factors or any(f.ndim != 2 or f.shape[0] != f.shape[1] for f in factors)
-                or math.prod(f.shape[0] for f in factors) != p):
+        if not 1 <= len(factors) <= 2 or any(f.ndim != 2 or f.shape[0] != f.shape[1]
+                                             for f in factors):
             shapes = " x ".join(str(f.shape) for f in factors)
-            raise ValueError(f"matrix shape {shapes} does not match geometry p={p}")
+            raise ValueError(f"a transform takes one or two square factors, got shapes {shapes}")
         # If each factor's smallest eigenvalue is at least -PSD_RTOL times its
         # Frobenius norm, so is their normalized product's: a product of
         # eigenvalues is negative only through one negative factor eigenvalue,
         # and the others are at most their factors' norms.
-        for factor in {id(f): f for f in factors}.values():
-            _check_symmetric_psd(factor, "feature transform")
-        norm = math.prod(float(np.linalg.norm(f)) for f in factors)
+        distinct = {id(f): f for f in factors}
+        norms = {key: _check_symmetric_psd(f, "feature transform") for key, f in distinct.items()}
+        norm = math.prod(norms[id(f)] for f in factors)
         if not 0.0 < norm * norm < math.inf:  # np.linalg.norm sums squares: keep them finite
             raise ValueError(f"feature transform is zero or too large (norm {norm!r})")
         if len(factors) == 1:
@@ -134,19 +137,33 @@ class FeatureTransform:
             factor.setflags(write=False)
         object.__setattr__(self, "factors", factors)
 
+    @property
+    def p(self) -> int:
+        return math.prod(f.shape[0] for f in self.factors)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """T x over the last axis of x, which has length p.
+
+        One factor f is one product, x @ f.T.  Two factors a and b act on
+        the (..., a, b) grid of each vector as a @ grid @ b.T, which is
+        kron(a, b) on its row-major flattening, without forming T.
+        """
+        if len(self.factors) == 1:
+            return x @ self.factors[0].T
+        a, b = self.factors
+        grid = x.reshape(x.shape[:-1] + (a.shape[0], b.shape[0]))
+        scale = float(np.linalg.norm(a)) * float(np.linalg.norm(b))
+        return ((a @ grid @ b.T) / scale).reshape(x.shape)
+
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The unit-Frobenius p x p transform, read-only."""
+        """The unit-Frobenius p x p transform, formed on first read; read-only."""
         if len(self.factors) == 1:
             return self.factors[0]
-        matrix = reduce(np.kron, self.factors)
+        matrix = np.kron(*self.factors)
         matrix /= np.linalg.norm(matrix)
         matrix.setflags(write=False)
         return matrix
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        """matrix, so np.asarray(transform) reads (and first forms) it."""
-        return np.array(self.matrix, dtype=dtype, copy=copy)
 
 
 @dataclass(frozen=True)
@@ -296,13 +313,12 @@ def _feature_transform(
     """
     if padding is Padding.CIRCULAR or depth > STENCIL_DEPTH_MAX:
         factors = {n: _axis_factor(n, depth, padding, architecture) for n in set(geometry.axes)}
-        return FeatureTransform(tuple(factors[n] for n in geometry.axes),
-                                geometry, padding, architecture, depth)
+        return FeatureTransform(tuple(factors[n] for n in geometry.axes))
     matrix = _start(geometry.p, architecture)
     for _ in range(depth):
         matrix /= np.linalg.norm(matrix)
         matrix = apply_conv_operator(matrix, geometry, padding)
-    return FeatureTransform((matrix,), geometry, padding, architecture, depth)
+    return FeatureTransform((matrix,))
 
 
 def feature_transforms(
@@ -395,10 +411,7 @@ def _fix_sign(vector: np.ndarray) -> np.ndarray:
 def symmetric_spectrum(matrix: np.ndarray) -> SpectralSummary:
     """Numerical eigendecomposition of a symmetric matrix, descending order."""
     matrix = np.asarray(matrix, dtype=float)
-    fro = float(np.linalg.norm(matrix))
-    asym = float(np.max(matrix - matrix.T)) if matrix.size else 0.0
-    if fro > 0.0 and asym > SYMMETRY_RTOL * fro:
-        raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
+    _check_finite_symmetric(matrix, "matrix")
     eigenvalues, eigenvectors = np.linalg.eigh(matrix)
     eigenvalues = eigenvalues[::-1].copy()
     leading = _fix_sign(eigenvectors[:, -1].copy())

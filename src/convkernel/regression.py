@@ -1,9 +1,10 @@
 """Ridgeless regression under a feature transform, with risk estimators.
 
 The predictor is x^T b with coefficients b = T X^T (X T X^T)^+ y for a
-PSD transform T.  Monte Carlo estimators quantify its bias (error of the mean
-predictor over training-set draws), variance (label-noise contribution),
-and total excess risk; the three are related by risk = bias + variance.
+FeatureTransform T, read only through T.apply.  Monte Carlo estimators
+quantify its bias (error of the mean predictor over training-set draws),
+variance (label-noise contribution), and total excess risk; the three are
+related by risk = bias + variance.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from convkernel.kernels import _check_symmetric_psd
+from convkernel.kernels import FeatureTransform, _check_symmetric_psd
 from convkernel.rng import trial_chunks
 
 PINV_RTOL = 1e-12
@@ -134,37 +135,29 @@ def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
 
 
 def fit_ridgeless(
-    transform: np.ndarray, x_train: np.ndarray, y_train: np.ndarray
+    transform: FeatureTransform, x_train: np.ndarray, y_train: np.ndarray
 ) -> np.ndarray:
     """Coefficients b = T X^T (X T X^T)^+ y of the minimum-complexity
     interpolant under the given feature transform T; it predicts x @ b.
 
     x_train (..., n, p) and y_train (..., n) may carry leading trial axes;
-    then each trial is fitted and b is (..., p).  The transform must be
-    symmetric PSD; callers check that once, where it enters
-    (FeatureTransform, the Monte Carlo estimators), not per fit.
+    then each trial is fitted and b is (..., p).
     """
-    transform = np.asarray(transform, dtype=float)
     x_train = np.asarray(x_train, dtype=float)
     y_train = np.asarray(y_train, dtype=float)
     if x_train.ndim < 2:
         raise ValueError(f"x_train must be at least 2-D, got shape {x_train.shape}")
-    p = x_train.shape[-1]
-    if transform.shape != (p, p):
-        raise ValueError(
-            f"transform shape {transform.shape} does not match feature count {p}"
-        )
-    if y_train.shape != x_train.shape[:-1]:
-        raise ValueError(
-            f"y_train shape {y_train.shape} does not match rows {x_train.shape[:-1]}"
-        )
+    if transform.p != x_train.shape[-1] or y_train.shape != x_train.shape[:-1]:
+        raise ValueError(f"inconsistent shapes: transform size {transform.p}, "
+                         f"x_train {x_train.shape}, y_train {y_train.shape}")
     x_train_t = np.swapaxes(x_train, -1, -2)
-    dual_weights, _ = _apply_pinv(x_train @ transform @ x_train_t, y_train)
-    return _matvec(transform, _matvec(x_train_t, dual_weights))
+    dual_weights, _ = _apply_pinv(transform.apply(x_train) @ x_train_t, y_train)
+    # One (1, p) row per trial, so each trial rounds as it would alone.
+    return transform.apply(_matvec(x_train_t, dual_weights)[..., None, :])[..., 0, :]
 
 
 def bias_conditional(
-    transform: np.ndarray,
+    transform: FeatureTransform,
     coef: np.ndarray,
     covariance: np.ndarray,
     x_train: np.ndarray,
@@ -174,14 +167,13 @@ def bias_conditional(
     Computes r = (I - T X^T (X T X^T)^+ X) coef and returns r^T covariance r,
     a float for one design x_train (n, p) and an array for a stack (..., n, p).
     """
-    transform = np.asarray(transform, dtype=float)
     coef = np.asarray(coef, dtype=float)
     covariance = np.asarray(covariance, dtype=float)
     x_train = np.asarray(x_train, dtype=float)
     p = coef.shape[0]
-    if transform.shape != (p, p) or covariance.shape != (p, p) or x_train.shape[-1] != p:
+    if transform.p != p or covariance.shape != (p, p) or x_train.shape[-1] != p:
         raise ValueError(
-            f"inconsistent shapes: transform {transform.shape}, covariance "
+            f"inconsistent shapes: transform size {transform.p}, covariance "
             f"{covariance.shape}, x_train {x_train.shape}, coef {coef.shape}"
         )
     residual = (coef - fit_ridgeless(transform, x_train, x_train @ coef))[..., None, :]
@@ -214,13 +206,12 @@ def _monte_carlo(
 
 
 def bias_mc(
-    transform: np.ndarray,
+    transform: FeatureTransform,
     problem: RegressionProblem,
     trials: int = DEFAULT_BIAS_TRIALS,
     seed: int = 0,
 ) -> RiskEstimate:
     """Mean conditional bias over training designs drawn from the problem."""
-    _check_symmetric_psd(np.asarray(transform, dtype=float), "transform")
 
     def trial_values(z: np.ndarray) -> np.ndarray:
         return bias_conditional(
@@ -231,7 +222,7 @@ def bias_mc(
 
 
 def variance_mc(
-    transform: np.ndarray,
+    transform: FeatureTransform,
     problem: RegressionProblem,
     trials: int = DEFAULT_VARIANCE_TRIALS,
     seed: int = 0,
@@ -242,9 +233,8 @@ def variance_mc(
     noise_var * trace((Z S Z^T)^+^2  Z S^2 Z^T) = noise_var * ||(Z S Z^T)^+ Z S||_F^2
     with S the covariance-conjugated transform sqrt(cov) T sqrt(cov).
     """
-    _check_symmetric_psd(np.asarray(transform, dtype=float), "transform")
     sqrt_cov = problem.covariance_sqrt
-    conjugated = sqrt_cov @ transform @ sqrt_cov
+    conjugated = transform.apply(sqrt_cov) @ sqrt_cov
     conjugated = (conjugated + conjugated.T) / 2.0
 
     def trial_values(z: np.ndarray) -> np.ndarray:
@@ -256,7 +246,7 @@ def variance_mc(
 
 
 def excess_risk_mc(
-    transform: np.ndarray,
+    transform: FeatureTransform,
     problem: RegressionProblem,
     trials: int = DEFAULT_RISK_TRIALS,
     seed: int = 0,
@@ -267,7 +257,6 @@ def excess_risk_mc(
     Per trial: draw a training set with noisy labels, fit, then average
     (x.coef - prediction)^2 over test_points fresh covariate draws.
     """
-    _check_symmetric_psd(np.asarray(transform, dtype=float), "transform")
     if test_points < 1:
         raise ValueError(f"test_points must be >= 1, got {test_points}")
     sqrt_cov = problem.covariance_sqrt
@@ -295,20 +284,17 @@ def variance_lower_bound(noise_var: float, n: int, p: int) -> float:
     return noise_var * n / (p - n - 1)
 
 
-def misalignment(transform: np.ndarray, coef: np.ndarray) -> float:
+def misalignment(transform: FeatureTransform, coef: np.ndarray) -> float:
     """Fraction of the transform's spectrum not aligned with coef, in [0, 1].
 
-    Zero when the transform is a multiple of the coef outer product, one
-    when coef lies in its null space; invariant to scaling the transform.
+    1 - (u^T T u)^2 for the unit coef direction u and the unit-Frobenius T:
+    zero when T is the coef outer product, one when coef lies in its null
+    space.
     """
-    transform = np.asarray(transform, dtype=float)
     coef = np.asarray(coef, dtype=float)
     coef_norm = float(np.linalg.norm(coef))
-    fro = float(np.linalg.norm(transform))
     if coef_norm == 0.0:
         raise ValueError("coef must be nonzero")
-    if fro == 0.0:
-        raise ValueError("transform must be nonzero")
     unit = coef / coef_norm
-    aligned = float(unit @ transform @ unit)
-    return float(np.clip(1.0 - (aligned / fro) ** 2, 0.0, 1.0))
+    aligned = float(unit @ transform.apply(unit))
+    return float(np.clip(1.0 - aligned**2, 0.0, 1.0))

@@ -18,9 +18,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 # mnist-deep variant 5 is one whose depth-1 and depth-2 rows leave the
-# tolerance when the transform's last bits change there.
+# tolerance when the transform's last bits change there.  Variant 7's
+# depth-2 row moves closest to it when the fit's products are reordered at
+# the dense depths, and variant 12's depth-4 row is the closest of all.
 RUNS = (("sweep-matched", 0), ("mnist-deep", 0), ("mnist-deep", 4), ("mnist-deep", 5),
-        ("eigvec-dense", 0))
+        ("mnist-deep", 7), ("mnist-deep", 12), ("eigvec-dense", 0))
 
 RUN_SCRIPT = """
 import sys

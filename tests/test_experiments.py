@@ -330,7 +330,7 @@ class TestEigvecGallery:
         solved = []
 
         def leading(ft):
-            solved.append(ft.depth)
+            solved.append(ft.p)
             if len(solved) == 2:
                 raise ValueError("second depth fails")
             return convkernel.kernels.leading_eigenvector(ft)
@@ -339,7 +339,7 @@ class TestEigvecGallery:
         cfg = eigvec_config(tmp_path, f"p = 16\ndepths = 0,4,9\noutdir = {tmp_path / 'out'}\n")
         with pytest.raises(ValueError, match="second depth"):
             run_eigvec_gallery(cfg)
-        assert solved == [0, 4] and not (tmp_path / "out").exists()
+        assert solved == [16, 16] and not (tmp_path / "out").exists()
 
     def test_closed_form_depths_never_form_the_pixel_matrix(self, tmp_path):
         # One 784 x 784 float64 array is 4.9 MB; the 28 x 28 factors, their
@@ -455,8 +455,8 @@ class TestMnistExperiment:
         original = convkernel.kernels._check_symmetric_psd
 
         def counting(matrix, what):
-            checked.append(what)
-            original(matrix, what)
+            checked.append((what, matrix.shape))
+            return original(matrix, what)
 
         for module in (convkernel.kernels, convkernel.regression):
             monkeypatch.setattr(module, "_check_symmetric_psd", counting)
@@ -467,7 +467,31 @@ class TestMnistExperiment:
             f"outdir = {tmp_path / 'out'}\n",
         )
         run_mnist_experiment(cfg)
-        assert checked == ["feature transform"] * 3
+        # Dense depths 0 and 2, then one 28 x 28 factor each for depth 4 and
+        # for the identity baseline.
+        assert checked == ([("feature transform", (784, 784))] * 2
+                           + [("feature transform", (28, 28))] * 2)
+
+    def test_deep_transforms_never_form_the_pixel_matrix(self, tmp_path, idx_paths,
+                                                          monkeypatch):
+        # The fit and misalignment act with the 28 x 28 factors per axis.
+        built = []
+        original = convkernel.experiments.feature_transforms
+
+        def recording(*args):
+            built.extend(original(*args))
+            return built[-1:]
+
+        monkeypatch.setattr(convkernel.experiments, "feature_transforms", recording)
+        cfg = self.mnist_cfg(
+            tmp_path,
+            idx_paths,
+            "count_per_class = 20\nn = 6\ntrials = 3\ndepths = 3,16\n"
+            f"outdir = {tmp_path / 'out'}\n",
+        )
+        run_mnist_experiment(cfg)
+        assert len(built) == 2
+        assert all(len(ft.factors) == 2 and "matrix" not in ft.__dict__ for ft in built)
 
     def test_builds_one_transform_at_a_time(self, tmp_path, idx_paths, monkeypatch):
         lengths = []

@@ -44,7 +44,6 @@ class TestLimitValues:
         ft = limiting_transform(geom_1d(3), Padding.ZERO, Architecture.POOLING)
         expected = np.diag([1.0 / np.sqrt(2.0), 1.0, 1.0 / np.sqrt(2.0)]) / np.sqrt(2.0)
         assert_allclose(ft.matrix, expected, atol=1e-15, rtol=0)
-        assert ft.depth == np.inf
         assert np.linalg.norm(ft.matrix) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_d_side2_uniform_diagonal(self):

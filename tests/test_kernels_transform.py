@@ -65,9 +65,9 @@ class TestRecursionPlumbing:
     @pytest.mark.parametrize("padding", PADDINGS)
     def test_snapshots_match_single_calls(self, padding, arch):
         geometry = geom_1d(6)
-        batch = feature_transforms([0, 3, 7], geometry, padding, arch)
-        for ft in batch:
-            single = feature_transforms([ft.depth], geometry, padding, arch)[0]
+        depths = [0, 3, 7]
+        for depth, ft in zip(depths, feature_transforms(depths, geometry, padding, arch)):
+            single = feature_transforms([depth], geometry, padding, arch)[0]
             assert_array_equal(ft.matrix, single.matrix)
 
     @pytest.mark.parametrize("arch", ARCHS)
@@ -95,46 +95,45 @@ class TestFeatureTransformValidation:
         bad = np.array([[1.0, 0.5], [0.0, 1.0]])
         bad /= np.linalg.norm(bad)
         with pytest.raises(ValueError, match="symmetric"):
-            FeatureTransform((bad,), geom_1d(2), Padding.ZERO, Architecture.POOLING, 1)
+            FeatureTransform((bad,))
 
     def test_rejects_indefinite(self):
         bad = np.diag([1.0, -1.0])
         bad /= np.linalg.norm(bad)
         with pytest.raises(ValueError, match="PSD"):
-            FeatureTransform((bad,), geom_1d(2), Padding.ZERO, Architecture.POOLING, 1)
+            FeatureTransform((bad,))
 
+    # The check runs before any arithmetic on the factor, which would warn.
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_non_finite(self, value):
         bad = np.diag([value, 1.0, 1.0]) / np.sqrt(3.0)
         with pytest.raises(ValueError, match="feature transform has non-finite entries"):
-            FeatureTransform((bad,), geom_1d(3), Padding.ZERO, Architecture.POOLING, 1)
+            FeatureTransform((bad,))
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="shape"):
-            FeatureTransform((np.eye(3) / np.sqrt(3),), geom_1d(2), Padding.ZERO,
-                             Architecture.POOLING, 0)
+            FeatureTransform((np.ones((3, 2)),))
 
     def test_scales_a_single_factor(self):
         f = np.array([[2.0, 1.0], [1.0, 3.0]])
-        ft = FeatureTransform((f,), geom_1d(2), Padding.ZERO, Architecture.POOLING, 0)
+        ft = FeatureTransform((f,))
         assert_array_equal(ft.matrix, f / np.linalg.norm(f))
-        assert ft.factors == (ft.matrix,)
+        assert ft.factors == (ft.matrix,) and ft.p == 2
 
     @pytest.mark.parametrize("factors", [(np.zeros((4, 4)),), (np.eye(2), np.zeros((2, 2)))])
     def test_rejects_zero_factor_without_warning(self, factors):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="zero"):
-                FeatureTransform(factors, ConvGeometry(GeometryKind.TWO_D, 4), Padding.ZERO,
-                                 Architecture.POOLING, 0)
+                FeatureTransform(factors)
 
     @pytest.mark.parametrize("factors", [(np.eye(4) * 1e200,),
                                          (np.eye(2) * 1e100, np.eye(2) * 1e100)])
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_rejects_factors_whose_product_overflows(self, factors):
         with pytest.raises(ValueError, match="too large"):
-            FeatureTransform(factors, ConvGeometry(GeometryKind.TWO_D, 4), Padding.ZERO,
-                             Architecture.POOLING, 0)
+            FeatureTransform(factors)
 
     def test_matrix_is_read_only(self):
         ft = feature_transforms([2], geom_1d(4), Padding.ZERO, Architecture.POOLING)[0]
@@ -166,8 +165,9 @@ class TestClosedForm:
     )
     def test_matches_stencil_iterate(self, geometry, padding, arch, depth):
         closed = feature_transforms(range(depth + 1), geometry, padding, arch)
-        for ft, iterate in zip(closed, stencil_iterates(depth, geometry, padding, arch)):
-            assert np.max(np.abs(ft.matrix - iterate)) <= 1e-13, ft.depth
+        iterates = stencil_iterates(depth, geometry, padding, arch)
+        for d, (ft, iterate) in enumerate(zip(closed, iterates)):
+            assert np.max(np.abs(ft.matrix - iterate)) <= 1e-13, d
 
     @pytest.mark.parametrize("arch", ARCHS)
     @pytest.mark.parametrize("padding", PADDINGS)
@@ -232,24 +232,22 @@ class TestFactors:
 
     def test_matrix_is_normalized_kron_of_factors(self):
         a, b = np.diag([1.0, 2.0]), np.ones((3, 3))
-        ft = FeatureTransform((a, b), geom_1d(6), Padding.ZERO, Architecture.POOLING, 3)
+        ft = FeatureTransform((a, b))
         product = np.kron(a, b)
         assert_array_equal(ft.matrix, product / np.linalg.norm(product))
-        assert ft.factors == (a, b)
+        assert ft.factors == (a, b) and ft.p == 6
 
     def test_product_is_formed_once_on_first_read_and_read_only(self, monkeypatch):
         calls = []
         kron = np.kron
         monkeypatch.setattr(np, "kron", lambda a, b: calls.append(1) or kron(a, b))
-        ft = FeatureTransform((np.eye(2), np.ones((3, 3))), geom_1d(6), Padding.ZERO,
-                              Architecture.POOLING, 3)
-        assert calls == []
+        ft = FeatureTransform((np.eye(2), np.ones((3, 3))))
+        ft.apply(np.ones((4, 6)))
+        assert calls == [] and "matrix" not in ft.__dict__
         first = ft.matrix
-        assert ft.matrix is first and np.asarray(ft) is first and calls == [1]
+        assert ft.matrix is first and calls == [1]
         with pytest.raises(ValueError):
             first[0, 0] = 9.0
-        copy = np.array(ft)
-        assert copy.flags.writeable and not np.shares_memory(copy, first)
 
     @pytest.mark.parametrize("side", (1, 2, 3, 5, 28))
     def test_per_axis_transforms_keep_the_dense_bits(self, side):
@@ -274,19 +272,38 @@ class TestFactors:
     def test_rejects_indefinite_factor(self):
         flip = np.diag([1.0, -1.0])
         with pytest.raises(ValueError, match="PSD"):
-            FeatureTransform((flip, flip), ConvGeometry(GeometryKind.TWO_D, 4), Padding.ZERO,
-                             Architecture.POOLING, 3)
+            FeatureTransform((flip, flip))
 
     def test_rejects_non_finite_factor(self):
         with pytest.raises(ValueError, match="feature transform has non-finite entries"):
-            FeatureTransform((np.diag([np.nan, 1.0]), np.eye(2)),
-                             ConvGeometry(GeometryKind.TWO_D, 4), Padding.ZERO,
-                             Architecture.POOLING, 3)
+            FeatureTransform((np.diag([np.nan, 1.0]), np.eye(2)))
 
-    def test_rejects_factors_that_do_not_match_geometry(self):
-        with pytest.raises(ValueError, match="shape"):
-            FeatureTransform((np.eye(2), np.eye(2)), ConvGeometry(GeometryKind.TWO_D, 9),
-                             Padding.ZERO, Architecture.POOLING, 3)
-        with pytest.raises(ValueError, match="shape"):
-            FeatureTransform((np.ones((2, 3)), np.ones((3, 2))), geom_1d(6), Padding.ZERO,
-                             Architecture.POOLING, 3)
+    @pytest.mark.parametrize("factors", [(), (np.eye(2),) * 3,
+                                         (np.ones((2, 3)), np.ones((3, 2)))])
+    def test_rejects_anything_but_one_or_two_square_factors(self, factors):
+        with pytest.raises(ValueError, match="one or two square factors"):
+            FeatureTransform(factors)
+
+
+class TestApply:
+    # apply is the only way the regressions read a transform; the product
+    # over the factors' axes must act as the p x p matrix does.
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        geometry=st.one_of(
+            st.builds(geom_1d, st.integers(1, 12)),
+            st.builds(lambda s: ConvGeometry(GeometryKind.TWO_D, s * s), st.integers(1, 6)),
+        ),
+        padding=st.sampled_from(PADDINGS),
+        arch=st.sampled_from(ARCHS),
+        depth=st.integers(0, 60),
+        leading=st.lists(st.integers(1, 3), max_size=2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_matrix(self, geometry, padding, arch, depth, leading, seed):
+        (ft,) = feature_transforms([depth], geometry, padding, arch)
+        x = np.random.default_rng(seed).standard_normal(tuple(leading) + (geometry.p,))
+        expected = (ft.matrix @ x[..., None])[..., 0]
+        got = ft.apply(x)
+        assert got.shape == x.shape
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from convkernel.kernels import _check_symmetric_psd
+from convkernel.kernels import (
+    Architecture,
+    ConvGeometry,
+    FeatureTransform,
+    GeometryKind,
+    Padding,
+    _check_symmetric_psd,
+    feature_transforms,
+)
 from convkernel.regression import (
     DEFAULT_RISK_TEST_POINTS,
     PINV_RTOL,
@@ -27,7 +36,7 @@ from convkernel.regression import (
     variance_mc,
 )
 from convkernel.rng import trial_rng, trials_per_chunk
-from _util import random_psd, random_unit_vector
+from _util import dense_transform, random_psd, random_unit_vector
 
 
 def identity_problem(p=20, n=10, noise_var=0.01, seed=0):
@@ -57,6 +66,14 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="covariance has non-finite entries"):
             RegressionProblem(np.diag([value, 1.0, 1.0]), np.ones(3), 0.0, 2)
 
+    def test_rejects_covariance_whose_norm_overflows_without_warning(self):
+        # Asymmetric and indefinite, but every entry is finite; only the
+        # Frobenius norm, and with it both relative tolerances, overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="covariance is too large"):
+                RegressionProblem(np.array([[1e200, 0.0], [5e199, -1e200]]), np.ones(2), 0.1, 1)
+
 
 class TestFitRidgeless:
     # fit_ridgeless returns the coefficients b; the interpolant predicts x @ b.
@@ -64,7 +81,7 @@ class TestFitRidgeless:
         p, n = 6, 3
         x = np.eye(p)[:n]
         y = np.array([2.0, -1.0, 0.5])
-        fitted = fit_ridgeless(np.eye(p), x, y)
+        fitted = fit_ridgeless(dense_transform(np.eye(p)), x, y)
         assert fitted.shape == (p,)
         assert_allclose(x @ fitted, y, atol=1e-12, rtol=0)
         # Prediction only sees the first n coordinates.
@@ -76,8 +93,7 @@ class TestFitRidgeless:
         p, n = 7, 3
         coef = rng.standard_normal(p)
         x = rng.standard_normal((n, p))
-        transform = np.outer(coef, coef)
-        fitted = fit_ridgeless(transform, x, x @ coef)
+        fitted = fit_ridgeless(dense_transform(np.outer(coef, coef)), x, x @ coef)
         probes = rng.standard_normal((5, p))
         assert_allclose(probes @ fitted, probes @ coef, atol=1e-10, rtol=0)
 
@@ -88,7 +104,7 @@ class TestFitRidgeless:
             transform = random_psd(rng, p)
             x = rng.standard_normal((n, p))
             y = rng.standard_normal(n)
-            fitted = fit_ridgeless(transform, x, y)
+            fitted = fit_ridgeless(dense_transform(transform), x, y)
             kernel = x @ transform @ x.T
             w, q = np.linalg.eigh(kernel)
             keep = w > n * w.max() * 1e-12
@@ -105,11 +121,15 @@ class TestFitRidgeless:
             transform = random_psd(rng, p)
             x = rng.standard_normal((n, p))
             y = rng.standard_normal(n)
-            fitted = fit_ridgeless(transform, x, y)
+            fitted = fit_ridgeless(dense_transform(transform), x, y)
             assert_allclose(x @ fitted, y, atol=1e-8, rtol=0)
 
     def test_zero_kernel_gives_zero_weights(self):
-        weights = fit_ridgeless(np.zeros((5, 5)), np.ones((3, 5)), np.ones(3))
+        # Rows in the transform's null space: X T X^T is zero.
+        transform = dense_transform(np.diag([0.0, 0.0, 0.0, 1.0, 1.0]))
+        x = np.zeros((3, 5))
+        x[:, :3] = 1.0
+        weights = fit_ridgeless(transform, x, np.ones(3))
         assert_array_equal(weights, np.zeros(5))
 
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 7.3e4])
@@ -119,16 +139,27 @@ class TestFitRidgeless:
         transform = random_psd(rng, p)
         x = rng.standard_normal((n, p))
         y = rng.standard_normal(n)
-        base = fit_ridgeless(transform, x, y)
-        scaled = fit_ridgeless(scale * transform, x, y)
+        base = fit_ridgeless(dense_transform(transform), x, y)
+        scaled = fit_ridgeless(dense_transform(scale * transform), x, y)
         probes = rng.standard_normal((8, p))
         assert_allclose(probes @ scaled, probes @ base, atol=1e-10, rtol=0)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
-            fit_ridgeless(np.eye(3), np.ones((2, 4)), np.ones(2))
+            fit_ridgeless(dense_transform(np.eye(3)), np.ones((2, 4)), np.ones(2))
         with pytest.raises(ValueError, match="y_train"):
-            fit_ridgeless(np.eye(4), np.ones((2, 4)), np.ones(3))
+            fit_ridgeless(dense_transform(np.eye(4)), np.ones((2, 4)), np.ones(3))
+
+    @pytest.mark.parametrize("arch", [Architecture.FLATTENING, Architecture.POOLING])
+    def test_factored_transform_fits_as_its_dense_matrix(self, arch):
+        # Per-axis factors fit as their Kronecker product would.
+        rng = np.random.default_rng(33)
+        (ft,) = feature_transforms([6], ConvGeometry(GeometryKind.TWO_D, 49), Padding.ZERO, arch)
+        assert len(ft.factors) == 2
+        x, y = rng.standard_normal((3, 5, 49)), rng.standard_normal((3, 5))
+        dense = fit_ridgeless(dense_transform(ft.matrix), x, y)
+        assert_allclose(fit_ridgeless(ft, x, y), dense, rtol=0,
+                        atol=1e-10 * np.max(np.abs(dense)))
 
 
 class TestApplyPinv:
@@ -181,7 +212,8 @@ class TestStackedFits:
     def test_fit_ridgeless_and_bias_conditional_per_trial(self):
         rng = np.random.default_rng(32)
         p, n, trials = 10, 4, 7
-        transform = random_psd(rng, p) * (np.arange(p) < 3)
+        kept = np.arange(p) < 3
+        transform = dense_transform(random_psd(rng, p) * np.outer(kept, kept))
         coef, covariance = rng.standard_normal(p), random_psd(rng, p)
         x = rng.standard_normal((trials, n, p))
         y = rng.standard_normal((trials, n))
@@ -194,7 +226,7 @@ class TestStackedFits:
 
     def test_fit_ridgeless_rejects_mismatched_trial_axes(self):
         with pytest.raises(ValueError, match="y_train"):
-            fit_ridgeless(np.eye(4), np.ones((3, 2, 4)), np.ones((2, 2)))
+            fit_ridgeless(dense_transform(np.eye(4)), np.ones((3, 2, 4)), np.ones((2, 2)))
 
 
 class TestBiasConditional:
@@ -204,7 +236,7 @@ class TestBiasConditional:
         coef = rng.standard_normal(p)
         covariance = random_psd(rng, p)
         x = rng.standard_normal((n, p))
-        value = bias_conditional(np.outer(coef, coef), coef, covariance, x)
+        value = bias_conditional(dense_transform(np.outer(coef, coef)), coef, covariance, x)
         bound = 1e-10 * (coef @ coef) * np.linalg.norm(covariance, 2)
         assert 0.0 <= value <= bound
 
@@ -214,7 +246,7 @@ class TestBiasConditional:
         q, _ = np.linalg.qr(rng.standard_normal((p, n)))
         x = q.T
         coef = rng.standard_normal(p)
-        value = bias_conditional(np.eye(p), coef, np.eye(p), x)
+        value = bias_conditional(dense_transform(np.eye(p)), coef, np.eye(p), x)
         expected = float(np.sum((coef - x.T @ (x @ coef)) ** 2))
         assert_allclose(value, expected, atol=1e-12, rtol=0)
 
@@ -229,8 +261,9 @@ class TestBiasConditional:
             u = x @ coef
             kernel = x @ transform @ x.T
             shrink = u @ np.linalg.solve(kernel, u)
-            base = bias_conditional(transform, coef, covariance, x)
-            updated = bias_conditional(transform + np.outer(coef, coef), coef, covariance, x)
+            base = bias_conditional(dense_transform(transform), coef, covariance, x)
+            updated = bias_conditional(dense_transform(transform + np.outer(coef, coef)),
+                                       coef, covariance, x)
             assert_allclose(updated, base / (1.0 + shrink) ** 2, rtol=1e-8, atol=0)
 
     def test_nonnegative(self):
@@ -238,7 +271,7 @@ class TestBiasConditional:
         p, n = 9, 4
         for _ in range(30):
             value = bias_conditional(
-                random_psd(rng, p),
+                dense_transform(random_psd(rng, p)),
                 rng.standard_normal(p),
                 random_psd(rng, p),
                 rng.standard_normal((n, p)),
@@ -247,20 +280,21 @@ class TestBiasConditional:
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="shapes"):
-            bias_conditional(np.eye(3), np.ones(4), np.eye(4), np.ones((2, 4)))
+            bias_conditional(dense_transform(np.eye(3)), np.ones(4), np.eye(4), np.ones((2, 4)))
 
 
 class TestBiasMC:
     def test_zero_at_coef_outer_product(self):
         problem = identity_problem()
-        estimate = bias_mc(np.outer(problem.coef, problem.coef), problem, trials=50, seed=9)
+        estimate = bias_mc(dense_transform(np.outer(problem.coef, problem.coef)), problem,
+                           trials=50, seed=9)
         assert estimate.mean <= 1e-12
 
     def test_identity_transform_projects_onto_random_subspace(self):
         # With identity transform and covariance, the mean predictor projects
         # onto the row space, leaving (p - n)/p of the coef energy on average.
         problem = identity_problem(p=20, n=10, noise_var=0.0)
-        estimate = bias_mc(np.eye(20), problem, trials=500, seed=10)
+        estimate = bias_mc(dense_transform(np.eye(20)), problem, trials=500, seed=10)
         assert abs(estimate.mean - 0.5) <= 3.0 * estimate.std_error
 
     @pytest.mark.parametrize("blend", [0.25, 0.5, 1.0])
@@ -270,21 +304,22 @@ class TestBiasMC:
         problem = RegressionProblem(random_psd(rng, p), random_unit_vector(rng, p), 0.0, 5)
         transform = random_psd(rng, p)
         blended = (1.0 - blend) * transform + blend * np.outer(problem.coef, problem.coef)
-        base = bias_mc(transform, problem, trials=80, seed=12)
-        better = bias_mc(blended, problem, trials=80, seed=12)
+        base = bias_mc(dense_transform(transform), problem, trials=80, seed=12)
+        better = bias_mc(dense_transform(blended), problem, trials=80, seed=12)
         assert better.mean <= base.mean + 1e-12
 
     def test_deterministic_per_seed(self):
         problem = identity_problem()
-        a = bias_mc(np.eye(20), problem, trials=40, seed=13)
-        b = bias_mc(np.eye(20), problem, trials=40, seed=13)
-        c = bias_mc(np.eye(20), problem, trials=40, seed=14)
+        identity = dense_transform(np.eye(20))
+        a = bias_mc(identity, problem, trials=40, seed=13)
+        b = bias_mc(identity, problem, trials=40, seed=13)
+        c = bias_mc(identity, problem, trials=40, seed=14)
         assert a == b
         assert a.mean != c.mean
 
     def test_single_trial_has_zero_std_error(self):
         problem = identity_problem()
-        estimate = bias_mc(np.eye(20), problem, trials=1, seed=15)
+        estimate = bias_mc(dense_transform(np.eye(20)), problem, trials=1, seed=15)
         assert estimate.std_error == 0.0
 
 
@@ -294,20 +329,21 @@ class TestVarianceMC:
         p, n = 20, 10
         covariance = random_psd(rng, p)
         problem = RegressionProblem(covariance, random_unit_vector(rng, p), 0.01, n)
-        estimate = variance_mc(np.linalg.inv(covariance), problem, trials=600, seed=17)
+        estimate = variance_mc(dense_transform(np.linalg.inv(covariance)), problem,
+                               trials=600, seed=17)
         bound = variance_lower_bound(0.01, n, p)
         assert abs(estimate.mean - bound) <= 3.0 * estimate.std_error
 
     def test_zero_noise_gives_zero(self):
         problem = identity_problem(noise_var=0.0)
-        estimate = variance_mc(np.eye(20), problem, trials=20, seed=18)
+        estimate = variance_mc(dense_transform(np.eye(20)), problem, trials=20, seed=18)
         assert estimate.mean == 0.0
         assert estimate.std_error == 0.0
 
     def test_spiked_transform_exceeds_bound(self):
         problem = identity_problem(noise_var=0.01)
         spiked = np.diag(np.r_[np.ones(19), 100.0])
-        estimate = variance_mc(spiked, problem, trials=600, seed=19)
+        estimate = variance_mc(dense_transform(spiked), problem, trials=600, seed=19)
         bound = variance_lower_bound(0.01, 10, 20)
         assert estimate.mean > bound + 3.0 * estimate.std_error
 
@@ -315,14 +351,15 @@ class TestVarianceMC:
         problem = identity_problem()
         rng = np.random.default_rng(20)
         transform = random_psd(rng, 20)
-        a = variance_mc(transform, problem, trials=50, seed=21)
-        b = variance_mc(1e3 * transform, problem, trials=50, seed=21)
+        a = variance_mc(dense_transform(transform), problem, trials=50, seed=21)
+        b = variance_mc(dense_transform(1e3 * transform), problem, trials=50, seed=21)
         assert_allclose(b.mean, a.mean, rtol=1e-10, atol=0)
 
     def test_deterministic_per_seed(self):
         problem = identity_problem()
-        a = variance_mc(np.eye(20), problem, trials=30, seed=22)
-        b = variance_mc(np.eye(20), problem, trials=30, seed=22)
+        identity = dense_transform(np.eye(20))
+        a = variance_mc(identity, problem, trials=30, seed=22)
+        b = variance_mc(identity, problem, trials=30, seed=22)
         assert a == b
 
 
@@ -357,7 +394,8 @@ class TestVarianceTraceOracle:
     @given(p=st.integers(2, 12), data=st.data())
     def test_matches_trace_formula(self, p, data):
         n = data.draw(st.integers(1, p - 1), label="n")
-        rank = data.draw(st.integers(0, p), label="rank")
+        # Rank 0 is the zero transform, which FeatureTransform rejects.
+        rank = data.draw(st.integers(1, p), label="rank")
         trials = data.draw(st.integers(1, 12), label="trials")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         rng = np.random.default_rng(seed)
@@ -368,7 +406,7 @@ class TestVarianceTraceOracle:
                                     float(rng.uniform(0.01, 2.0)), n)
         values, condition = trace_formula_variance(transform, problem, trials, seed)
         assume(condition <= 1e6)
-        estimate = variance_mc(transform, problem, trials=trials, seed=seed)
+        estimate = variance_mc(dense_transform(transform), problem, trials=trials, seed=seed)
         expected = _estimate(values, trials, seed)
         assert_allclose(estimate.mean, expected.mean, rtol=1e-9, atol=0)
         assert_allclose(estimate.std_error, expected.std_error, rtol=1e-9, atol=0)
@@ -453,8 +491,10 @@ class TestPerTrialOracle:
     def run(self, name, transform, problem, trials, test_points=DEFAULT_RISK_TEST_POINTS):
         estimator = {"bias": bias_mc, "variance": variance_mc, "risk": excess_risk_mc}[name]
         extra = {"test_points": test_points} if name == "risk" else {}
+        transform = dense_transform(transform)
         estimate = estimator(transform, problem, trials=trials, seed=7, **extra)
-        expected, condition = oracle_estimate(name, transform, problem, trials, 7, test_points)
+        expected, condition = oracle_estimate(name, transform.matrix, problem, trials, 7,
+                                              test_points)
         assert condition <= 1e6
         assert estimate.trials == trials
         assert_allclose(estimate.mean, expected.mean, rtol=1e-12, atol=0)
@@ -504,7 +544,8 @@ class TestMonteCarloMemory:
 
     def test_variance_sweep_size(self):
         problem = identity_problem(p=20, n=10)
-        assert self.peak_mb(lambda: variance_mc(np.eye(20), problem, trials=6000)) < 2.0
+        identity = dense_transform(np.eye(20))
+        assert self.peak_mb(lambda: variance_mc(identity, problem, trials=6000)) < 2.0
 
     def test_entry_check_holds_one_temporary(self):
         # Beyond the matrix itself: one p-by-p temporary (the asymmetry
@@ -514,35 +555,20 @@ class TestMonteCarloMemory:
         assert peak <= 1.2 * transform.nbytes / 2**20
 
     def test_risk_on_image_size(self):
-        # The 784 x 784 transform and the entry PSD check of it take 4.7 MB
-        # each; one trial's draws take 1.7 MB.
+        # The 784 x 784 transform (4.7 MB) is built and checked once, before
+        # the estimator runs, which holds no p x p temporary; one trial's
+        # draws take 1.7 MB.
         problem = RegressionProblem(np.eye(784), np.ones(784), 0.01, 10)
-        peak = self.peak_mb(lambda: excess_risk_mc(np.eye(784), problem, trials=20))
-        assert peak < 12.0
+        transform = dense_transform(np.eye(784))
+        peak = self.peak_mb(lambda: excess_risk_mc(transform, problem, trials=20))
+        assert peak < 6.0
 
 
 @pytest.mark.parametrize("estimator", [bias_mc, variance_mc, excess_risk_mc])
 @pytest.mark.parametrize("trials", [0, -3])
 def test_estimators_reject_bad_trials(estimator, trials):
     with pytest.raises(ValueError, match="trials must be >= 1"):
-        estimator(np.eye(20), identity_problem(), trials=trials, seed=0)
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("estimator", [bias_mc, variance_mc, excess_risk_mc])
-@pytest.mark.parametrize("value", [np.nan, np.inf])
-def test_estimators_reject_non_finite_transform(estimator, value):
-    # The check runs before any arithmetic on the transform, which would warn.
-    problem = identity_problem(p=4, n=2)
-    with pytest.raises(ValueError, match="transform has non-finite entries"):
-        estimator(np.diag([value, 1.0, 1.0, 1.0]), problem, trials=2, seed=0)
-
-
-@pytest.mark.parametrize("estimator", [bias_mc, variance_mc, excess_risk_mc])
-def test_estimators_reject_non_psd_transform(estimator):
-    problem = identity_problem(p=4, n=2)
-    with pytest.raises(ValueError, match="transform is not PSD"):
-        estimator(np.diag([1.0, 1.0, 1.0, -1.0]), problem, trials=2, seed=0)
+        estimator(dense_transform(np.eye(20)), identity_problem(), trials=trials, seed=0)
 
 
 class TestVarianceLowerBound:
@@ -563,13 +589,13 @@ class TestVarianceLowerBound:
 class TestExcessRiskMC:
     def test_noiseless_aligned_transform_has_zero_risk(self):
         problem = identity_problem(noise_var=0.0)
-        transform = np.outer(problem.coef, problem.coef)
+        transform = dense_transform(np.outer(problem.coef, problem.coef))
         estimate = excess_risk_mc(transform, problem, trials=20, seed=23, test_points=50)
         assert estimate.mean <= 1e-20
 
     def test_identity_reference_value(self):
         problem = identity_problem(noise_var=0.01)
-        estimate = excess_risk_mc(np.eye(20), problem, trials=400, seed=24)
+        estimate = excess_risk_mc(dense_transform(np.eye(20)), problem, trials=400, seed=24)
         expected = 0.5 + variance_lower_bound(0.01, 10, 20)
         assert abs(estimate.mean - expected) <= 4.0 * estimate.std_error
 
@@ -580,7 +606,7 @@ class TestExcessRiskMC:
             problem = RegressionProblem(
                 random_psd(rng, p), random_unit_vector(rng, p), 0.05, n
             )
-            transform = random_psd(rng, p)
+            transform = dense_transform(random_psd(rng, p))
             seed = 100 + trial
             bias = bias_mc(transform, problem, trials=400, seed=seed)
             variance = variance_mc(transform, problem, trials=400, seed=seed + 1)
@@ -593,31 +619,45 @@ class TestMisalignment:
     def test_zero_at_coef_outer_product(self):
         rng = np.random.default_rng(26)
         coef = rng.standard_normal(6)
-        assert misalignment(np.outer(coef, coef), coef) <= 1e-12
+        assert misalignment(dense_transform(np.outer(coef, coef)), coef) <= 1e-12
 
     def test_one_when_coef_in_null_space(self):
-        transform = np.diag([0.0, 1.0, 1.0])
+        transform = dense_transform(np.diag([0.0, 1.0, 1.0]))
         coef = np.array([1.0, 0.0, 0.0])
         assert misalignment(transform, coef) == 1.0
 
     def test_identity_value(self):
-        assert_allclose(misalignment(np.eye(4), np.array([0.0, 2.0, 0.0, 0.0])), 0.75,
-                        atol=1e-15)
+        assert_allclose(misalignment(dense_transform(np.eye(4)), np.array([0.0, 2.0, 0.0, 0.0])),
+                        0.75, atol=1e-15)
 
     def test_scale_invariant_and_in_range(self):
         rng = np.random.default_rng(27)
         for _ in range(30):
             transform = random_psd(rng, 7)
             coef = rng.standard_normal(7)
-            value = misalignment(transform, coef)
+            value = misalignment(dense_transform(transform), coef)
             assert 0.0 <= value <= 1.0
-            assert_allclose(misalignment(37.0 * transform, coef), value, atol=1e-12)
+            assert_allclose(misalignment(dense_transform(37.0 * transform), coef), value,
+                            atol=1e-12)
+
+    @pytest.mark.parametrize("arch", [Architecture.FLATTENING, Architecture.POOLING])
+    def test_factored_matches_dense_formula(self, arch):
+        # The unit Frobenius norm of T is what lets misalignment skip dividing by it.
+        coef = np.random.default_rng(34).standard_normal(36)
+        unit = coef / np.linalg.norm(coef)
+        for depth in (0, 1, 3, 20):
+            (ft,) = feature_transforms([depth], ConvGeometry(GeometryKind.TWO_D, 36),
+                                       Padding.ZERO, arch)
+            matrix = ft.matrix
+            expected = 1.0 - (unit @ matrix @ unit / np.linalg.norm(matrix)) ** 2
+            assert_allclose(misalignment(ft, coef), expected, rtol=0, atol=1e-13)
 
     def test_rejects_zero_inputs(self):
         with pytest.raises(ValueError, match="coef"):
-            misalignment(np.eye(3), np.zeros(3))
-        with pytest.raises(ValueError, match="transform"):
-            misalignment(np.zeros((3, 3)), np.ones(3))
+            misalignment(dense_transform(np.eye(3)), np.zeros(3))
+        # A zero transform fails where it is built.
+        with pytest.raises(ValueError, match="zero"):
+            FeatureTransform((np.zeros((3, 3)),))
 
 
 class TestPsdSqrt:

@@ -82,6 +82,16 @@ class TestSymmetricSpectrum:
         with pytest.raises(ValueError, match="symmetric"):
             symmetric_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="matrix has non-finite entries"):
+            symmetric_spectrum(np.array([[value, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_overflowing_norm_without_warning(self):
+        with pytest.raises(ValueError, match="matrix is too large"):
+            symmetric_spectrum(np.array([[1e200, 0.0], [5e199, -1e200]]))
+
 
 
 class TestOperatorDiagonalRestriction:
