@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from convkernel.kernels import Architecture, ConvGeometry, GeometryKind, Padding
+from convkernel.kernels import Architecture, ConvGeometry, GeometryKind, Padding, check_depths
 from convkernel.regression import (
     DEFAULT_BIAS_TRIALS,
     DEFAULT_RISK_TEST_POINTS,
@@ -134,7 +134,7 @@ class _Pairs:
         self.lines: dict[str, int] = {}
         try:
             lines = Path(path).read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         for line_no, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -225,14 +225,10 @@ def _take_depths(pairs: _Pairs, default: tuple[int, ...]) -> tuple[int, ...]:
             depths = tuple(int(part.strip()) for part in value.split(",") if part.strip())
         except ValueError:
             raise pairs.error(f"depths must be integers, got {value!r}", "depths") from None
-        if not depths:
-            raise pairs.error("depths must be a nonempty list", "depths")
-        if any(d < 0 for d in depths):
-            raise pairs.error(f"depths must be non-negative, got {list(depths)}", "depths")
-        if any(b <= a for a, b in zip(depths, depths[1:])):
-            raise pairs.error(
-                f"depths must be strictly increasing, got {list(depths)}", "depths"
-            )
+        try:
+            check_depths(depths)
+        except ValueError as exc:
+            raise pairs.error(str(exc), "depths") from None
         return depths
     if not given:
         return default

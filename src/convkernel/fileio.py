@@ -44,14 +44,23 @@ def save_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:
 
 def load_matrix_csv(path: str | Path) -> np.ndarray:
     """Dense comma-separated rows of finite numbers; blank lines are skipped."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line_no} is not UTF-8 text") from None
     rows = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if line:
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if line:
+            try:
                 rows.append([float(v) for v in line.split(",")])
-                if not np.all(np.isfinite(rows[-1])):
-                    raise ValueError(f"{path}: row on line {line_no} is not finite")
+            except ValueError:
+                raise ValueError(
+                    f"{path}: row on line {line_no} has a non-number: {line!r}") from None
+            if not np.all(np.isfinite(rows[-1])):
+                raise ValueError(f"{path}: row on line {line_no} is not finite")
     if not rows:
         raise ValueError(f"{path}: empty matrix file")
     widths = {len(r) for r in rows}

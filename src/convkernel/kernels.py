@@ -110,8 +110,9 @@ def _check_symmetric_psd(matrix: np.ndarray, what: str) -> float:
 class FeatureTransform:
     """A PSD feature transform T on p pixels: the Kronecker product of one
     or two symmetric PSD factors (one per axis of an s x s grid, the same
-    array twice), scaled to unit Frobenius norm.  A single factor is scaled
-    here and is its own matrix; two are kept as given and act per axis.
+    array twice).  Each distinct factor f is replaced at construction by a
+    new, read-only f / ||f||, so T has unit Frobenius norm and is exactly
+    the product of the stored factors.
     """
 
     factors: tuple[np.ndarray, ...]
@@ -126,16 +127,15 @@ class FeatureTransform:
         # Frobenius norm, so is their normalized product's: a product of
         # eigenvalues is negative only through one negative factor eigenvalue,
         # and the others are at most their factors' norms.
-        distinct = {id(f): f for f in factors}
-        norms = {key: _check_symmetric_psd(f, "feature transform") for key, f in distinct.items()}
-        norm = math.prod(norms[id(f)] for f in factors)
-        if not 0.0 < norm * norm < math.inf:  # np.linalg.norm sums squares: keep them finite
-            raise ValueError(f"feature transform is zero or too large (norm {norm!r})")
-        if len(factors) == 1:
-            factors = (factors[0] / norm,)
-        for factor in factors:
-            factor.setflags(write=False)
-        object.__setattr__(self, "factors", factors)
+        scaled = {}
+        for f in factors:
+            if id(f) not in scaled:
+                norm = _check_symmetric_psd(f, "feature transform")
+                if norm == 0.0:
+                    raise ValueError("feature transform has a zero factor")
+                scaled[id(f)] = f / norm
+                scaled[id(f)].setflags(write=False)
+        object.__setattr__(self, "factors", tuple(scaled[id(f)] for f in factors))
 
     @property
     def p(self) -> int:
@@ -152,16 +152,12 @@ class FeatureTransform:
             return x @ self.factors[0].T
         a, b = self.factors
         grid = x.reshape(x.shape[:-1] + (a.shape[0], b.shape[0]))
-        scale = float(np.linalg.norm(a)) * float(np.linalg.norm(b))
-        return ((a @ grid @ b.T) / scale).reshape(x.shape)
+        return (a @ grid @ b.T).reshape(x.shape)
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The unit-Frobenius p x p transform, formed on first read; read-only."""
-        if len(self.factors) == 1:
-            return self.factors[0]
-        matrix = np.kron(*self.factors)
-        matrix /= np.linalg.norm(matrix)
+        """The p x p product of the factors, formed on first read; read-only."""
+        matrix = reduce(np.kron, self.factors)
         matrix.setflags(write=False)
         return matrix
 
@@ -247,12 +243,6 @@ def _start(n: int, architecture: Architecture) -> np.ndarray:
     raise ValueError(f"unsupported architecture: {architecture!r}")
 
 
-def initial_transform(geometry: ConvGeometry, architecture: Architecture) -> np.ndarray:
-    """Depth-0 matrix: identity (flattening) or all-ones (pooling), unit Frobenius."""
-    start = _start(geometry.p, architecture)
-    return start / np.linalg.norm(start)
-
-
 def _zero_padding_power(start: np.ndarray, depth: int) -> np.ndarray:
     """The 1-D zero-padding operator applied depth times to a symmetric matrix,
     up to a positive scale.
@@ -291,25 +281,25 @@ def _axis_factor(n: int, depth: int | float, padding: Padding,
         return _start(n, architecture)
     if depth == math.inf:
         return np.diag(sine_profile(n))
-    return _zero_padding_power(
-        initial_transform(ConvGeometry(GeometryKind.ONE_D, n), architecture), depth)
+    return _zero_padding_power(_start(n, architecture), depth)
 
 
 def _feature_transform(
     depth: int | float, geometry: ConvGeometry, padding: Padding, architecture: Architecture
 ) -> FeatureTransform:
-    """The unit-Frobenius depth-`depth` transform (math.inf: the limit).
+    """The depth-`depth` transform; depth math.inf is the infinite-depth limit.
 
     Circular padding leaves both depth-0 matrices fixed (each tap's shift
     permutes the identity and the all-ones matrix onto themselves), so
-    every depth is depth 0.  Under zero padding, depths up to
-    STENCIL_DEPTH_MAX iterate the stencil from the unnormalized start,
-    normalizing before each layer, so the transform's own scaling keeps the
-    iterate's bits (depth 0 is initial_transform's).  The operator acts on
-    each axis's index pair of the axes + axes tensor separately, and both
-    depth-0 matrices are products of one factor per axis, so every other
-    transform is the product over geometry.axes of the 1-D transform on
-    each axis (kron(V, V) in 2-D), computed once per distinct axis length.
+    every depth is depth 0.  Zero padding drives every start to the same
+    diagonal limit, the sine profile per axis.  Under zero padding, depths
+    up to STENCIL_DEPTH_MAX iterate the stencil from the unnormalized
+    start, normalizing before each layer, so the transform's own scaling
+    keeps the iterate's bits.  The operator acts on each axis's index pair
+    of the axes + axes tensor separately, and both depth-0 matrices are
+    products of one factor per axis, so every other transform is the
+    product over geometry.axes of the 1-D transform on each axis
+    (kron(V, V) in 2-D), computed once per distinct axis length.
     """
     if padding is Padding.CIRCULAR or depth > STENCIL_DEPTH_MAX:
         factors = {n: _axis_factor(n, depth, padding, architecture) for n in set(geometry.axes)}
@@ -321,13 +311,28 @@ def _feature_transform(
     return FeatureTransform((matrix,))
 
 
+def check_depths(depths: Sequence[int | float]) -> list[int | float]:
+    """depths as a list of ints, the last possibly math.inf; ValueError
+    unless they are nonempty, non-negative integers and strictly increasing."""
+    depths = list(depths)
+    if not depths:
+        raise ValueError("depths must be a nonempty list")
+    finite = depths[:-1] if depths[-1] == math.inf else depths
+    if any(d < 0 or not float(d).is_integer() for d in finite):
+        raise ValueError(f"depths must be non-negative integers, got {depths}")
+    if any(b <= a for a, b in zip(depths, depths[1:])):
+        raise ValueError(f"depths must be strictly increasing, got {depths}")
+    return [d if d == math.inf else int(d) for d in depths]
+
+
 def feature_transforms(
-    depths: Sequence[int],
+    depths: Sequence[int | float],
     geometry: ConvGeometry,
     padding: Padding,
     architecture: Architecture,
 ) -> list[FeatureTransform]:
-    """Feature transforms at the given strictly increasing depths.
+    """Unit-Frobenius feature transforms at the given strictly increasing
+    depths; a last depth of math.inf gives the infinite-depth limit.
 
     Each depth is computed on its own, beyond STENCIL_DEPTH_MAX in closed
     form (see _feature_transform) at a cost that does not depend on the
@@ -336,16 +341,10 @@ def feature_transforms(
     downstream regression quantities, so every transform has unit
     Frobenius norm.
     """
-    depths = list(depths)
-    if not depths:
-        raise ValueError("depths must be nonempty")
-    if any(d != int(d) or d < 0 for d in depths):
-        raise ValueError(f"depths must be non-negative integers, got {depths}")
-    if any(b <= a for a, b in zip(depths, depths[1:])):
-        raise ValueError(f"depths must be strictly increasing, got {depths}")
+    depths = check_depths(depths)
     if not isinstance(padding, Padding):
         raise ValueError(f"unsupported padding: {padding!r}")
-    return [_feature_transform(int(d), geometry, padding, architecture) for d in depths]
+    return [_feature_transform(d, geometry, padding, architecture) for d in depths]
 
 
 def sine_profile(dim: int) -> np.ndarray:
@@ -382,20 +381,6 @@ def tridiagonal_ones(dim: int) -> np.ndarray:
     out[idx, idx + 1] = 1.0
     out[idx + 1, idx] = 1.0
     return out
-
-
-def limiting_transform(
-    geometry: ConvGeometry, padding: Padding, architecture: Architecture
-) -> FeatureTransform:
-    """Infinite-depth limit of the normalized recursion.
-
-    Zero padding drives every starting matrix to the same diagonal limit:
-    sine-profile pixel weights in 1-D, the outer product of two sine
-    profiles over grid coordinates in 2-D.  Circular padding leaves the
-    normalized depth-0 matrix fixed, so the limit is identity (flattening)
-    or all-ones (pooling).
-    """
-    return _feature_transform(math.inf, geometry, padding, architecture)
 
 
 def _fix_sign(vector: np.ndarray) -> np.ndarray:

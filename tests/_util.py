@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from convkernel.kernels import FeatureTransform
+from convkernel.kernels import Architecture, FeatureTransform
 
 
 def random_symmetric(rng: np.random.Generator, p: int) -> np.ndarray:
@@ -31,3 +31,9 @@ def dense_transform(matrix: np.ndarray) -> FeatureTransform:
     """A dense symmetric PSD test matrix as a one-factor transform (scaled to
     unit Frobenius norm)."""
     return FeatureTransform((matrix,))
+
+
+def unit_start(geometry, arch: Architecture) -> np.ndarray:
+    """The depth-0 matrix, identity or all-ones, scaled to unit Frobenius norm."""
+    start = np.eye(geometry.p) if arch is Architecture.FLATTENING else np.ones((geometry.p,) * 2)
+    return start / np.linalg.norm(start)

@@ -5,6 +5,7 @@ run shows the scoreboard; the assert carries the same condition so pytest
 records the verdict either way.
 """
 
+import math
 import os
 import time
 from pathlib import Path
@@ -12,7 +13,9 @@ from pathlib import Path
 import numpy as np
 
 from _digits import make_synthetic_idx
-from _util import dense_transform, random_psd, random_symmetric, random_unit_vector
+from _util import (
+    dense_transform, random_psd, random_symmetric, random_unit_vector, unit_start,
+)
 from convkernel.config import parse_config
 from convkernel.experiments import (
     run_depth_sweep,
@@ -28,8 +31,6 @@ from convkernel.kernels import (
     apply_conv_operator,
     basis_matrices,
     feature_transforms,
-    initial_transform,
-    limiting_transform,
     tridiagonal_ones,
 )
 from convkernel.regression import (
@@ -123,10 +124,9 @@ class TestAcceptance:
         for p in (5, 10):
             geometry = ConvGeometry(GeometryKind.ONE_D, p)
             for architecture in Architecture:
-                limit = np.asarray(
-                    limiting_transform(geometry, Padding.ZERO, architecture).matrix
-                )
-                matrix = initial_transform(geometry, architecture).copy()
+                limit = feature_transforms([math.inf], geometry, Padding.ZERO,
+                                           architecture)[0].matrix
+                matrix = unit_start(geometry, architecture)
                 iterations = 0
                 while (
                     np.linalg.norm(matrix - limit) > 1e-8
@@ -140,13 +140,11 @@ class TestAcceptance:
                 details.append(f"1d p={p} {architecture.value}@{iterations}")
 
         geometry = ConvGeometry(GeometryKind.TWO_D, 28 * 28)
-        limit_diag = np.diag(
-            np.asarray(limiting_transform(geometry, Padding.ZERO,
-                                          Architecture.FLATTENING).matrix)
-        )
+        limit_diag = np.diag(feature_transforms([math.inf], geometry, Padding.ZERO,
+                                                Architecture.FLATTENING)[0].matrix)
         unit_limit_diag = limit_diag / np.linalg.norm(limit_diag)
         for architecture in Architecture:
-            matrix = initial_transform(geometry, architecture).copy()
+            matrix = unit_start(geometry, architecture)
             iterations = 0
             while iterations < 4000:
                 diag = np.diag(matrix)

@@ -58,6 +58,12 @@ class TestValidate:
         assert ":9: beta_file is set but beta_source is synthetic" in captured.err
         assert "config OK" not in captured.out
 
+    def test_non_utf8_config_exits_1(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"experiment = sweep\n# \xff\n")
+        assert main(["validate", str(config)]) == 1
+        assert f"config error: cannot read config file {config}" in capsys.readouterr().err
+
     def test_missing_config_exits_1(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.cfg")]) == 1
         assert "cannot read" in capsys.readouterr().err
@@ -131,6 +137,21 @@ class TestRuntimeErrors:
         err = capsys.readouterr().err
         assert "runtime error" in err
         assert "expected (8, 8)" in err
+
+    @pytest.mark.parametrize("source", ["sigma", "beta"])
+    @pytest.mark.parametrize("content", [b"1,0\n3,abc\n", b"1,0\n0,\xff\n"],
+                             ids=["non-number", "non-utf8"])
+    def test_unreadable_csv_cell_exits_2_naming_the_file(self, tmp_path, capsys,
+                                                         source, content):
+        data = tmp_path / f"{source}.csv"
+        data.write_bytes(content)
+        config = write_config(
+            tmp_path,
+            SMALL_SWEEP
+            + f"{source}_source = file\n{source}_file = {data}\noutdir = {tmp_path}\n",
+        )
+        assert main(["sweep", str(config)]) == 2
+        assert f"runtime error: {data}: " in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -31,6 +31,12 @@ class TestFileSyntax:
         with pytest.raises(ConfigError, match="cannot read config file"):
             parse_config(tmp_path / "absent.cfg")
 
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"experiment = sweep\n# \xff\n")
+        with pytest.raises(ConfigError, match="cannot read config file .*bad.cfg"):
+            parse_config(path)
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         cfg = parse_text(
             tmp_path,

@@ -72,3 +72,12 @@ def test_traced_functions_exist():
         module = importlib.import_module(f"convkernel.{owner}")
         for function in functions:
             assert callable(getattr(module, function, None)), f"{owner}.{function}"
+
+
+def test_readme_library_example_runs(capsys):
+    """The README's library example runs against the current API."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library example", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert "RiskEstimate(" in capsys.readouterr().out

@@ -68,6 +68,18 @@ class TestMatrixCsv:
         with pytest.raises(ValueError, match="bad.csv: row on line 3 is not finite"):
             load_matrix_csv(path)
 
+    def test_non_number_rejected_with_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("1,2\n3,abc\n")
+        with pytest.raises(ValueError, match="bad.csv: row on line 2 has a non-number: '3,abc'"):
+            load_matrix_csv(path)
+
+    def test_non_utf8_rejected_with_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"1,2\n\n3,\xff\n")
+        with pytest.raises(ValueError, match="bad.csv: line 3 is not UTF-8 text"):
+            load_matrix_csv(path)
+
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

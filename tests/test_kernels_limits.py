@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from _util import unit_start
 from convkernel import (
     Architecture,
     ConvGeometry,
     GeometryKind,
     Padding,
     apply_conv_operator,
-    initial_transform,
-    limiting_transform,
+    feature_transforms,
     sine_profile,
 )
 
@@ -28,9 +30,13 @@ def geom_2d(side: int) -> ConvGeometry:
     return ConvGeometry(GeometryKind.TWO_D, side * side)
 
 
+def limit_of(geometry, padding, arch):
+    return feature_transforms([math.inf], geometry, padding, arch)[0]
+
+
 def distances_to_limit(geometry, padding, arch, depth: int) -> np.ndarray:
-    limit = limiting_transform(geometry, padding, arch).matrix
-    current = initial_transform(geometry, arch)
+    limit = limit_of(geometry, padding, arch).matrix
+    current = unit_start(geometry, arch)
     out = [np.linalg.norm(current - limit)]
     for _ in range(depth):
         current = apply_conv_operator(current, geometry, padding)
@@ -41,26 +47,26 @@ def distances_to_limit(geometry, padding, arch, depth: int) -> np.ndarray:
 
 class TestLimitValues:
     def test_one_d_p3_sine_diagonal(self):
-        ft = limiting_transform(geom_1d(3), Padding.ZERO, Architecture.POOLING)
+        ft = limit_of(geom_1d(3), Padding.ZERO, Architecture.POOLING)
         expected = np.diag([1.0 / np.sqrt(2.0), 1.0, 1.0 / np.sqrt(2.0)]) / np.sqrt(2.0)
         assert_allclose(ft.matrix, expected, atol=1e-15, rtol=0)
         assert np.linalg.norm(ft.matrix) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_d_side2_uniform_diagonal(self):
-        ft = limiting_transform(geom_2d(2), Padding.ZERO, Architecture.FLATTENING)
+        ft = limit_of(geom_2d(2), Padding.ZERO, Architecture.FLATTENING)
         assert_allclose(ft.matrix, np.eye(4) / 2.0, atol=1e-15, rtol=0)
 
     def test_circular_pooling_all_ones(self):
-        ft = limiting_transform(geom_1d(4), Padding.CIRCULAR, Architecture.POOLING)
+        ft = limit_of(geom_1d(4), Padding.CIRCULAR, Architecture.POOLING)
         assert_allclose(ft.matrix, np.ones((4, 4)) / 4.0, atol=0, rtol=0)
 
     def test_circular_flattening_identity(self):
-        ft = limiting_transform(geom_1d(9), Padding.CIRCULAR, Architecture.FLATTENING)
+        ft = limit_of(geom_1d(9), Padding.CIRCULAR, Architecture.FLATTENING)
         assert_allclose(ft.matrix, np.eye(9) / 3.0, atol=0, rtol=0)
 
     def test_two_d_diagonal_is_sine_outer_product(self):
         side = 5
-        ft = limiting_transform(geom_2d(side), Padding.ZERO, Architecture.POOLING)
+        ft = limit_of(geom_2d(side), Padding.ZERO, Architecture.POOLING)
         profile = sine_profile(side)
         weights = np.outer(profile, profile).ravel()
         weights /= np.linalg.norm(weights)
@@ -112,7 +118,7 @@ class TestCircularDepthInvariance:
     @pytest.mark.parametrize("arch", ARCHS)
     @pytest.mark.parametrize("geometry", [geom_1d(5), geom_1d(10), geom_2d(4)])
     def test_every_iterate_equals_start(self, geometry, arch):
-        start = initial_transform(geometry, arch)
+        start = unit_start(geometry, arch)
         current = start.copy()
         for _ in range(40):
             current = apply_conv_operator(current, geometry, Padding.CIRCULAR)

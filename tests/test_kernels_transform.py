@@ -3,6 +3,7 @@ and the closed form against the stencil iterate."""
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import convkernel.kernels
+from _util import unit_start
 from convkernel import (
     Architecture,
     ConvGeometry,
@@ -20,9 +22,7 @@ from convkernel import (
     Padding,
     apply_conv_operator,
     feature_transforms,
-    initial_transform,
     leading_eigenvector,
-    limiting_transform,
     sine_profile,
     symmetric_spectrum,
 )
@@ -55,7 +55,7 @@ class TestCircularFixedPoints:
     @pytest.mark.parametrize("arch", ARCHS)
     @pytest.mark.parametrize("p", (3, 6, 11))
     def test_normalized_iterates_never_move(self, p, arch):
-        start = initial_transform(geom_1d(p), arch)
+        start = unit_start(geom_1d(p), arch)
         for ft in feature_transforms([0, 1, 2, 5, 20], geom_1d(p), Padding.CIRCULAR, arch):
             assert np.max(np.abs(ft.matrix - start)) <= 1e-12
 
@@ -88,6 +88,12 @@ class TestRecursionPlumbing:
             feature_transforms([1, 2, 2], geometry, Padding.ZERO, Architecture.POOLING)
         with pytest.raises(ValueError, match="non-negative"):
             feature_transforms([-1, 2], geometry, Padding.ZERO, Architecture.POOLING)
+
+    def test_only_the_last_depth_may_be_infinite(self):
+        geometry = geom_1d(4)
+        for depths in ([math.inf, 5], [1, math.inf, math.inf], [0.5, math.inf]):
+            with pytest.raises(ValueError, match="depths must be"):
+                feature_transforms(depths, geometry, Padding.ZERO, Architecture.POOLING)
 
 
 class TestFeatureTransformValidation:
@@ -128,12 +134,21 @@ class TestFeatureTransformValidation:
             with pytest.raises(ValueError, match="zero"):
                 FeatureTransform(factors)
 
-    @pytest.mark.parametrize("factors", [(np.eye(4) * 1e200,),
-                                         (np.eye(2) * 1e100, np.eye(2) * 1e100)])
+    @pytest.mark.parametrize("factors", [(np.eye(4) * 1e200,)])
     @pytest.mark.filterwarnings("error")
     def test_rejects_factors_whose_product_overflows(self, factors):
         with pytest.raises(ValueError, match="too large"):
             FeatureTransform(factors)
+
+    # Each factor is scaled on its own, so only a factor's own norm must be
+    # finite, not the product's.
+    @pytest.mark.filterwarnings("error")
+    def test_scales_factors_whose_unscaled_product_overflows(self):
+        big = np.eye(2) * 1e100
+        ft = FeatureTransform((big, big))
+        assert_is_kron_of_unit_factors(ft, big)
+        assert ft.factors[0] is ft.factors[1]
+        assert_within_ulps(ft.matrix, np.eye(4) / 2.0, 4)
 
     def test_matrix_is_read_only(self):
         ft = feature_transforms([2], geom_1d(4), Padding.ZERO, Architecture.POOLING)[0]
@@ -143,7 +158,7 @@ class TestFeatureTransformValidation:
 
 def stencil_iterates(depth: int, geometry, padding, arch) -> list[np.ndarray]:
     """Depths 0..depth of the normalized recursion, by the direct stencil."""
-    current = initial_transform(geometry, arch)
+    current = unit_start(geometry, arch)
     out = [current]
     for _ in range(depth):
         current = apply_conv_operator(current, geometry, padding)
@@ -186,14 +201,18 @@ class TestClosedForm:
     @pytest.mark.parametrize("geometry", [geom_1d(7), ConvGeometry(GeometryKind.TWO_D, 784)])
     def test_depth_zero_is_initial_transform_bit_for_bit(self, geometry, padding, arch):
         ft = feature_transforms([0], geometry, padding, arch)[0]
-        assert_array_equal(ft.matrix, initial_transform(geometry, arch))
+        start = unit_start(geometry, arch)
+        if padding is Padding.CIRCULAR and geometry.kind is GeometryKind.TWO_D:
+            # The product of two unit s x s factors, not one p x p scaling.
+            assert_within_ulps(ft.matrix, start, 4)
+        else:
+            assert_array_equal(ft.matrix, start)
 
     @pytest.mark.parametrize("arch", ARCHS)
     @pytest.mark.parametrize("geometry", [geom_1d(10), ConvGeometry(GeometryKind.TWO_D, 784)])
     def test_depth_beyond_any_iteration_reaches_the_limit(self, geometry, arch):
         # Powers of the unscaled eigenvalues would overflow long before this depth.
-        ft = feature_transforms([10**6], geometry, Padding.ZERO, arch)[0]
-        limit = limiting_transform(geometry, Padding.ZERO, arch)
+        ft, limit = feature_transforms([10**6, math.inf], geometry, Padding.ZERO, arch)
         assert_allclose(ft.matrix, limit.matrix, rtol=0, atol=1e-12)
 
     def test_deep_transforms_never_call_the_stencil(self, monkeypatch):
@@ -206,6 +225,18 @@ class TestClosedForm:
             for arch in ARCHS:
                 feature_transforms(deep, geometry, Padding.ZERO, arch)
                 feature_transforms([0, 1, 2] + deep, geometry, Padding.CIRCULAR, arch)
+
+
+def assert_within_ulps(got: np.ndarray, expected: np.ndarray, ulps: int) -> None:
+    assert np.max(np.abs(got - expected)) <= ulps * np.spacing(np.max(np.abs(expected)))
+
+
+def assert_is_kron_of_unit_factors(ft: FeatureTransform, factor: np.ndarray) -> None:
+    unit = factor / np.linalg.norm(factor)
+    assert len(ft.factors) == 2
+    assert_array_equal(ft.factors[0], unit)
+    assert_array_equal(ft.factors[1], unit)
+    assert_array_equal(ft.matrix, np.kron(unit, unit))
 
 
 class TestFactors:
@@ -233,9 +264,30 @@ class TestFactors:
     def test_matrix_is_normalized_kron_of_factors(self):
         a, b = np.diag([1.0, 2.0]), np.ones((3, 3))
         ft = FeatureTransform((a, b))
-        product = np.kron(a, b)
-        assert_array_equal(ft.matrix, product / np.linalg.norm(product))
-        assert ft.factors == (a, b) and ft.p == 6
+        unit_a, unit_b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+        assert_array_equal(ft.factors[0], unit_a)
+        assert_array_equal(ft.factors[1], unit_b)
+        assert_array_equal(ft.matrix, np.kron(unit_a, unit_b))
+        assert ft.p == 6
+
+    def test_leaves_the_callers_factors_alone(self):
+        a = np.eye(2)
+        ft = FeatureTransform((a, a))
+        assert a.flags.writeable and ft.factors[0] is not a
+        assert_array_equal(a, np.eye(2))
+        assert not ft.factors[0].flags.writeable
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    @pytest.mark.parametrize("padding", PADDINGS)
+    @pytest.mark.parametrize("geometry", [geom_1d(1), geom_1d(2), geom_1d(7), geom_1d(20),
+                                          ConvGeometry(GeometryKind.TWO_D, 1),
+                                          ConvGeometry(GeometryKind.TWO_D, 4),
+                                          ConvGeometry(GeometryKind.TWO_D, 25)])
+    def test_every_factor_has_unit_norm(self, geometry, padding, arch):
+        depths = list(range(61)) + [math.inf]
+        for depth, ft in zip(depths, feature_transforms(depths, geometry, padding, arch)):
+            for factor in ft.factors:
+                assert abs(np.linalg.norm(factor) - 1.0) <= 1e-15, depth
 
     def test_product_is_formed_once_on_first_read_and_read_only(self, monkeypatch):
         calls = []
@@ -249,20 +301,23 @@ class TestFactors:
         with pytest.raises(ValueError):
             first[0, 0] = 9.0
 
+    # Per-axis transforms are exactly the product of their unit factors, and
+    # within a few ulp of the dense construction scaled once.
     @pytest.mark.parametrize("side", (1, 2, 3, 5, 28))
     def test_per_axis_transforms_keep_the_dense_bits(self, side):
         geometry = ConvGeometry(GeometryKind.TWO_D, side * side)
         profile = sine_profile(side)
         diagonal = np.diag(np.multiply.outer(profile, profile).ravel())
+        line = np.diag(profile)
         for arch in ARCHS:
-            limit = limiting_transform(geometry, Padding.ZERO, arch)
-            assert len(limit.factors) == 2
-            assert_array_equal(limit.matrix, diagonal / np.linalg.norm(diagonal))
-            start = initial_transform(geometry, arch)
-            circular = feature_transforms([0, 1, 5], geometry, Padding.CIRCULAR, arch)
-            for ft in circular + [limiting_transform(geometry, Padding.CIRCULAR, arch)]:
-                assert len(ft.factors) == 2
-                assert_array_equal(ft.matrix, start)
+            (limit,) = feature_transforms([math.inf], geometry, Padding.ZERO, arch)
+            assert_is_kron_of_unit_factors(limit, line)
+            assert_within_ulps(limit.matrix, diagonal / np.linalg.norm(diagonal), 4)
+            start = np.eye(side) if arch is Architecture.FLATTENING else np.ones((side, side))
+            circular = feature_transforms([0, 1, 5, math.inf], geometry, Padding.CIRCULAR, arch)
+            for ft in circular:
+                assert_is_kron_of_unit_factors(ft, start)
+                assert_within_ulps(ft.matrix, unit_start(geometry, arch), 4)
 
     def test_dense_transform_is_its_own_factor(self):
         for ft in feature_transforms([0, 1, 2], ConvGeometry(GeometryKind.TWO_D, 9),
