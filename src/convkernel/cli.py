@@ -53,9 +53,6 @@ def _run(command: str, config_path: Path) -> int:
     except ConfigError as error:
         print(f"config error: {error}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as error:
-        print(f"config error: cannot read {config_path}: {error}", file=sys.stderr)
-        return EXIT_CONFIG
 
     if command == "validate":
         print(f"config OK: {cfg.experiment} experiment, output to {cfg.outdir}")

@@ -2,16 +2,16 @@
 
 One `key = value` pair per line, `#` starts a comment, unknown keys are
 rejected.  The required `experiment` key (sweep | eigvec | mnist) selects
-a schema: a table with one row per key, read by one interpreter.  Every
-key other than `images` and `labels` has a default.  Errors name the
-offending line and key.
+a config dataclass, which is the schema: each field declares its key's
+kind, default and minimum, and one interpreter reads the fields in order.
+Every key other than `images` and `labels` has a default.  Errors name
+the offending line and key.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,67 +27,24 @@ from convkernel.regression import (
 THETA_FAMILY_CONV = "conv"
 THETA_FAMILY_ALIGNED_SPIKE = "aligned_spike"
 
+# Key kinds.  A kind may also be a tuple of allowed strings, or an Enum
+# class whose values are the allowed strings.  FILE must name an existing
+# file.  DEPTHS reads either the `depths` list or the depth_min/depth_max/
+# depth_count log-spaced range.  GEOMETRY reads the layout key `geometry`
+# (1d | 2d) and the pixel count `p`; SQUARE reads `p` alone, of a 2-D grid.
+INT, FLOAT, BOOL, PATH, FILE, DEPTHS = "int", "float", "bool", "path", "file", "depths"
+GEOMETRY, SQUARE = "geometry", "square"
+_RANGE_KEYS = ("depth_min", "depth_max", "depth_count")
+
 
 class ConfigError(ValueError):
     """Raised for malformed or invalid configuration files."""
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Depth sweep of bias/variance/risk/misalignment over one problem."""
-
-    experiment: str
-    geometry: ConvGeometry
-    padding: Padding
-    architecture: Architecture
-    theta_family: str
-    family_center: int
-    depths: tuple[int, ...]
-    sigma_source: str
-    sigma_depth: int
-    sigma_file: Path | None
-    beta_source: str
-    beta_file: Path | None
-    noise_var: float
-    n_train: int
-    trials_bias: int
-    trials_var: int
-    trials_risk: int
-    risk_test_points: int
-    seed: int
-    outdir: Path
-
-
-@dataclass(frozen=True)
-class EigvecConfig:
-    """Leading-eigenvector image gallery across depths (2-D only)."""
-
-    experiment: str
-    geometry: ConvGeometry
-    padding: Padding
-    architecture: Architecture
-    depths: tuple[int, ...]
-    outdir: Path
-
-
-@dataclass(frozen=True)
-class MnistConfig:
-    """Two-digit regression depth sweep on IDX image files."""
-
-    experiment: str
-    images: Path
-    labels: Path
-    digit_pos: int
-    digit_neg: int
-    count_per_class: int
-    n_train: int
-    trials: int
-    depths: tuple[int, ...]
-    padding: Padding
-    architecture: Architecture
-    shuffle: bool
-    seed: int
-    outdir: Path
+def _key(kind, default=MISSING, minimum=None, name=None):
+    """A config dataclass field, read from the config key `name` (the field
+    name unless given) as `kind`.  A field without a default is a required key."""
+    return field(default=default, metadata={"kind": kind, "minimum": minimum, "key": name})
 
 
 def log_spaced_depths(low: int, high: int, count: int) -> tuple[int, ...]:
@@ -102,27 +59,64 @@ def log_spaced_depths(low: int, high: int, count: int) -> tuple[int, ...]:
     return tuple(sorted(set(int(d) for d in grid)))
 
 
-# Key kinds.  A kind may also be a tuple of allowed strings, or an Enum
-# class whose values are the allowed strings.
-INT, FLOAT, BOOL, PATH, FILE, DEPTHS = "int", "float", "bool", "path", "file", "depths"
-REQUIRED = "required"
-_RANGE_KEYS = ("depth_min", "depth_max", "depth_count")
+# Each config class is its experiment's schema: its fields after
+# `experiment`, in order, are the keys it reads.
+@dataclass(frozen=True)
+class SweepConfig:
+    """Depth sweep of bias/variance/risk/misalignment over one problem."""
+
+    experiment: str
+    geometry: ConvGeometry = _key(GEOMETRY, ConvGeometry(GeometryKind.ONE_D, 20))
+    padding: Padding = _key(Padding, Padding.ZERO)
+    architecture: Architecture = _key(Architecture, Architecture.POOLING)
+    theta_family: str = _key((THETA_FAMILY_CONV, THETA_FAMILY_ALIGNED_SPIKE), THETA_FAMILY_CONV)
+    family_center: int = _key(INT, 10, 0)
+    depths: tuple[int, ...] = _key(DEPTHS, log_spaced_depths(1, 100, 10))
+    sigma_source: str = _key(("identity", "inverse_theta", "file"), "identity")
+    sigma_depth: int = _key(INT, 50, 0)
+    sigma_file: Path | None = _key(FILE, None)
+    beta_source: str = _key(("synthetic", "file"), "synthetic")
+    beta_file: Path | None = _key(FILE, None)
+    noise_var: float = _key(FLOAT, 0.01, 0.0)
+    n_train: int = _key(INT, 10, 1, name="n")
+    trials_bias: int = _key(INT, DEFAULT_BIAS_TRIALS, 1)
+    trials_var: int = _key(INT, DEFAULT_VARIANCE_TRIALS, 1)
+    trials_risk: int = _key(INT, DEFAULT_RISK_TRIALS, 1)
+    risk_test_points: int = _key(INT, DEFAULT_RISK_TEST_POINTS, 1)
+    seed: int = _key(INT, 0)
+    outdir: Path = _key(PATH, Path("out"))
 
 
 @dataclass(frozen=True)
-class Key:
-    """One schema row: a config key, its kind, its default and its minimum.
+class EigvecConfig:
+    """Leading-eigenvector image gallery across depths (2-D only)."""
 
-    FILE must name an existing file.  DEPTHS reads either the `depths`
-    list or the depth_min/depth_max/depth_count log-spaced range.  field
-    names the config dataclass field when it differs from the key.
-    """
+    experiment: str
+    geometry: ConvGeometry = _key(SQUARE, ConvGeometry(GeometryKind.TWO_D, 784))
+    padding: Padding = _key(Padding, Padding.ZERO)
+    architecture: Architecture = _key(Architecture, Architecture.POOLING)
+    depths: tuple[int, ...] = _key(DEPTHS, (0, 1, 4, 16, 64, 256, 1024))
+    outdir: Path = _key(PATH, Path("out"))
 
-    name: str
-    kind: str | tuple[str, ...] | type[Enum]
-    default: object = None
-    minimum: int | float | None = None
-    field: str | None = None
+
+@dataclass(frozen=True)
+class MnistConfig:
+    """Two-digit regression depth sweep on IDX image files."""
+
+    experiment: str
+    images: Path = _key(FILE)
+    labels: Path = _key(FILE)
+    digit_pos: int = _key(INT, 0, 0)
+    digit_neg: int = _key(INT, 1, 0)
+    count_per_class: int = _key(INT, 50, 1)
+    n_train: int = _key(INT, 10, 1, name="n")
+    trials: int = _key(INT, 20, 1)
+    depths: tuple[int, ...] = _key(DEPTHS, (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512))
+    padding: Padding = _key(Padding, Padding.ZERO)
+    architecture: Architecture = _key(Architecture, Architecture.POOLING)
+    shuffle: bool = _key(BOOL, False)
+    seed: int = _key(INT, 0)
+    outdir: Path = _key(PATH, Path("out"))
 
 
 class _Pairs:
@@ -172,20 +166,23 @@ class _Pairs:
             )
 
 
-def _take(pairs: _Pairs, key: Key):
-    """The value of one non-DEPTHS key, or its default when the key is absent."""
-    name, kind = key.name, key.kind
+def _take(pairs: _Pairs, name: str, kind, default=None, minimum=None):
+    """The value of one scalar key, or its default when the key is absent."""
     entry = pairs.take(name)
     if entry is None:
-        if key.default is REQUIRED:
+        if default is MISSING:
             raise pairs.error(f"missing required key '{name}'")
-        return key.default
+        return default
     text = entry[0]
     if kind == PATH:
         return Path(text)
     if kind == FILE:
         path = Path(text)
-        if not path.is_file():
+        try:
+            found = path.is_file()
+        except OSError as exc:  # a name too long for the file system, say
+            raise pairs.error(f"{name} cannot be checked: {exc}", name) from None
+        if not found:
             raise pairs.error(f"{name} references a missing file: {path}", name)
         return path
     if kind == BOOL:
@@ -200,8 +197,8 @@ def _take(pairs: _Pairs, key: Key):
             raise pairs.error(f"{name} must be {what}, got {text!r}", name) from None
         if not math.isfinite(value):
             raise pairs.error(f"{name} must be finite, got {text!r}", name)
-        if key.minimum is not None and value < key.minimum:
-            raise pairs.error(f"{name} must be >= {key.minimum}, got {value}", name)
+        if minimum is not None and value < minimum:
+            raise pairs.error(f"{name} must be >= {minimum}, got {value}", name)
         return value
     choices = tuple(m.value for m in kind) if isinstance(kind, type) else kind
     if text.lower() not in choices:
@@ -211,9 +208,19 @@ def _take(pairs: _Pairs, key: Key):
     return kind(text.lower()) if isinstance(kind, type) else text.lower()
 
 
+def _take_geometry(pairs: _Pairs, kind: str, default: ConvGeometry) -> ConvGeometry:
+    layout = default.kind
+    if kind == GEOMETRY:
+        layout = _take(pairs, "geometry", GeometryKind, layout)
+    try:
+        return ConvGeometry(layout, _take(pairs, "p", INT, default.p, 1))
+    except ValueError as exc:
+        raise pairs.error(str(exc), "p", "geometry") from None
+
+
 def _take_depths(pairs: _Pairs, default: tuple[int, ...]) -> tuple[int, ...]:
     explicit = pairs.take("depths")
-    bounds = [_take(pairs, Key(name, INT)) for name in _RANGE_KEYS]
+    bounds = [_take(pairs, name, INT) for name in _RANGE_KEYS]
     given = sorted((k for k in _RANGE_KEYS if k in pairs.lines), key=pairs.lines.get)
     if explicit is not None and given:
         raise pairs.error(
@@ -276,59 +283,11 @@ def _check_mnist(values: dict, pairs: _Pairs) -> None:
         )
 
 
-_PADDING = Key("padding", Padding, Padding.ZERO)
-_ARCHITECTURE = Key("architecture", Architecture, Architecture.POOLING)
-_N_TRAIN = Key("n", INT, 10, 1, field="n_train")
-_SEED = Key("seed", INT, 0)
-_OUTDIR = Key("outdir", PATH, Path("out"))
-
-# Experiment -> (config class, schema rows in parse order, cross-key check).
+# Experiment -> (config class, cross-key check).
 SCHEMAS = {
-    "sweep": (SweepConfig, (
-        Key("geometry", GeometryKind, GeometryKind.ONE_D),
-        Key("p", INT, 20, 1),
-        _PADDING,
-        _ARCHITECTURE,
-        Key("theta_family", (THETA_FAMILY_CONV, THETA_FAMILY_ALIGNED_SPIKE),
-            THETA_FAMILY_CONV),
-        Key("family_center", INT, 10, 0),
-        Key("depths", DEPTHS, log_spaced_depths(1, 100, 10)),
-        Key("sigma_source", ("identity", "inverse_theta", "file"), "identity"),
-        Key("sigma_depth", INT, 50, 0),
-        Key("sigma_file", FILE),
-        Key("beta_source", ("synthetic", "file"), "synthetic"),
-        Key("beta_file", FILE),
-        Key("noise_var", FLOAT, 0.01, 0.0),
-        _N_TRAIN,
-        Key("trials_bias", INT, DEFAULT_BIAS_TRIALS, 1),
-        Key("trials_var", INT, DEFAULT_VARIANCE_TRIALS, 1),
-        Key("trials_risk", INT, DEFAULT_RISK_TRIALS, 1),
-        Key("risk_test_points", INT, DEFAULT_RISK_TEST_POINTS, 1),
-        _SEED,
-        _OUTDIR,
-    ), _check_sweep),
-    "eigvec": (EigvecConfig, (
-        Key("p", INT, 784, 1),
-        _PADDING,
-        _ARCHITECTURE,
-        Key("depths", DEPTHS, (0, 1, 4, 16, 64, 256, 1024)),
-        _OUTDIR,
-    ), None),
-    "mnist": (MnistConfig, (
-        Key("images", FILE, REQUIRED),
-        Key("labels", FILE, REQUIRED),
-        Key("digit_pos", INT, 0, 0),
-        Key("digit_neg", INT, 1, 0),
-        Key("count_per_class", INT, 50, 1),
-        _N_TRAIN,
-        Key("trials", INT, 20, 1),
-        Key("depths", DEPTHS, (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512)),
-        _PADDING,
-        _ARCHITECTURE,
-        Key("shuffle", BOOL, False),
-        _SEED,
-        _OUTDIR,
-    ), _check_mnist),
+    "sweep": (SweepConfig, _check_sweep),
+    "eigvec": (EigvecConfig, None),
+    "mnist": (MnistConfig, _check_mnist),
 }
 
 
@@ -344,17 +303,17 @@ def parse_config(path: str | Path) -> SweepConfig | EigvecConfig | MnistConfig:
             f"{pairs.path}:{line_no}: unknown experiment {entry[0]!r}; "
             f"choose from {', '.join(sorted(SCHEMAS))}"
         )
-    config_class, keys, check = SCHEMAS[experiment]
+    config_class, check = SCHEMAS[experiment]
     values: dict = {"experiment": experiment}
-    for key in keys:
-        value = _take_depths(pairs, key.default) if key.kind == DEPTHS else _take(pairs, key)
-        values[key.field or key.name] = value
-    if "p" in values:  # p and the geometry kind (2-D when not a key) form one field
-        kind = values.pop("geometry", GeometryKind.TWO_D)
-        try:
-            values["geometry"] = ConvGeometry(kind, values.pop("p"))
-        except ValueError as exc:
-            raise pairs.error(str(exc), "p") from None
+    for f in fields(config_class)[1:]:  # every field after experiment is a key
+        kind, default = f.metadata["kind"], f.default
+        if kind == DEPTHS:
+            values[f.name] = _take_depths(pairs, default)
+        elif kind in (GEOMETRY, SQUARE):
+            values[f.name] = _take_geometry(pairs, kind, default)
+        else:
+            values[f.name] = _take(pairs, f.metadata["key"] or f.name, kind, default,
+                                   f.metadata["minimum"])
     pairs.reject_unknown(experiment)
     if check is not None:
         check(values, pairs)

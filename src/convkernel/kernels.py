@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, reduce
@@ -23,6 +24,10 @@ import numpy as np
 
 SYMMETRY_RTOL = 1e-12
 PSD_RTOL = 1e-10
+# A Frobenius norm below this is recomputed from the scaled matrix.  Above it,
+# squares that underflow (each below about 2e-308) move the sum of squares
+# (at least 1e-280) by less than an ulp, for any matrix that fits in memory.
+TINY_NORM = 1e-140
 CONVERGENCE_MAX_ITER = 100_000
 # Zero-padding depths up to this one iterate the stencil instead of using the
 # closed form.  Both agree to about 1e-16, but ridgeless regression on pooled
@@ -85,11 +90,19 @@ def _check_finite_symmetric(matrix: np.ndarray, what: str) -> float:
     # Every comparison with NaN is false, so the tests below would pass it.
     if not np.all(np.isfinite(matrix)):
         raise ValueError(f"{what} has non-finite entries")
-    # np.linalg.norm sums squares, which overflow for entries above about 1e154.
+    # np.linalg.norm sums squares, which overflow for entries above about 1e154
+    # and lose precision below about 1e-154: a norm under TINY_NORM is taken
+    # again as m * ||A / m||, m the largest magnitude, unless m is subnormal.
     with np.errstate(over="ignore"):
         fro = float(np.linalg.norm(matrix))
     if fro == math.inf:
         raise ValueError(f"{what} is too large (its Frobenius norm overflows)")
+    if fro < TINY_NORM:
+        largest = float(np.max(np.abs(matrix), initial=0.0))
+        if 0.0 < largest < sys.float_info.min:
+            raise ValueError(f"{what} is too small (its entries are subnormal)")
+        if largest > 0.0:
+            fro = largest * float(np.linalg.norm(matrix / largest))
     # The difference is antisymmetric, so its max is its max magnitude: no abs.
     asym = float(np.max(matrix - matrix.T, initial=0.0))
     if asym > SYMMETRY_RTOL * fro:

@@ -64,6 +64,15 @@ class TestValidate:
         assert main(["validate", str(config)]) == 1
         assert f"config error: cannot read config file {config}" in capsys.readouterr().err
 
+    def test_uncheckable_file_key_exits_1_naming_line_and_key(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path, SMALL_SWEEP + f"beta_source = file\nbeta_file = {'b' * 300}\n"
+        )
+        assert main(["validate", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {config}:10: beta_file cannot be checked" in err
+        assert "cannot read" not in err
+
     def test_missing_config_exits_1(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.cfg")]) == 1
         assert "cannot read" in capsys.readouterr().err

@@ -135,6 +135,10 @@ class TestSweepValidation:
         message = error_of(tmp_path, "experiment = sweep\ngeometry = 2d\np = 10\n")
         assert "square" in message
 
+    def test_2d_with_default_p_names_geometry_line(self, tmp_path):
+        message = error_of(tmp_path, "experiment = sweep\nseed = 1\ngeometry = 2d\n")
+        assert ":3: 2-D geometry needs a perfect-square pixel count, got 20" in message
+
     def test_non_integer_p(self, tmp_path):
         message = error_of(tmp_path, "experiment = sweep\np = many\n")
         assert ":2:" in message
@@ -170,6 +174,13 @@ class TestSweepValidation:
             tmp_path, "experiment = sweep\nsigma_source = file\nsigma_file = nope.csv\n"
         )
         assert "sigma_file references a missing file" in message
+
+    def test_file_that_cannot_be_checked_names_key_and_line(self, tmp_path):
+        message = error_of(
+            tmp_path, f"experiment = sweep\nsigma_source = file\nsigma_file = {'a' * 300}\n"
+        )
+        assert ":3: sigma_file cannot be checked" in message
+        assert "too long" in message
 
     def test_beta_file_required_when_source_is_file(self, tmp_path):
         message = error_of(tmp_path, "experiment = sweep\nseed = 1\nbeta_source = file\n")
@@ -239,6 +250,24 @@ class TestDepthGrids:
         )
         assert ":2:" in message
         assert "depth_min >= 1" in message
+
+
+class TestParsedDefaults:
+    """A config that sets only what it must is the dataclass's own defaults."""
+
+    @pytest.mark.parametrize("config_class", [SweepConfig, EigvecConfig])
+    def test_bare_experiment(self, tmp_path, config_class):
+        experiment = config_class.__name__.removesuffix("Config").lower()
+        assert parse_text(tmp_path, f"experiment = {experiment}\n") == config_class(experiment)
+
+    def test_mnist_with_only_inputs(self, tmp_path):
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        images.write_bytes(b"")
+        labels.write_bytes(b"")
+        cfg = parse_text(
+            tmp_path, f"experiment = mnist\nimages = {images}\nlabels = {labels}\n"
+        )
+        assert cfg == MnistConfig("mnist", images=images, labels=labels)
 
 
 class TestLogSpacedDepths:

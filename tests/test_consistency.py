@@ -5,15 +5,19 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import re
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
 
-from convkernel.config import REQUIRED, SCHEMAS, parse_config
+from _digits import make_synthetic_idx
+from convkernel.config import GEOMETRY, SCHEMAS, SQUARE, parse_config
+from convkernel.experiments import run_depth_sweep, run_mnist_experiment
 
 ROOT = Path(__file__).resolve().parents[1]
 HEADING = re.compile(r"^#### `(\w+)`$")
 ROW = re.compile(r"^\| `(\w+)` \| (`[^`]*`|required|none) \|")
+CSV_HEADER = re.compile(r"^- `(\w+\.csv)`: `([\w,]+)`", re.MULTILINE)
 
 
 def readme_tables() -> dict[str, dict[str, str]]:
@@ -35,17 +39,32 @@ def test_readme_documents_every_experiment():
     assert set(readme_tables()) == set(SCHEMAS)
 
 
+def schema_keys(experiment: str) -> dict[str, object]:
+    """Config key -> default, from the fields of the experiment's config class."""
+    config_class, _ = SCHEMAS[experiment]
+    keys: dict[str, object] = {}
+    for f in fields(config_class)[1:]:
+        kind = f.metadata["kind"]
+        if kind == GEOMETRY:
+            keys["geometry"] = f.default.kind
+        if kind in (GEOMETRY, SQUARE):
+            keys["p"] = f.default.p
+        else:
+            keys[f.metadata["key"] or f.name] = f.default
+    return keys
+
+
 @pytest.mark.parametrize("experiment", sorted(SCHEMAS))
 def test_readme_keys_and_defaults_match_schema(tmp_path, experiment):
     documented = readme_tables()[experiment]
-    _, keys, _ = SCHEMAS[experiment]
-    assert set(documented) == {key.name for key in keys}
+    keys = schema_keys(experiment)
+    assert set(documented) == set(keys)
 
     required = ""
-    for key in keys:
-        if key.default is REQUIRED:
-            (tmp_path / key.name).write_bytes(b"")
-            required += f"{key.name} = {tmp_path / key.name}\n"
+    for name, default in keys.items():
+        if default is MISSING:
+            (tmp_path / name).write_bytes(b"")
+            required += f"{name} = {tmp_path / name}\n"
 
     def parse(text):
         path = tmp_path / "run.cfg"
@@ -53,14 +72,36 @@ def test_readme_keys_and_defaults_match_schema(tmp_path, experiment):
         return parse_config(path)
 
     baseline = parse("")
-    for key in keys:
-        default = documented[key.name]
-        if default == "required":
-            assert key.default is REQUIRED, key.name
-        elif default == "none":
-            assert key.default is None, key.name
+    for name, default in keys.items():
+        written = documented[name]
+        if written == "required":
+            assert default is MISSING, name
+        elif written == "none":
+            assert default is None, name
         else:
-            assert parse(f"{key.name} = {default.strip('`')}\n") == baseline, key.name
+            assert parse(f"{name} = {written.strip('`')}\n") == baseline, name
+
+
+def test_readme_csv_headers_match_outputs(tmp_path):
+    """The README's Outputs headers are the header lines the runners write."""
+    outputs = (ROOT / "README.md").read_text(encoding="utf-8").split("### Outputs", 1)[1]
+    documented = dict(CSV_HEADER.findall(outputs))
+    images, labels = make_synthetic_idx(tmp_path, count_per_class=10)
+    configs = {
+        "sweep.csv": (run_depth_sweep, "experiment = sweep\np = 6\nn = 3\ndepths = 1\n"
+                      "trials_bias = 2\ntrials_var = 2\ntrials_risk = 2\n"
+                      "risk_test_points = 2\n"),
+        "mnist.csv": (run_mnist_experiment, f"experiment = mnist\nimages = {images}\n"
+                      f"labels = {labels}\ncount_per_class = 10\nn = 4\ntrials = 1\n"
+                      "depths = 0\n"),
+    }
+    assert set(documented) == set(configs)
+    for name, (run, text) in configs.items():
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(text + f"outdir = {tmp_path / name}\n")
+        run(parse_config(path))
+        header = (tmp_path / name / name).read_text(encoding="utf-8").splitlines()[0]
+        assert header == documented[name], name
 
 
 def test_traced_functions_exist():

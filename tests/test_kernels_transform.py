@@ -150,6 +150,25 @@ class TestFeatureTransformValidation:
         assert ft.factors[0] is ft.factors[1]
         assert_within_ulps(ft.matrix, np.eye(4) / 2.0, 4)
 
+    # Squared entries below about 1e-162 underflow, so numpy's norm alone
+    # would call these zero or scale them off unit norm.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e-300])
+    def test_scales_tiny_factors_to_unit_norm(self, scale):
+        f = np.array([[2.0, 1.0], [1.0, 3.0]])
+        ft = FeatureTransform((f * scale,))
+        assert_within_ulps(ft.matrix, f / np.linalg.norm(f), 2)
+        assert abs(np.linalg.norm(ft.matrix) - 1.0) <= 4e-16
+
+    def test_rejects_subnormal_factor(self):
+        with pytest.raises(ValueError, match="feature transform is too small"):
+            FeatureTransform((np.eye(2) * 1e-310,))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-100, 1e-139])
+    def test_ordinary_norms_are_numpys(self, scale):
+        f = np.array([[2.0, 1.0], [1.0, 3.0]]) * scale
+        assert_array_equal(FeatureTransform((f,)).matrix, f / np.linalg.norm(f))
+
     def test_matrix_is_read_only(self):
         ft = feature_transforms([2], geom_1d(4), Padding.ZERO, Architecture.POOLING)[0]
         with pytest.raises(ValueError):

@@ -74,6 +74,11 @@ class TestProblemValidation:
             with pytest.raises(ValueError, match="covariance is too large"):
                 RegressionProblem(np.array([[1e200, 0.0], [5e199, -1e200]]), np.ones(2), 0.1, 1)
 
+    def test_rejects_tiny_indefinite_covariance(self):
+        # Every square underflows, so numpy's Frobenius norm alone is zero.
+        with pytest.raises(ValueError, match="covariance is not PSD"):
+            RegressionProblem(np.diag([1e-170, -1e-170, 1e-170]), np.ones(3), 0.1, 1)
+
 
 class TestFitRidgeless:
     # fit_ridgeless returns the coefficients b; the interpolant predicts x @ b.
