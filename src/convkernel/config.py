@@ -16,7 +16,14 @@ from pathlib import Path
 
 import numpy as np
 
-from convkernel.kernels import Architecture, ConvGeometry, GeometryKind, Padding, check_depths
+from convkernel.kernels import (
+    DEPTH_MAX,
+    Architecture,
+    ConvGeometry,
+    GeometryKind,
+    Padding,
+    check_depths,
+)
 from convkernel.regression import (
     DEFAULT_BIAS_TRIALS,
     DEFAULT_RISK_TEST_POINTS,
@@ -28,11 +35,14 @@ THETA_FAMILY_CONV = "conv"
 THETA_FAMILY_ALIGNED_SPIKE = "aligned_spike"
 
 # Key kinds.  A kind may also be a tuple of allowed strings, or an Enum
-# class whose values are the allowed strings.  FILE must name an existing
-# file.  DEPTHS reads either the `depths` list or the depth_min/depth_max/
-# depth_count log-spaced range.  GEOMETRY reads the layout key `geometry`
-# (1d | 2d) and the pixel count `p`; SQUARE reads `p` alone, of a 2-D grid.
-INT, FLOAT, BOOL, PATH, FILE, DEPTHS = "int", "float", "bool", "path", "file", "depths"
+# class whose values are the allowed strings.  DEPTH is an INT of at most
+# DEPTH_MAX.  PATH is an output directory: it, or its nearest existing
+# ancestor, must be a directory.  FILE must name an existing file.  DEPTHS
+# reads either the `depths` list or the depth_min/depth_max/depth_count
+# log-spaced range.  GEOMETRY reads the layout key `geometry` (1d | 2d) and
+# the pixel count `p`; SQUARE reads `p` alone, of a 2-D grid.
+INT, DEPTH, FLOAT, BOOL = "int", "depth", "float", "bool"
+PATH, FILE, DEPTHS = "path", "file", "depths"
 GEOMETRY, SQUARE = "geometry", "square"
 _RANGE_KEYS = ("depth_min", "depth_max", "depth_count")
 
@@ -55,8 +65,9 @@ def log_spaced_depths(low: int, high: int, count: int) -> tuple[int, ...]:
         raise ValueError(f"need depth_max >= depth_min, got {low}..{high}")
     if count < 1:
         raise ValueError(f"need depth_count >= 1, got {count}")
-    grid = np.rint(np.geomspace(low, high, count)).astype(int)
-    return tuple(sorted(set(int(d) for d in grid)))
+    # Near 2**63 a rounded float can exceed high (and int64), so ints are clipped.
+    grid = np.rint(np.geomspace(low, high, count))
+    return tuple(sorted({min(max(int(d), low), high) for d in grid}))
 
 
 # Each config class is its experiment's schema: its fields after
@@ -70,10 +81,10 @@ class SweepConfig:
     padding: Padding = _key(Padding, Padding.ZERO)
     architecture: Architecture = _key(Architecture, Architecture.POOLING)
     theta_family: str = _key((THETA_FAMILY_CONV, THETA_FAMILY_ALIGNED_SPIKE), THETA_FAMILY_CONV)
-    family_center: int = _key(INT, 10, 0)
+    family_center: int = _key(DEPTH, 10, 0)
     depths: tuple[int, ...] = _key(DEPTHS, log_spaced_depths(1, 100, 10))
     sigma_source: str = _key(("identity", "inverse_theta", "file"), "identity")
-    sigma_depth: int = _key(INT, 50, 0)
+    sigma_depth: int = _key(DEPTH, 50, 0)
     sigma_file: Path | None = _key(FILE, None)
     beta_source: str = _key(("synthetic", "file"), "synthetic")
     beta_file: Path | None = _key(FILE, None)
@@ -174,31 +185,36 @@ def _take(pairs: _Pairs, name: str, kind, default=None, minimum=None):
             raise pairs.error(f"missing required key '{name}'")
         return default
     text = entry[0]
-    if kind == PATH:
-        return Path(text)
-    if kind == FILE:
+    if kind in (PATH, FILE):
         path = Path(text)
-        try:
-            found = path.is_file()
-        except OSError as exc:  # a name too long for the file system, say
+        try:  # raises for a name too long for the file system, say
+            if kind == FILE:
+                problem = None if path.is_file() else f"references a missing file: {path}"
+            else:  # mkdir(parents=True) needs the nearest existing path to be a directory
+                nearest = next((a for a in (path, *path.parents) if a.exists()), path)
+                problem = (None if nearest.is_dir()
+                           else f"cannot be made: {nearest} is not a directory")
+        except OSError as exc:
             raise pairs.error(f"{name} cannot be checked: {exc}", name) from None
-        if not found:
-            raise pairs.error(f"{name} references a missing file: {path}", name)
+        if problem is not None:
+            raise pairs.error(f"{name} {problem}", name)
         return path
     if kind == BOOL:
         if text.lower() not in ("true", "false"):
             raise pairs.error(f"{name} must be true or false, got {text!r}", name)
         return text.lower() == "true"
-    if kind in (INT, FLOAT):
+    if kind in (INT, DEPTH, FLOAT):
         try:
-            value = int(text) if kind == INT else float(text)
+            value = float(text) if kind == FLOAT else int(text)
         except ValueError:
-            what = "an integer" if kind == INT else "a number"
+            what = "a number" if kind == FLOAT else "an integer"
             raise pairs.error(f"{name} must be {what}, got {text!r}", name) from None
-        if not math.isfinite(value):
+        if kind == FLOAT and not math.isfinite(value):
             raise pairs.error(f"{name} must be finite, got {text!r}", name)
         if minimum is not None and value < minimum:
             raise pairs.error(f"{name} must be >= {minimum}, got {value}", name)
+        if kind == DEPTH and value > DEPTH_MAX:
+            raise pairs.error(f"{name} must be <= {DEPTH_MAX}, got {value}", name)
         return value
     choices = tuple(m.value for m in kind) if isinstance(kind, type) else kind
     if text.lower() not in choices:
@@ -220,7 +236,8 @@ def _take_geometry(pairs: _Pairs, kind: str, default: ConvGeometry) -> ConvGeome
 
 def _take_depths(pairs: _Pairs, default: tuple[int, ...]) -> tuple[int, ...]:
     explicit = pairs.take("depths")
-    bounds = [_take(pairs, name, INT) for name in _RANGE_KEYS]
+    bounds = [_take(pairs, name, INT if name == "depth_count" else DEPTH)
+              for name in _RANGE_KEYS]
     given = sorted((k for k in _RANGE_KEYS if k in pairs.lines), key=pairs.lines.get)
     if explicit is not None and given:
         raise pairs.error(

@@ -10,7 +10,7 @@ reruns at the same thread count are byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from enum import Enum
 from pathlib import Path
 
@@ -69,7 +69,10 @@ class DepthSweepRecord:
 class GalleryRecord:
     depth: int
     participation_ratio: float
-    image_file: str
+
+    @property
+    def image_file(self) -> str:
+        return f"eigvec_D{self.depth}.pgm"
 
 
 @dataclass(frozen=True)
@@ -80,10 +83,12 @@ class MnistDepthRecord:
     misalignment: float
 
 
-def _csv_text(name: str, header: list[str], rows: list[list[float]]) -> str:
-    """CSV with 17-digit floats; a NaN or Inf cell raises, naming file and column."""
+def _csv_text(name: str, records: list) -> str:
+    """CSV of dataclass records, one column per field, with 17-digit floats;
+    a NaN or Inf cell raises, naming file and column."""
+    header = [field.name for field in fields(records[0])]
     lines = [",".join(header)]
-    for row in rows:
+    for row in map(astuple, records):
         for column, value in zip(header, row):
             if not np.isfinite(value):
                 raise ValueError(f"{name}: column {column} has non-finite value {value}")
@@ -127,7 +132,7 @@ def _resolve_coef(cfg: SweepConfig) -> np.ndarray:
 def _transform(cfg: SweepConfig, coef: np.ndarray, depth: int) -> FeatureTransform:
     if cfg.theta_family == THETA_FAMILY_ALIGNED_SPIKE:
         spike = np.outer(coef, coef) + abs(depth - cfg.family_center) * np.eye(cfg.geometry.p)
-        return FeatureTransform((spike,))
+        return FeatureTransform(spike)
     return feature_transforms([depth], cfg.geometry, cfg.padding, cfg.architecture)[0]
 
 
@@ -193,13 +198,7 @@ def run_depth_sweep(cfg: SweepConfig) -> list[DepthSweepRecord]:
         )
 
     meta = _meta_json(cfg, derived_seeds=seeds, ridge_epsilon=ridge_epsilon)
-    csv = _csv_text(
-        "sweep.csv",
-        ["depth", "bias_mean", "bias_se", "var_mean", "var_se",
-         "risk_mean", "risk_se", "misalignment"],
-        [[r.depth, r.bias_mean, r.bias_se, r.var_mean, r.var_se,
-          r.risk_mean, r.risk_se, r.misalignment] for r in records],
-    )
+    csv = _csv_text("sweep.csv", records)
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     write_text_atomic(cfg.outdir / "sweep.csv", csv)
     write_text_atomic(cfg.outdir / "sweep_meta.json", meta)
@@ -223,20 +222,17 @@ def run_eigvec_gallery(cfg: EigvecConfig) -> list[GalleryRecord]:
     """
     if cfg.geometry.kind is not GeometryKind.TWO_D:
         raise ValueError("the eigenvector gallery requires 2-D geometry")
-    side = cfg.geometry.side
     records = []
-    images: list[tuple[Path, np.ndarray]] = []
+    images: list[np.ndarray] = []
     for depth in cfg.depths:
         (ft,) = feature_transforms([depth], cfg.geometry, cfg.padding, cfg.architecture)
         leading = leading_eigenvector(ft)
-        name = f"eigvec_D{depth}.pgm"
-        images.append((cfg.outdir / name, grayscale(leading.reshape(side, side))))
-        records.append(GalleryRecord(depth, participation_ratio(leading), name))
-    csv = _csv_text("gallery.csv", ["depth", "participation_ratio"],
-                    [[r.depth, r.participation_ratio] for r in records])
+        records.append(GalleryRecord(depth, participation_ratio(leading)))
+        images.append(grayscale(leading.reshape(cfg.geometry.axes)))
+    csv = _csv_text("gallery.csv", records)
     cfg.outdir.mkdir(parents=True, exist_ok=True)
-    for path, image in images:
-        write_pgm(path, image)
+    for record, image in zip(records, images):
+        write_pgm(cfg.outdir / record.image_file, image)
     write_text_atomic(cfg.outdir / "gallery.csv", csv)
     return records
 
@@ -283,17 +279,13 @@ def run_mnist_experiment(cfg: MnistConfig) -> list[MnistDepthRecord]:
         records.append(MnistDepthRecord(depth, loss.mean, loss.std_error,
                                         misalignment(ft, coef)))
 
-    baseline = loss_estimate(FeatureTransform((np.eye(geometry.side),) * 2))
+    baseline = loss_estimate(FeatureTransform(np.eye(geometry.side), 2))
     meta = _meta_json(
         cfg, side=geometry.side,
         baseline_identity_loss_mean=baseline.mean,
         baseline_identity_loss_se=baseline.std_error,
     )
-    csv = _csv_text(
-        "mnist.csv",
-        ["depth", "loss_mean", "loss_se", "misalignment"],
-        [[r.depth, r.loss_mean, r.loss_se, r.misalignment] for r in records],
-    )
+    csv = _csv_text("mnist.csv", records)
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     write_text_atomic(cfg.outdir / "mnist.csv", csv)
     write_text_atomic(cfg.outdir / "mnist_meta.json", meta)

@@ -35,6 +35,7 @@ CONVERGENCE_MAX_ITER = 100_000
 # to 1e-6 relative (Gram condition numbers near 5e10), and outputs recorded
 # from the iterate are compared at that tolerance.
 STENCIL_DEPTH_MAX = 2
+DEPTH_MAX = 2**63 - 1  # the largest int64, so every depth is a numpy integer
 
 
 class GeometryKind(Enum):
@@ -121,56 +122,50 @@ def _check_symmetric_psd(matrix: np.ndarray, what: str) -> float:
 
 @dataclass(frozen=True)
 class FeatureTransform:
-    """A PSD feature transform T on p pixels: the Kronecker product of one
-    or two symmetric PSD factors (one per axis of an s x s grid, the same
-    array twice).  Each distinct factor f is replaced at construction by a
-    new, read-only f / ||f||, so T has unit Frobenius norm and is exactly
-    the product of the stored factors.
+    """A PSD feature transform T on p pixels: the power-th Kronecker power of
+    one symmetric PSD factor, power 1 on a line or a dense p x p matrix and
+    power 2 on an s x s grid (one copy per axis).  The factor f is replaced
+    at construction by a new, read-only f / ||f||, so T has unit Frobenius
+    norm and is exactly the power of the stored factor.
     """
 
-    factors: tuple[np.ndarray, ...]
+    factor: np.ndarray
+    power: int = 1
 
     def __post_init__(self) -> None:
-        factors = tuple(np.asarray(f, dtype=float) for f in self.factors)
-        if not 1 <= len(factors) <= 2 or any(f.ndim != 2 or f.shape[0] != f.shape[1]
-                                             for f in factors):
-            shapes = " x ".join(str(f.shape) for f in factors)
-            raise ValueError(f"a transform takes one or two square factors, got shapes {shapes}")
-        # If each factor's smallest eigenvalue is at least -PSD_RTOL times its
-        # Frobenius norm, so is their normalized product's: a product of
-        # eigenvalues is negative only through one negative factor eigenvalue,
-        # and the others are at most their factors' norms.
-        scaled = {}
-        for f in factors:
-            if id(f) not in scaled:
-                norm = _check_symmetric_psd(f, "feature transform")
-                if norm == 0.0:
-                    raise ValueError("feature transform has a zero factor")
-                scaled[id(f)] = f / norm
-                scaled[id(f)].setflags(write=False)
-        object.__setattr__(self, "factors", tuple(scaled[id(f)] for f in factors))
+        factor = np.asarray(self.factor, dtype=float)
+        if factor.ndim != 2 or factor.shape[0] != factor.shape[1]:
+            raise ValueError(f"a transform takes a square factor, got shape {factor.shape}")
+        if not isinstance(self.power, int) or self.power not in (1, 2):
+            raise ValueError(f"a transform's power must be 1 or 2, got {self.power!r}")
+        # The power's eigenvalues are products of the factor's: one check covers it.
+        norm = _check_symmetric_psd(factor, "feature transform")
+        if norm == 0.0:
+            raise ValueError("feature transform has a zero factor")
+        object.__setattr__(self, "factor", factor / norm)
+        self.factor.setflags(write=False)
 
     @property
     def p(self) -> int:
-        return math.prod(f.shape[0] for f in self.factors)
+        return self.factor.shape[0] ** self.power
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """T x over the last axis of x, which has length p.
 
-        One factor f is one product, x @ f.T.  Two factors a and b act on
-        the (..., a, b) grid of each vector as a @ grid @ b.T, which is
-        kron(a, b) on its row-major flattening, without forming T.
+        Power 1 is one product, x @ f.T.  Power 2 acts on the (..., s, s)
+        grid of each vector as f @ grid @ f.T, which is kron(f, f) on its
+        row-major flattening, without forming T.
         """
-        if len(self.factors) == 1:
-            return x @ self.factors[0].T
-        a, b = self.factors
-        grid = x.reshape(x.shape[:-1] + (a.shape[0], b.shape[0]))
-        return (a @ grid @ b.T).reshape(x.shape)
+        f = self.factor
+        if self.power == 1:
+            return x @ f.T
+        grid = x.reshape(x.shape[:-1] + f.shape)
+        return (f @ grid @ f.T).reshape(x.shape)
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The p x p product of the factors, formed on first read; read-only."""
-        matrix = reduce(np.kron, self.factors)
+        """The p x p power of the factor, formed on first read; read-only."""
+        matrix = reduce(np.kron, [self.factor] * self.power)
         matrix.setflags(write=False)
         return matrix
 
@@ -181,7 +176,12 @@ class SpectralSummary:
 
     eigenvalues: np.ndarray
     leading_eigenvector: np.ndarray
-    spectral_gap: float
+
+    @property
+    def spectral_gap(self) -> float:
+        """The top eigenvalue minus the next; 0.0 for a single eigenvalue."""
+        top = self.eigenvalues[:2]
+        return float(top[0] - top[-1])
 
 
 def _shift_matrix_1d(p: int, shift: int, padding: Padding) -> np.ndarray:
@@ -310,29 +310,30 @@ def _feature_transform(
     start, normalizing before each layer, so the transform's own scaling
     keeps the iterate's bits.  The operator acts on each axis's index pair
     of the axes + axes tensor separately, and both depth-0 matrices are
-    products of one factor per axis, so every other transform is the
-    product over geometry.axes of the 1-D transform on each axis
-    (kron(V, V) in 2-D), computed once per distinct axis length.
+    products of one factor per axis, so every other transform is the 1-D
+    transform V of one axis raised to one Kronecker power per axis
+    (kron(V, V) in 2-D).
     """
     if padding is Padding.CIRCULAR or depth > STENCIL_DEPTH_MAX:
-        factors = {n: _axis_factor(n, depth, padding, architecture) for n in set(geometry.axes)}
-        return FeatureTransform(tuple(factors[n] for n in geometry.axes))
+        axes = geometry.axes
+        return FeatureTransform(_axis_factor(axes[0], depth, padding, architecture), len(axes))
     matrix = _start(geometry.p, architecture)
     for _ in range(depth):
         matrix /= np.linalg.norm(matrix)
         matrix = apply_conv_operator(matrix, geometry, padding)
-    return FeatureTransform((matrix,))
+    return FeatureTransform(matrix)
 
 
 def check_depths(depths: Sequence[int | float]) -> list[int | float]:
     """depths as a list of ints, the last possibly math.inf; ValueError
-    unless they are nonempty, non-negative integers and strictly increasing."""
+    unless they are nonempty, integers in [0, DEPTH_MAX] and strictly increasing."""
     depths = list(depths)
     if not depths:
         raise ValueError("depths must be a nonempty list")
     finite = depths[:-1] if depths[-1] == math.inf else depths
-    if any(d < 0 or not float(d).is_integer() for d in finite):
-        raise ValueError(f"depths must be non-negative integers, got {depths}")
+    # d % 1 is exact for ints of any size, where float(d) overflows.
+    if any(not 0 <= d <= DEPTH_MAX or d % 1 != 0 for d in finite):
+        raise ValueError(f"depths must be non-negative integers <= {DEPTH_MAX}, got {depths}")
     if any(b <= a for a, b in zip(depths, depths[1:])):
         raise ValueError(f"depths must be strictly increasing, got {depths}")
     return [d if d == math.inf else int(d) for d in depths]
@@ -375,14 +376,11 @@ def toeplitz_spectrum(dim: int) -> SpectralSummary:
     descending); the eigenvector for index h has entries proportional to
     sin(h*j*pi/(dim+1)).
     """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    leading = sine_profile(dim)  # raises unless dim >= 1
     h = np.arange(1, dim + 1)
     eigenvalues = 1.0 + 2.0 * np.cos(h * np.pi / (dim + 1))
-    leading = sine_profile(dim)
     leading = leading / np.linalg.norm(leading)
-    gap = float(eigenvalues[0] - eigenvalues[1]) if dim >= 2 else 0.0
-    return SpectralSummary(eigenvalues, leading, gap)
+    return SpectralSummary(eigenvalues, leading)
 
 
 def tridiagonal_ones(dim: int) -> np.ndarray:
@@ -413,19 +411,17 @@ def symmetric_spectrum(matrix: np.ndarray) -> SpectralSummary:
     eigenvalues, eigenvectors = np.linalg.eigh(matrix)
     eigenvalues = eigenvalues[::-1].copy()
     leading = _fix_sign(eigenvectors[:, -1].copy())
-    gap = float(eigenvalues[0] - eigenvalues[1]) if eigenvalues.size >= 2 else 0.0
-    return SpectralSummary(eigenvalues, leading, gap)
+    return SpectralSummary(eigenvalues, leading)
 
 
 def leading_eigenvector(transform: FeatureTransform) -> np.ndarray:
     """Sign-fixed unit leading eigenvector of transform.matrix.
 
-    The Kronecker product of each factor's leading eigenvector (the top
-    eigenvalue of a product of PSD factors is the product of theirs), so
-    each distinct factor is solved once, at its own size.  Under a tied top
-    eigenvalue any unit vector of its eigenspace is leading, and the one
-    returned may differ from a dense solve's.
+    The Kronecker power of the factor's leading eigenvector (the top
+    eigenvalue of a power of a PSD factor is the power of its own), so the
+    factor is solved once, at its own size.  Under a tied top eigenvalue any
+    unit vector of its eigenspace is leading, and the one returned may
+    differ from a dense solve's.
     """
-    distinct = {id(f): f for f in transform.factors}
-    vectors = {key: symmetric_spectrum(f).leading_eigenvector for key, f in distinct.items()}
-    return _fix_sign(reduce(np.kron, [vectors[id(f)] for f in transform.factors]))
+    vector = symmetric_spectrum(transform.factor).leading_eigenvector
+    return _fix_sign(reduce(np.kron, [vector] * transform.power))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from convkernel.kernels import Architecture, FeatureTransform
+from convkernel.kernels import Architecture
 
 
 def random_symmetric(rng: np.random.Generator, p: int) -> np.ndarray:
@@ -25,12 +25,6 @@ def random_psd(
 def random_unit_vector(rng: np.random.Generator, p: int) -> np.ndarray:
     v = rng.standard_normal(p)
     return v / np.linalg.norm(v)
-
-
-def dense_transform(matrix: np.ndarray) -> FeatureTransform:
-    """A dense symmetric PSD test matrix as a one-factor transform (scaled to
-    unit Frobenius norm)."""
-    return FeatureTransform((matrix,))
 
 
 def unit_start(geometry, arch: Architecture) -> np.ndarray:

@@ -13,9 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from _digits import make_synthetic_idx
-from _util import (
-    dense_transform, random_psd, random_symmetric, random_unit_vector, unit_start,
-)
+from _util import random_psd, random_symmetric, random_unit_vector, unit_start
 from convkernel.config import parse_config
 from convkernel.experiments import (
     run_depth_sweep,
@@ -26,6 +24,7 @@ from convkernel.kernels import (
     Architecture,
     CONVERGENCE_MAX_ITER,
     ConvGeometry,
+    FeatureTransform,
     GeometryKind,
     Padding,
     apply_conv_operator,
@@ -189,14 +188,14 @@ class TestAcceptance:
         covariance = random_psd(rng, p)
         problem = RegressionProblem(covariance, random_unit_vector(rng, p), noise, n)
         bound = variance_lower_bound(noise, n, p)
-        matched = variance_mc(dense_transform(np.linalg.inv(covariance)), problem,
+        matched = variance_mc(FeatureTransform(np.linalg.inv(covariance)), problem,
                               trials=2000, seed=402)
         attained = abs(matched.mean - bound) <= 3.0 * matched.std_error
 
         exceeded = []
         for k in range(5):
             perturbed = np.linalg.inv(covariance) + 0.5 * random_psd(rng, p)
-            estimate = variance_mc(dense_transform(perturbed), problem, trials=2000,
+            estimate = variance_mc(FeatureTransform(perturbed), problem, trials=2000,
                                    seed=403 + k)
             exceeded.append(estimate.mean - bound > 3.0 * estimate.std_error)
         elapsed = time.perf_counter() - start
@@ -216,9 +215,9 @@ class TestAcceptance:
             coef = rng.standard_normal(p)
             x_train = rng.standard_normal((n, p))
             covariance = random_psd(rng, p)
-            base = bias_conditional(dense_transform(transform), coef, covariance, x_train)
+            base = bias_conditional(FeatureTransform(transform), coef, covariance, x_train)
             updated = bias_conditional(
-                dense_transform(transform + np.outer(coef, coef)), coef, covariance, x_train
+                FeatureTransform(transform + np.outer(coef, coef)), coef, covariance, x_train
             )
             kernel = x_train @ transform @ x_train.T
             u = x_train @ coef
@@ -296,7 +295,7 @@ class TestAcceptance:
             problem = RegressionProblem(
                 covariance, random_unit_vector(rng, p), float(rng.uniform(0.0, 0.3)), n
             )
-            transform = dense_transform(random_psd(rng, p))
+            transform = FeatureTransform(random_psd(rng, p))
             bias = bias_mc(transform, problem, trials=400, seed=810 + k)
             variance = variance_mc(transform, problem, trials=400, seed=830 + k)
             risk = excess_risk_mc(transform, problem, trials=400, seed=850 + k,

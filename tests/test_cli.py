@@ -1,7 +1,9 @@
 """CLI behavior: exit codes, error channels, and output determinism."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +74,20 @@ class TestValidate:
         err = capsys.readouterr().err
         assert f"config error: {config}:10: beta_file cannot be checked" in err
         assert "cannot read" not in err
+
+    def test_outdir_under_a_file_exits_1_before_any_work(self, tmp_path, capsys):
+        afile = write_config(tmp_path, "", name="afile")
+        for outdir in (afile, afile / "sub"):
+            config = write_config(tmp_path, SMALL_SWEEP + f"outdir = {outdir}\n")
+            assert main(["sweep", str(config)]) == 1
+            captured = capsys.readouterr()
+            assert f"config error: {config}:9: outdir cannot be made: {afile}" in captured.err
+            assert captured.out == ""
+
+    def test_oversized_depth_exits_1_naming_line(self, tmp_path, capsys):
+        config = write_config(tmp_path, f"experiment = sweep\ndepths = 1,1{'0' * 400}\n")
+        assert main(["validate", str(config)]) == 1
+        assert f"config error: {config}:2: depths must be" in capsys.readouterr().err
 
     def test_missing_config_exits_1(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.cfg")]) == 1
@@ -180,10 +196,14 @@ class TestDeterminism:
 class TestConsoleScript:
     def test_module_invocation(self, tmp_path):
         config = write_config(tmp_path, SMALL_SWEEP + f"outdir = {tmp_path}\n")
+        # The checkout's own package, as pytest's pythonpath gives this process.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "convkernel.cli", "validate", str(config)],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "config OK" in proc.stdout

@@ -11,7 +11,7 @@ from convkernel.config import (
     log_spaced_depths,
     parse_config,
 )
-from convkernel.kernels import Architecture, GeometryKind, Padding
+from convkernel.kernels import DEPTH_MAX, Architecture, GeometryKind, Padding
 
 
 def parse_text(tmp_path, text, name="run.cfg"):
@@ -199,6 +199,53 @@ class TestSweepValidation:
     def test_trials_minimum(self, tmp_path):
         message = error_of(tmp_path, "experiment = sweep\ntrials_var = 0\n")
         assert "trials_var must be >= 1" in message
+
+
+class TestOutdir:
+    @pytest.mark.parametrize("under", ["", "/sub", "/sub/deeper"])
+    def test_rejects_a_file_or_a_path_under_one(self, tmp_path, under):
+        (tmp_path / "afile").write_text("")
+        message = error_of(tmp_path, f"experiment = sweep\noutdir = {tmp_path}/afile{under}\n")
+        assert f":2: outdir cannot be made: {tmp_path / 'afile'} is not a directory" in message
+
+    def test_accepts_missing_directories_under_a_directory(self, tmp_path):
+        for outdir in (tmp_path / "new" / "deeper", tmp_path):
+            cfg = parse_text(tmp_path, f"experiment = eigvec\noutdir = {outdir}\n")
+            assert cfg.outdir == outdir
+
+    def test_outdir_that_cannot_be_checked_names_line(self, tmp_path):
+        message = error_of(tmp_path, f"experiment = sweep\nseed = 1\noutdir = {'o' * 300}\n")
+        assert ":3: outdir cannot be checked" in message
+        assert "too long" in message
+
+
+class TestIntegerBounds:
+    """Integers of any size fail with a line-numbered ConfigError, never a traceback."""
+
+    @pytest.mark.parametrize("depth", [2**63, 10**400], ids=["2**63", "10**400"])
+    def test_oversized_depth_in_list(self, tmp_path, depth):
+        message = error_of(tmp_path, f"experiment = sweep\ndepths = 1,{depth}\n")
+        assert f":2: depths must be non-negative integers <= {DEPTH_MAX}" in message
+
+    @pytest.mark.parametrize("key", ["sigma_depth", "family_center", "depth_min", "depth_max"])
+    @pytest.mark.parametrize("value", [2**63, 10**400], ids=["2**63", "10**400"])
+    def test_oversized_depth_key(self, tmp_path, key, value):
+        message = error_of(tmp_path, f"experiment = sweep\nseed = 3\n{key} = {value}\n")
+        assert f":3: {key} must be <= {DEPTH_MAX}, got {value}" in message
+
+    def test_largest_depths_are_accepted(self, tmp_path):
+        cfg = parse_text(tmp_path, f"experiment = sweep\ndepths = 0,{DEPTH_MAX}\n"
+                                   f"sigma_depth = {DEPTH_MAX}\nfamily_center = {DEPTH_MAX}\n")
+        assert cfg.depths == (0, DEPTH_MAX)
+        assert cfg.sigma_depth == cfg.family_center == DEPTH_MAX
+
+    def test_log_grid_up_to_the_largest_depth_stays_in_range(self, tmp_path):
+        cfg = parse_text(tmp_path, "experiment = eigvec\ndepth_min = 1\n"
+                                   f"depth_max = {DEPTH_MAX}\ndepth_count = 3\n")
+        assert cfg.depths == (1, 3037000500, DEPTH_MAX)
+
+    def test_seed_of_any_size_is_accepted(self, tmp_path):
+        assert parse_text(tmp_path, f"experiment = sweep\nseed = {10**400}\n").seed == 10**400
 
 
 class TestDepthGrids:

@@ -12,7 +12,7 @@ import pytest
 
 from _digits import make_synthetic_idx
 from convkernel.config import GEOMETRY, SCHEMAS, SQUARE, parse_config
-from convkernel.experiments import run_depth_sweep, run_mnist_experiment
+from convkernel.experiments import run_depth_sweep, run_eigvec_gallery, run_mnist_experiment
 
 ROOT = Path(__file__).resolve().parents[1]
 HEADING = re.compile(r"^#### `(\w+)`$")
@@ -94,6 +94,7 @@ def test_readme_csv_headers_match_outputs(tmp_path):
         "mnist.csv": (run_mnist_experiment, f"experiment = mnist\nimages = {images}\n"
                       f"labels = {labels}\ncount_per_class = 10\nn = 4\ntrials = 1\n"
                       "depths = 0\n"),
+        "gallery.csv": (run_eigvec_gallery, "experiment = eigvec\np = 16\ndepths = 0,3\n"),
     }
     assert set(documented) == set(configs)
     for name, (run, text) in configs.items():

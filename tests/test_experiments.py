@@ -474,7 +474,7 @@ class TestMnistExperiment:
 
     def test_deep_transforms_never_form_the_pixel_matrix(self, tmp_path, idx_paths,
                                                           monkeypatch):
-        # The fit and misalignment act with the 28 x 28 factors per axis.
+        # The fit and misalignment act with the 28 x 28 factor on each axis.
         built = []
         original = convkernel.experiments.feature_transforms
 
@@ -491,7 +491,7 @@ class TestMnistExperiment:
         )
         run_mnist_experiment(cfg)
         assert len(built) == 2
-        assert all(len(ft.factors) == 2 and "matrix" not in ft.__dict__ for ft in built)
+        assert all(ft.power == 2 and "matrix" not in ft.__dict__ for ft in built)
 
     def test_builds_one_transform_at_a_time(self, tmp_path, idx_paths, monkeypatch):
         lengths = []

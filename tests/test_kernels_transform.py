@@ -89,6 +89,14 @@ class TestRecursionPlumbing:
         with pytest.raises(ValueError, match="non-negative"):
             feature_transforms([-1, 2], geometry, Padding.ZERO, Architecture.POOLING)
 
+    # Integrality is tested without float(), which overflows above about 1e308.
+    def test_depth_bound(self):
+        check, top = convkernel.kernels.check_depths, convkernel.kernels.DEPTH_MAX
+        assert check([0, top, math.inf]) == [0, top, math.inf]
+        for depths in ([0, top + 1], [1, 10**400], [1, 1e300]):
+            with pytest.raises(ValueError, match=f"integers <= {top}"):
+                check(depths)
+
     def test_only_the_last_depth_may_be_infinite(self):
         geometry = geom_1d(4)
         for depths in ([math.inf, 5], [1, math.inf, math.inf], [0.5, math.inf]):
@@ -101,13 +109,13 @@ class TestFeatureTransformValidation:
         bad = np.array([[1.0, 0.5], [0.0, 1.0]])
         bad /= np.linalg.norm(bad)
         with pytest.raises(ValueError, match="symmetric"):
-            FeatureTransform((bad,))
+            FeatureTransform(bad)
 
     def test_rejects_indefinite(self):
         bad = np.diag([1.0, -1.0])
         bad /= np.linalg.norm(bad)
         with pytest.raises(ValueError, match="PSD"):
-            FeatureTransform((bad,))
+            FeatureTransform(bad)
 
     # The check runs before any arithmetic on the factor, which would warn.
     @pytest.mark.filterwarnings("error")
@@ -115,39 +123,39 @@ class TestFeatureTransformValidation:
     def test_rejects_non_finite(self, value):
         bad = np.diag([value, 1.0, 1.0]) / np.sqrt(3.0)
         with pytest.raises(ValueError, match="feature transform has non-finite entries"):
-            FeatureTransform((bad,))
+            FeatureTransform(bad)
 
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError, match="shape"):
-            FeatureTransform((np.ones((3, 2)),))
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 2, 2), (4,)])
+    def test_rejects_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match="square factor"):
+            FeatureTransform(np.ones(shape))
 
     def test_scales_a_single_factor(self):
         f = np.array([[2.0, 1.0], [1.0, 3.0]])
-        ft = FeatureTransform((f,))
+        ft = FeatureTransform(f)
         assert_array_equal(ft.matrix, f / np.linalg.norm(f))
-        assert ft.factors == (ft.matrix,) and ft.p == 2
+        assert ft.factor is ft.matrix and ft.power == 1 and ft.p == 2
 
-    @pytest.mark.parametrize("factors", [(np.zeros((4, 4)),), (np.eye(2), np.zeros((2, 2)))])
-    def test_rejects_zero_factor_without_warning(self, factors):
+    @pytest.mark.parametrize("shape, power", [((4, 4), 1), ((2, 2), 2)])
+    def test_rejects_zero_factor_without_warning(self, shape, power):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="zero"):
-                FeatureTransform(factors)
+                FeatureTransform(np.zeros(shape), power)
 
-    @pytest.mark.parametrize("factors", [(np.eye(4) * 1e200,)])
+    @pytest.mark.parametrize("power", [1, 2])
     @pytest.mark.filterwarnings("error")
-    def test_rejects_factors_whose_product_overflows(self, factors):
+    def test_rejects_factors_whose_product_overflows(self, power):
         with pytest.raises(ValueError, match="too large"):
-            FeatureTransform(factors)
+            FeatureTransform(np.eye(4) * 1e200, power)
 
-    # Each factor is scaled on its own, so only a factor's own norm must be
-    # finite, not the product's.
+    # The factor is scaled before its power is formed, so only the factor's
+    # own norm must be finite, not the power's.
     @pytest.mark.filterwarnings("error")
     def test_scales_factors_whose_unscaled_product_overflows(self):
         big = np.eye(2) * 1e100
-        ft = FeatureTransform((big, big))
-        assert_is_kron_of_unit_factors(ft, big)
-        assert ft.factors[0] is ft.factors[1]
+        ft = FeatureTransform(big, 2)
+        assert_is_square_of_unit_factor(ft, big)
         assert_within_ulps(ft.matrix, np.eye(4) / 2.0, 4)
 
     # Squared entries below about 1e-162 underflow, so numpy's norm alone
@@ -156,18 +164,18 @@ class TestFeatureTransformValidation:
     @pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e-300])
     def test_scales_tiny_factors_to_unit_norm(self, scale):
         f = np.array([[2.0, 1.0], [1.0, 3.0]])
-        ft = FeatureTransform((f * scale,))
+        ft = FeatureTransform(f * scale)
         assert_within_ulps(ft.matrix, f / np.linalg.norm(f), 2)
         assert abs(np.linalg.norm(ft.matrix) - 1.0) <= 4e-16
 
     def test_rejects_subnormal_factor(self):
         with pytest.raises(ValueError, match="feature transform is too small"):
-            FeatureTransform((np.eye(2) * 1e-310,))
+            FeatureTransform(np.eye(2) * 1e-310)
 
     @pytest.mark.parametrize("scale", [1.0, 1e-100, 1e-139])
     def test_ordinary_norms_are_numpys(self, scale):
         f = np.array([[2.0, 1.0], [1.0, 3.0]]) * scale
-        assert_array_equal(FeatureTransform((f,)).matrix, f / np.linalg.norm(f))
+        assert_array_equal(FeatureTransform(f).matrix, f / np.linalg.norm(f))
 
     def test_matrix_is_read_only(self):
         ft = feature_transforms([2], geom_1d(4), Padding.ZERO, Architecture.POOLING)[0]
@@ -222,7 +230,7 @@ class TestClosedForm:
         ft = feature_transforms([0], geometry, padding, arch)[0]
         start = unit_start(geometry, arch)
         if padding is Padding.CIRCULAR and geometry.kind is GeometryKind.TWO_D:
-            # The product of two unit s x s factors, not one p x p scaling.
+            # The square of a unit s x s factor, not one p x p scaling.
             assert_within_ulps(ft.matrix, start, 4)
         else:
             assert_array_equal(ft.matrix, start)
@@ -250,11 +258,10 @@ def assert_within_ulps(got: np.ndarray, expected: np.ndarray, ulps: int) -> None
     assert np.max(np.abs(got - expected)) <= ulps * np.spacing(np.max(np.abs(expected)))
 
 
-def assert_is_kron_of_unit_factors(ft: FeatureTransform, factor: np.ndarray) -> None:
+def assert_is_square_of_unit_factor(ft: FeatureTransform, factor: np.ndarray) -> None:
     unit = factor / np.linalg.norm(factor)
-    assert len(ft.factors) == 2
-    assert_array_equal(ft.factors[0], unit)
-    assert_array_equal(ft.factors[1], unit)
+    assert ft.power == 2
+    assert_array_equal(ft.factor, unit)
     assert_array_equal(ft.matrix, np.kron(unit, unit))
 
 
@@ -266,8 +273,7 @@ class TestFactors:
     def test_leading_eigenvector_matches_dense_solve(self, side, arch, depth):
         geometry = ConvGeometry(GeometryKind.TWO_D, side * side)
         (ft,) = feature_transforms([depth], geometry, Padding.ZERO, arch)
-        assert len(ft.factors) == 2 and ft.factors[0] is ft.factors[1]
-        assert ft.factors[0].shape == (side, side)
+        assert ft.power == 2 and ft.factor.shape == (side, side)
         dense = symmetric_spectrum(ft.matrix)
         # A tied top eigenvalue (flattening on an even side) has no unique
         # leading eigenvector to compare.  Under a relative gap g the dense
@@ -280,21 +286,18 @@ class TestFactors:
         assert_allclose(participation_ratio(factored),
                         participation_ratio(dense.leading_eigenvector), rtol=tol, atol=0)
 
-    def test_matrix_is_normalized_kron_of_factors(self):
-        a, b = np.diag([1.0, 2.0]), np.ones((3, 3))
-        ft = FeatureTransform((a, b))
-        unit_a, unit_b = a / np.linalg.norm(a), b / np.linalg.norm(b)
-        assert_array_equal(ft.factors[0], unit_a)
-        assert_array_equal(ft.factors[1], unit_b)
-        assert_array_equal(ft.matrix, np.kron(unit_a, unit_b))
-        assert ft.p == 6
+    def test_matrix_is_kron_square_of_unit_factor(self):
+        a = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+        ft = FeatureTransform(a, 2)
+        assert_is_square_of_unit_factor(ft, a)
+        assert ft.p == 9
 
-    def test_leaves_the_callers_factors_alone(self):
+    def test_leaves_the_callers_factor_alone(self):
         a = np.eye(2)
-        ft = FeatureTransform((a, a))
-        assert a.flags.writeable and ft.factors[0] is not a
+        ft = FeatureTransform(a, 2)
+        assert a.flags.writeable and ft.factor is not a
         assert_array_equal(a, np.eye(2))
-        assert not ft.factors[0].flags.writeable
+        assert not ft.factor.flags.writeable
 
     @pytest.mark.parametrize("arch", ARCHS)
     @pytest.mark.parametrize("padding", PADDINGS)
@@ -305,22 +308,21 @@ class TestFactors:
     def test_every_factor_has_unit_norm(self, geometry, padding, arch):
         depths = list(range(61)) + [math.inf]
         for depth, ft in zip(depths, feature_transforms(depths, geometry, padding, arch)):
-            for factor in ft.factors:
-                assert abs(np.linalg.norm(factor) - 1.0) <= 1e-15, depth
+            assert abs(np.linalg.norm(ft.factor) - 1.0) <= 1e-15, depth
 
     def test_product_is_formed_once_on_first_read_and_read_only(self, monkeypatch):
         calls = []
         kron = np.kron
         monkeypatch.setattr(np, "kron", lambda a, b: calls.append(1) or kron(a, b))
-        ft = FeatureTransform((np.eye(2), np.ones((3, 3))))
-        ft.apply(np.ones((4, 6)))
+        ft = FeatureTransform(np.ones((3, 3)), 2)
+        ft.apply(np.ones((4, 9)))
         assert calls == [] and "matrix" not in ft.__dict__
         first = ft.matrix
         assert ft.matrix is first and calls == [1]
         with pytest.raises(ValueError):
             first[0, 0] = 9.0
 
-    # Per-axis transforms are exactly the product of their unit factors, and
+    # Per-axis transforms are exactly the square of their unit factor, and
     # within a few ulp of the dense construction scaled once.
     @pytest.mark.parametrize("side", (1, 2, 3, 5, 28))
     def test_per_axis_transforms_keep_the_dense_bits(self, side):
@@ -330,38 +332,37 @@ class TestFactors:
         line = np.diag(profile)
         for arch in ARCHS:
             (limit,) = feature_transforms([math.inf], geometry, Padding.ZERO, arch)
-            assert_is_kron_of_unit_factors(limit, line)
+            assert_is_square_of_unit_factor(limit, line)
             assert_within_ulps(limit.matrix, diagonal / np.linalg.norm(diagonal), 4)
             start = np.eye(side) if arch is Architecture.FLATTENING else np.ones((side, side))
             circular = feature_transforms([0, 1, 5, math.inf], geometry, Padding.CIRCULAR, arch)
             for ft in circular:
-                assert_is_kron_of_unit_factors(ft, start)
+                assert_is_square_of_unit_factor(ft, start)
                 assert_within_ulps(ft.matrix, unit_start(geometry, arch), 4)
 
     def test_dense_transform_is_its_own_factor(self):
         for ft in feature_transforms([0, 1, 2], ConvGeometry(GeometryKind.TWO_D, 9),
                                      Padding.ZERO, Architecture.POOLING):
-            assert len(ft.factors) == 1 and ft.factors[0] is ft.matrix
+            assert ft.power == 1 and ft.factor is ft.matrix
 
     def test_rejects_indefinite_factor(self):
         flip = np.diag([1.0, -1.0])
         with pytest.raises(ValueError, match="PSD"):
-            FeatureTransform((flip, flip))
+            FeatureTransform(flip, 2)
 
     def test_rejects_non_finite_factor(self):
         with pytest.raises(ValueError, match="feature transform has non-finite entries"):
-            FeatureTransform((np.diag([np.nan, 1.0]), np.eye(2)))
+            FeatureTransform(np.diag([np.nan, 1.0]), 2)
 
-    @pytest.mark.parametrize("factors", [(), (np.eye(2),) * 3,
-                                         (np.ones((2, 3)), np.ones((3, 2)))])
-    def test_rejects_anything_but_one_or_two_square_factors(self, factors):
-        with pytest.raises(ValueError, match="one or two square factors"):
-            FeatureTransform(factors)
+    @pytest.mark.parametrize("power", [0, 3, 2.0, None])
+    def test_rejects_a_power_other_than_one_or_two(self, power):
+        with pytest.raises(ValueError, match="power must be 1 or 2"):
+            FeatureTransform(np.eye(2), power)
 
 
 class TestApply:
-    # apply is the only way the regressions read a transform; the product
-    # over the factors' axes must act as the p x p matrix does.
+    # apply is the only way the regressions read a transform; the power of
+    # the factor over the grid's axes must act as the p x p matrix does.
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
         geometry=st.one_of(

@@ -36,7 +36,7 @@ from convkernel.regression import (
     variance_mc,
 )
 from convkernel.rng import trial_rng, trials_per_chunk
-from _util import dense_transform, random_psd, random_unit_vector
+from _util import random_psd, random_unit_vector
 
 
 def identity_problem(p=20, n=10, noise_var=0.01, seed=0):
@@ -86,7 +86,7 @@ class TestFitRidgeless:
         p, n = 6, 3
         x = np.eye(p)[:n]
         y = np.array([2.0, -1.0, 0.5])
-        fitted = fit_ridgeless(dense_transform(np.eye(p)), x, y)
+        fitted = fit_ridgeless(FeatureTransform(np.eye(p)), x, y)
         assert fitted.shape == (p,)
         assert_allclose(x @ fitted, y, atol=1e-12, rtol=0)
         # Prediction only sees the first n coordinates.
@@ -98,7 +98,7 @@ class TestFitRidgeless:
         p, n = 7, 3
         coef = rng.standard_normal(p)
         x = rng.standard_normal((n, p))
-        fitted = fit_ridgeless(dense_transform(np.outer(coef, coef)), x, x @ coef)
+        fitted = fit_ridgeless(FeatureTransform(np.outer(coef, coef)), x, x @ coef)
         probes = rng.standard_normal((5, p))
         assert_allclose(probes @ fitted, probes @ coef, atol=1e-10, rtol=0)
 
@@ -109,7 +109,7 @@ class TestFitRidgeless:
             transform = random_psd(rng, p)
             x = rng.standard_normal((n, p))
             y = rng.standard_normal(n)
-            fitted = fit_ridgeless(dense_transform(transform), x, y)
+            fitted = fit_ridgeless(FeatureTransform(transform), x, y)
             kernel = x @ transform @ x.T
             w, q = np.linalg.eigh(kernel)
             keep = w > n * w.max() * 1e-12
@@ -126,12 +126,12 @@ class TestFitRidgeless:
             transform = random_psd(rng, p)
             x = rng.standard_normal((n, p))
             y = rng.standard_normal(n)
-            fitted = fit_ridgeless(dense_transform(transform), x, y)
+            fitted = fit_ridgeless(FeatureTransform(transform), x, y)
             assert_allclose(x @ fitted, y, atol=1e-8, rtol=0)
 
     def test_zero_kernel_gives_zero_weights(self):
         # Rows in the transform's null space: X T X^T is zero.
-        transform = dense_transform(np.diag([0.0, 0.0, 0.0, 1.0, 1.0]))
+        transform = FeatureTransform(np.diag([0.0, 0.0, 0.0, 1.0, 1.0]))
         x = np.zeros((3, 5))
         x[:, :3] = 1.0
         weights = fit_ridgeless(transform, x, np.ones(3))
@@ -144,25 +144,25 @@ class TestFitRidgeless:
         transform = random_psd(rng, p)
         x = rng.standard_normal((n, p))
         y = rng.standard_normal(n)
-        base = fit_ridgeless(dense_transform(transform), x, y)
-        scaled = fit_ridgeless(dense_transform(scale * transform), x, y)
+        base = fit_ridgeless(FeatureTransform(transform), x, y)
+        scaled = fit_ridgeless(FeatureTransform(scale * transform), x, y)
         probes = rng.standard_normal((8, p))
         assert_allclose(probes @ scaled, probes @ base, atol=1e-10, rtol=0)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
-            fit_ridgeless(dense_transform(np.eye(3)), np.ones((2, 4)), np.ones(2))
+            fit_ridgeless(FeatureTransform(np.eye(3)), np.ones((2, 4)), np.ones(2))
         with pytest.raises(ValueError, match="y_train"):
-            fit_ridgeless(dense_transform(np.eye(4)), np.ones((2, 4)), np.ones(3))
+            fit_ridgeless(FeatureTransform(np.eye(4)), np.ones((2, 4)), np.ones(3))
 
     @pytest.mark.parametrize("arch", [Architecture.FLATTENING, Architecture.POOLING])
     def test_factored_transform_fits_as_its_dense_matrix(self, arch):
-        # Per-axis factors fit as their Kronecker product would.
+        # A per-axis power fits as its Kronecker product would.
         rng = np.random.default_rng(33)
         (ft,) = feature_transforms([6], ConvGeometry(GeometryKind.TWO_D, 49), Padding.ZERO, arch)
-        assert len(ft.factors) == 2
+        assert ft.power == 2
         x, y = rng.standard_normal((3, 5, 49)), rng.standard_normal((3, 5))
-        dense = fit_ridgeless(dense_transform(ft.matrix), x, y)
+        dense = fit_ridgeless(FeatureTransform(ft.matrix), x, y)
         assert_allclose(fit_ridgeless(ft, x, y), dense, rtol=0,
                         atol=1e-10 * np.max(np.abs(dense)))
 
@@ -218,7 +218,7 @@ class TestStackedFits:
         rng = np.random.default_rng(32)
         p, n, trials = 10, 4, 7
         kept = np.arange(p) < 3
-        transform = dense_transform(random_psd(rng, p) * np.outer(kept, kept))
+        transform = FeatureTransform(random_psd(rng, p) * np.outer(kept, kept))
         coef, covariance = rng.standard_normal(p), random_psd(rng, p)
         x = rng.standard_normal((trials, n, p))
         y = rng.standard_normal((trials, n))
@@ -231,7 +231,7 @@ class TestStackedFits:
 
     def test_fit_ridgeless_rejects_mismatched_trial_axes(self):
         with pytest.raises(ValueError, match="y_train"):
-            fit_ridgeless(dense_transform(np.eye(4)), np.ones((3, 2, 4)), np.ones((2, 2)))
+            fit_ridgeless(FeatureTransform(np.eye(4)), np.ones((3, 2, 4)), np.ones((2, 2)))
 
 
 class TestBiasConditional:
@@ -241,7 +241,7 @@ class TestBiasConditional:
         coef = rng.standard_normal(p)
         covariance = random_psd(rng, p)
         x = rng.standard_normal((n, p))
-        value = bias_conditional(dense_transform(np.outer(coef, coef)), coef, covariance, x)
+        value = bias_conditional(FeatureTransform(np.outer(coef, coef)), coef, covariance, x)
         bound = 1e-10 * (coef @ coef) * np.linalg.norm(covariance, 2)
         assert 0.0 <= value <= bound
 
@@ -251,7 +251,7 @@ class TestBiasConditional:
         q, _ = np.linalg.qr(rng.standard_normal((p, n)))
         x = q.T
         coef = rng.standard_normal(p)
-        value = bias_conditional(dense_transform(np.eye(p)), coef, np.eye(p), x)
+        value = bias_conditional(FeatureTransform(np.eye(p)), coef, np.eye(p), x)
         expected = float(np.sum((coef - x.T @ (x @ coef)) ** 2))
         assert_allclose(value, expected, atol=1e-12, rtol=0)
 
@@ -266,8 +266,8 @@ class TestBiasConditional:
             u = x @ coef
             kernel = x @ transform @ x.T
             shrink = u @ np.linalg.solve(kernel, u)
-            base = bias_conditional(dense_transform(transform), coef, covariance, x)
-            updated = bias_conditional(dense_transform(transform + np.outer(coef, coef)),
+            base = bias_conditional(FeatureTransform(transform), coef, covariance, x)
+            updated = bias_conditional(FeatureTransform(transform + np.outer(coef, coef)),
                                        coef, covariance, x)
             assert_allclose(updated, base / (1.0 + shrink) ** 2, rtol=1e-8, atol=0)
 
@@ -276,7 +276,7 @@ class TestBiasConditional:
         p, n = 9, 4
         for _ in range(30):
             value = bias_conditional(
-                dense_transform(random_psd(rng, p)),
+                FeatureTransform(random_psd(rng, p)),
                 rng.standard_normal(p),
                 random_psd(rng, p),
                 rng.standard_normal((n, p)),
@@ -285,13 +285,13 @@ class TestBiasConditional:
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="shapes"):
-            bias_conditional(dense_transform(np.eye(3)), np.ones(4), np.eye(4), np.ones((2, 4)))
+            bias_conditional(FeatureTransform(np.eye(3)), np.ones(4), np.eye(4), np.ones((2, 4)))
 
 
 class TestBiasMC:
     def test_zero_at_coef_outer_product(self):
         problem = identity_problem()
-        estimate = bias_mc(dense_transform(np.outer(problem.coef, problem.coef)), problem,
+        estimate = bias_mc(FeatureTransform(np.outer(problem.coef, problem.coef)), problem,
                            trials=50, seed=9)
         assert estimate.mean <= 1e-12
 
@@ -299,7 +299,7 @@ class TestBiasMC:
         # With identity transform and covariance, the mean predictor projects
         # onto the row space, leaving (p - n)/p of the coef energy on average.
         problem = identity_problem(p=20, n=10, noise_var=0.0)
-        estimate = bias_mc(dense_transform(np.eye(20)), problem, trials=500, seed=10)
+        estimate = bias_mc(FeatureTransform(np.eye(20)), problem, trials=500, seed=10)
         assert abs(estimate.mean - 0.5) <= 3.0 * estimate.std_error
 
     @pytest.mark.parametrize("blend", [0.25, 0.5, 1.0])
@@ -309,13 +309,13 @@ class TestBiasMC:
         problem = RegressionProblem(random_psd(rng, p), random_unit_vector(rng, p), 0.0, 5)
         transform = random_psd(rng, p)
         blended = (1.0 - blend) * transform + blend * np.outer(problem.coef, problem.coef)
-        base = bias_mc(dense_transform(transform), problem, trials=80, seed=12)
-        better = bias_mc(dense_transform(blended), problem, trials=80, seed=12)
+        base = bias_mc(FeatureTransform(transform), problem, trials=80, seed=12)
+        better = bias_mc(FeatureTransform(blended), problem, trials=80, seed=12)
         assert better.mean <= base.mean + 1e-12
 
     def test_deterministic_per_seed(self):
         problem = identity_problem()
-        identity = dense_transform(np.eye(20))
+        identity = FeatureTransform(np.eye(20))
         a = bias_mc(identity, problem, trials=40, seed=13)
         b = bias_mc(identity, problem, trials=40, seed=13)
         c = bias_mc(identity, problem, trials=40, seed=14)
@@ -324,7 +324,7 @@ class TestBiasMC:
 
     def test_single_trial_has_zero_std_error(self):
         problem = identity_problem()
-        estimate = bias_mc(dense_transform(np.eye(20)), problem, trials=1, seed=15)
+        estimate = bias_mc(FeatureTransform(np.eye(20)), problem, trials=1, seed=15)
         assert estimate.std_error == 0.0
 
 
@@ -334,21 +334,21 @@ class TestVarianceMC:
         p, n = 20, 10
         covariance = random_psd(rng, p)
         problem = RegressionProblem(covariance, random_unit_vector(rng, p), 0.01, n)
-        estimate = variance_mc(dense_transform(np.linalg.inv(covariance)), problem,
+        estimate = variance_mc(FeatureTransform(np.linalg.inv(covariance)), problem,
                                trials=600, seed=17)
         bound = variance_lower_bound(0.01, n, p)
         assert abs(estimate.mean - bound) <= 3.0 * estimate.std_error
 
     def test_zero_noise_gives_zero(self):
         problem = identity_problem(noise_var=0.0)
-        estimate = variance_mc(dense_transform(np.eye(20)), problem, trials=20, seed=18)
+        estimate = variance_mc(FeatureTransform(np.eye(20)), problem, trials=20, seed=18)
         assert estimate.mean == 0.0
         assert estimate.std_error == 0.0
 
     def test_spiked_transform_exceeds_bound(self):
         problem = identity_problem(noise_var=0.01)
         spiked = np.diag(np.r_[np.ones(19), 100.0])
-        estimate = variance_mc(dense_transform(spiked), problem, trials=600, seed=19)
+        estimate = variance_mc(FeatureTransform(spiked), problem, trials=600, seed=19)
         bound = variance_lower_bound(0.01, 10, 20)
         assert estimate.mean > bound + 3.0 * estimate.std_error
 
@@ -356,13 +356,13 @@ class TestVarianceMC:
         problem = identity_problem()
         rng = np.random.default_rng(20)
         transform = random_psd(rng, 20)
-        a = variance_mc(dense_transform(transform), problem, trials=50, seed=21)
-        b = variance_mc(dense_transform(1e3 * transform), problem, trials=50, seed=21)
+        a = variance_mc(FeatureTransform(transform), problem, trials=50, seed=21)
+        b = variance_mc(FeatureTransform(1e3 * transform), problem, trials=50, seed=21)
         assert_allclose(b.mean, a.mean, rtol=1e-10, atol=0)
 
     def test_deterministic_per_seed(self):
         problem = identity_problem()
-        identity = dense_transform(np.eye(20))
+        identity = FeatureTransform(np.eye(20))
         a = variance_mc(identity, problem, trials=30, seed=22)
         b = variance_mc(identity, problem, trials=30, seed=22)
         assert a == b
@@ -411,7 +411,7 @@ class TestVarianceTraceOracle:
                                     float(rng.uniform(0.01, 2.0)), n)
         values, condition = trace_formula_variance(transform, problem, trials, seed)
         assume(condition <= 1e6)
-        estimate = variance_mc(dense_transform(transform), problem, trials=trials, seed=seed)
+        estimate = variance_mc(FeatureTransform(transform), problem, trials=trials, seed=seed)
         expected = _estimate(values, trials, seed)
         assert_allclose(estimate.mean, expected.mean, rtol=1e-9, atol=0)
         assert_allclose(estimate.std_error, expected.std_error, rtol=1e-9, atol=0)
@@ -496,7 +496,7 @@ class TestPerTrialOracle:
     def run(self, name, transform, problem, trials, test_points=DEFAULT_RISK_TEST_POINTS):
         estimator = {"bias": bias_mc, "variance": variance_mc, "risk": excess_risk_mc}[name]
         extra = {"test_points": test_points} if name == "risk" else {}
-        transform = dense_transform(transform)
+        transform = FeatureTransform(transform)
         estimate = estimator(transform, problem, trials=trials, seed=7, **extra)
         expected, condition = oracle_estimate(name, transform.matrix, problem, trials, 7,
                                               test_points)
@@ -549,7 +549,7 @@ class TestMonteCarloMemory:
 
     def test_variance_sweep_size(self):
         problem = identity_problem(p=20, n=10)
-        identity = dense_transform(np.eye(20))
+        identity = FeatureTransform(np.eye(20))
         assert self.peak_mb(lambda: variance_mc(identity, problem, trials=6000)) < 2.0
 
     def test_entry_check_holds_one_temporary(self):
@@ -564,7 +564,7 @@ class TestMonteCarloMemory:
         # the estimator runs, which holds no p x p temporary; one trial's
         # draws take 1.7 MB.
         problem = RegressionProblem(np.eye(784), np.ones(784), 0.01, 10)
-        transform = dense_transform(np.eye(784))
+        transform = FeatureTransform(np.eye(784))
         peak = self.peak_mb(lambda: excess_risk_mc(transform, problem, trials=20))
         assert peak < 6.0
 
@@ -573,7 +573,7 @@ class TestMonteCarloMemory:
 @pytest.mark.parametrize("trials", [0, -3])
 def test_estimators_reject_bad_trials(estimator, trials):
     with pytest.raises(ValueError, match="trials must be >= 1"):
-        estimator(dense_transform(np.eye(20)), identity_problem(), trials=trials, seed=0)
+        estimator(FeatureTransform(np.eye(20)), identity_problem(), trials=trials, seed=0)
 
 
 class TestVarianceLowerBound:
@@ -594,13 +594,13 @@ class TestVarianceLowerBound:
 class TestExcessRiskMC:
     def test_noiseless_aligned_transform_has_zero_risk(self):
         problem = identity_problem(noise_var=0.0)
-        transform = dense_transform(np.outer(problem.coef, problem.coef))
+        transform = FeatureTransform(np.outer(problem.coef, problem.coef))
         estimate = excess_risk_mc(transform, problem, trials=20, seed=23, test_points=50)
         assert estimate.mean <= 1e-20
 
     def test_identity_reference_value(self):
         problem = identity_problem(noise_var=0.01)
-        estimate = excess_risk_mc(dense_transform(np.eye(20)), problem, trials=400, seed=24)
+        estimate = excess_risk_mc(FeatureTransform(np.eye(20)), problem, trials=400, seed=24)
         expected = 0.5 + variance_lower_bound(0.01, 10, 20)
         assert abs(estimate.mean - expected) <= 4.0 * estimate.std_error
 
@@ -611,7 +611,7 @@ class TestExcessRiskMC:
             problem = RegressionProblem(
                 random_psd(rng, p), random_unit_vector(rng, p), 0.05, n
             )
-            transform = dense_transform(random_psd(rng, p))
+            transform = FeatureTransform(random_psd(rng, p))
             seed = 100 + trial
             bias = bias_mc(transform, problem, trials=400, seed=seed)
             variance = variance_mc(transform, problem, trials=400, seed=seed + 1)
@@ -624,15 +624,15 @@ class TestMisalignment:
     def test_zero_at_coef_outer_product(self):
         rng = np.random.default_rng(26)
         coef = rng.standard_normal(6)
-        assert misalignment(dense_transform(np.outer(coef, coef)), coef) <= 1e-12
+        assert misalignment(FeatureTransform(np.outer(coef, coef)), coef) <= 1e-12
 
     def test_one_when_coef_in_null_space(self):
-        transform = dense_transform(np.diag([0.0, 1.0, 1.0]))
+        transform = FeatureTransform(np.diag([0.0, 1.0, 1.0]))
         coef = np.array([1.0, 0.0, 0.0])
         assert misalignment(transform, coef) == 1.0
 
     def test_identity_value(self):
-        assert_allclose(misalignment(dense_transform(np.eye(4)), np.array([0.0, 2.0, 0.0, 0.0])),
+        assert_allclose(misalignment(FeatureTransform(np.eye(4)), np.array([0.0, 2.0, 0.0, 0.0])),
                         0.75, atol=1e-15)
 
     def test_scale_invariant_and_in_range(self):
@@ -640,9 +640,9 @@ class TestMisalignment:
         for _ in range(30):
             transform = random_psd(rng, 7)
             coef = rng.standard_normal(7)
-            value = misalignment(dense_transform(transform), coef)
+            value = misalignment(FeatureTransform(transform), coef)
             assert 0.0 <= value <= 1.0
-            assert_allclose(misalignment(dense_transform(37.0 * transform), coef), value,
+            assert_allclose(misalignment(FeatureTransform(37.0 * transform), coef), value,
                             atol=1e-12)
 
     @pytest.mark.parametrize("arch", [Architecture.FLATTENING, Architecture.POOLING])
@@ -659,10 +659,10 @@ class TestMisalignment:
 
     def test_rejects_zero_inputs(self):
         with pytest.raises(ValueError, match="coef"):
-            misalignment(dense_transform(np.eye(3)), np.zeros(3))
+            misalignment(FeatureTransform(np.eye(3)), np.zeros(3))
         # A zero transform fails where it is built.
         with pytest.raises(ValueError, match="zero"):
-            FeatureTransform((np.zeros((3, 3)),))
+            FeatureTransform(np.zeros((3, 3)))
 
 
 class TestPsdSqrt:
