@@ -76,7 +76,7 @@ def _run(command: str, config_path: Path) -> int:
         else:
             run_mnist_experiment(cfg)
             written = ["mnist.csv", "mnist_meta.json"]
-    except (ValueError, ArithmeticError, OSError) as error:
+    except (ValueError, ArithmeticError, OSError, MemoryError) as error:
         print(f"runtime error: {error}", file=sys.stderr)
         return EXIT_RUNTIME
 

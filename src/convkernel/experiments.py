@@ -270,7 +270,7 @@ def run_mnist_experiment(cfg: MnistConfig) -> list[MnistDepthRecord]:
     def loss_estimate(transform: FeatureTransform) -> RiskEstimate:
         fitted = fit_ridgeless(transform, x_trials, y_trials)
         errors = subset.x @ fitted.T - subset.y[:, None]
-        return _estimate(np.mean(errors**2, axis=0), cfg.trials, subsample_seed)
+        return _estimate(np.mean(errors**2, axis=0))
 
     records = []
     for depth in cfg.depths:

@@ -28,7 +28,6 @@ PSD_RTOL = 1e-10
 # squares that underflow (each below about 2e-308) move the sum of squares
 # (at least 1e-280) by less than an ulp, for any matrix that fits in memory.
 TINY_NORM = 1e-140
-CONVERGENCE_MAX_ITER = 100_000
 # Zero-padding depths up to this one iterate the stencil instead of using the
 # closed form.  Both agree to about 1e-16, but ridgeless regression on pooled
 # images amplifies a last-bit change of the depth-1 or depth-2 transform up
@@ -170,20 +169,6 @@ class FeatureTransform:
         return matrix
 
 
-@dataclass(frozen=True)
-class SpectralSummary:
-    """Descending eigenvalues plus the sign-fixed unit leading eigenvector."""
-
-    eigenvalues: np.ndarray
-    leading_eigenvector: np.ndarray
-
-    @property
-    def spectral_gap(self) -> float:
-        """The top eigenvalue minus the next; 0.0 for a single eigenvalue."""
-        top = self.eigenvalues[:2]
-        return float(top[0] - top[-1])
-
-
 def _shift_matrix_1d(p: int, shift: int, padding: Padding) -> np.ndarray:
     out = np.zeros((p, p))
     for row in range(p):
@@ -261,27 +246,23 @@ def _zero_padding_power(start: np.ndarray, depth: int) -> np.ndarray:
     up to a positive scale.
 
     The operator maps each diagonal i - j = offset to itself, acting on it
-    as the all-ones tridiagonal Toeplitz matrix of its length L = p - offset.
-    That matrix has the orthonormal sine eigenbasis sqrt(2/(L+1)) *
-    sin(t*h*pi/(L+1)) with eigenvalues 1 + 2*cos(h*pi/(L+1)) (see
-    toeplitz_spectrum), so each diagonal is projected on it, scaled by the
-    eigenvalues' depth-th powers and mapped back.  Eigenvalues are divided
-    by the largest over all diagonals (the main one's) so nothing overflows;
-    the scale this drops is (1 + 2*cos(pi/(p+1)))**depth.
+    as the all-ones tridiagonal Toeplitz matrix of its length p - offset,
+    so each diagonal is projected on that matrix's sine eigenbasis (see
+    toeplitz_spectrum), scaled by the eigenvalues' depth-th powers and
+    mapped back.  Eigenvalues are divided by the largest over all diagonals
+    (the main one's) so nothing overflows; the scale this drops is
+    (1 + 2*cos(pi/(p+1)))**depth.
     """
     p = start.shape[0]
     largest = 1.0 + 2.0 * math.cos(math.pi / (p + 1))
     out = np.zeros((p, p))
     for offset in range(p):
-        length = p - offset
-        t = np.arange(length)
+        t = np.arange(p - offset)
         diagonal = start[t, t + offset]
         if not diagonal.any():
             continue
-        angles = np.arange(1, length + 1) * (math.pi / (length + 1))
-        basis = math.sqrt(2.0 / (length + 1)) * np.sin(np.outer(t + 1, angles))
-        scale = ((1.0 + 2.0 * np.cos(angles)) / largest) ** depth
-        values = basis @ (scale * (basis.T @ diagonal))
+        eigenvalues, basis = toeplitz_spectrum(p - offset)
+        values = basis @ ((eigenvalues / largest) ** depth * (basis.T @ diagonal))
         out[t, t + offset] = values
         out[t + offset, t] = values
     return out
@@ -369,29 +350,20 @@ def sine_profile(dim: int) -> np.ndarray:
     return np.sin(i * np.pi / (dim + 1))
 
 
-def toeplitz_spectrum(dim: int) -> SpectralSummary:
-    """Closed-form spectrum of the all-ones tridiagonal Toeplitz matrix.
+def toeplitz_spectrum(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form eigenpairs of the dim x dim all-ones tridiagonal Toeplitz
+    matrix: (eigenvalues, basis), eigenvalues descending.
 
-    Eigenvalues are 1 + 2*cos(h*pi/(dim+1)) for h = 1..dim (already
-    descending); the eigenvector for index h has entries proportional to
-    sin(h*j*pi/(dim+1)).
+    Eigenvalue h (h = 1..dim) is 1 + 2*cos(h*pi/(dim+1)), and column h - 1 of
+    the orthonormal sine (DST-I) basis has entries
+    sqrt(2/(dim+1)) * sin(t*h*pi/(dim+1)), t = 1..dim.
     """
-    leading = sine_profile(dim)  # raises unless dim >= 1
-    h = np.arange(1, dim + 1)
-    eigenvalues = 1.0 + 2.0 * np.cos(h * np.pi / (dim + 1))
-    leading = leading / np.linalg.norm(leading)
-    return SpectralSummary(eigenvalues, leading)
-
-
-def tridiagonal_ones(dim: int) -> np.ndarray:
-    """The dim-by-dim matrix with ones on the three central diagonals."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    out = np.eye(dim)
-    idx = np.arange(dim - 1)
-    out[idx, idx + 1] = 1.0
-    out[idx + 1, idx] = 1.0
-    return out
+    h = np.arange(1, dim + 1)
+    angles = h * (math.pi / (dim + 1))
+    basis = math.sqrt(2.0 / (dim + 1)) * np.sin(np.outer(h, angles))
+    return 1.0 + 2.0 * np.cos(angles), basis
 
 
 def _fix_sign(vector: np.ndarray) -> np.ndarray:
@@ -404,14 +376,13 @@ def _fix_sign(vector: np.ndarray) -> np.ndarray:
     return vector
 
 
-def symmetric_spectrum(matrix: np.ndarray) -> SpectralSummary:
-    """Numerical eigendecomposition of a symmetric matrix, descending order."""
+def symmetric_spectrum(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, leading_eigenvector) of a symmetric matrix: eigenvalues
+    descending, and the sign-fixed unit eigenvector of the first."""
     matrix = np.asarray(matrix, dtype=float)
     _check_finite_symmetric(matrix, "matrix")
     eigenvalues, eigenvectors = np.linalg.eigh(matrix)
-    eigenvalues = eigenvalues[::-1].copy()
-    leading = _fix_sign(eigenvectors[:, -1].copy())
-    return SpectralSummary(eigenvalues, leading)
+    return eigenvalues[::-1].copy(), _fix_sign(eigenvectors[:, -1].copy())
 
 
 def leading_eigenvector(transform: FeatureTransform) -> np.ndarray:
@@ -423,5 +394,5 @@ def leading_eigenvector(transform: FeatureTransform) -> np.ndarray:
     unit vector of its eigenspace is leading, and the one returned may
     differ from a dense solve's.
     """
-    vector = symmetric_spectrum(transform.factor).leading_eigenvector
+    _, vector = symmetric_spectrum(transform.factor)
     return _fix_sign(reduce(np.kron, [vector] * transform.power))

@@ -76,7 +76,6 @@ class RiskEstimate:
     mean: float
     std_error: float
     trials: int
-    seed: int
 
 
 def _apply_pinv(kernel: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
@@ -94,21 +93,17 @@ def _apply_pinv(kernel: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
     eigenvalues, eigenvectors = np.linalg.eigh(
         kernel.reshape((math.prod(kernel.shape[:-2]), n, n)))
     cutoff = n * np.max(eigenvalues, axis=-1, initial=0.0) * PINV_RTOL
-    ranks = np.sum(eigenvalues > cutoff[:, None], axis=-1)
+    keep = eigenvalues > cutoff[:, None]
+    ranks = np.sum(keep, axis=-1)
     vector = rhs.ndim == kernel.ndim - 1
     columns = rhs.reshape((ranks.size, n, 1 if vector else rhs.shape[-1]))
-    solution = np.zeros(columns.shape)
-    # Eigenvalues ascend, so the kept ones are the trailing `rank`.  Each
-    # (n, rank) basis is column-major, the layout of eigenvectors[:, keep]:
-    # the products then run one gemv or gemm per kernel with the same
-    # operands whatever the stack, so a kernel's solution does not depend
-    # on the kernels stacked with it.
-    for rank in set(ranks.tolist()) - {0}:
-        group = ranks == rank
-        basis_t = np.ascontiguousarray(
-            np.swapaxes(eigenvectors[group][..., n - rank:], -1, -2))
-        kept = eigenvalues[group][:, n - rank:, None]
-        solution[group] = np.swapaxes(basis_t, -1, -2) @ ((basis_t @ columns[group]) / kept)
+    # A dropped eigenvalue divides as inf, so its terms are exact zeros.
+    # Each transposed basis is made contiguous, so the products run one gemv
+    # or gemm per kernel with the same operands whatever the stack: a
+    # kernel's solution does not depend on the kernels stacked with it.
+    basis_t = np.ascontiguousarray(np.swapaxes(eigenvectors, -1, -2))
+    divisors = np.where(keep, eigenvalues, np.inf)[..., None]
+    solution = np.swapaxes(basis_t, -1, -2) @ ((basis_t @ columns) / divisors)
     solution = solution.reshape(rhs.shape)
     if single:
         return solution, int(ranks[0])
@@ -181,10 +176,11 @@ def bias_conditional(
     return float(value) if value.ndim == 0 else value
 
 
-def _estimate(values: np.ndarray, trials: int, seed: int) -> RiskEstimate:
+def _estimate(values: np.ndarray) -> RiskEstimate:
+    trials = len(values)
     mean = float(np.mean(values))
     std_error = float(np.std(values, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-    return RiskEstimate(mean, std_error, trials, seed)
+    return RiskEstimate(mean, std_error, trials)
 
 
 def _monte_carlo(
@@ -202,7 +198,7 @@ def _monte_carlo(
     values = np.empty(trials)
     for start, draws in trial_chunks(seed, trials, shapes):
         values[start:start + draws[0].shape[0]] = trial_values(*draws)
-    return _estimate(values, trials, seed)
+    return _estimate(values)
 
 
 def bias_mc(

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import convkernel.cli
 from _digits import make_synthetic_idx
 from convkernel.cli import main
 
@@ -177,6 +178,18 @@ class TestRuntimeErrors:
         )
         assert main(["sweep", str(config)]) == 2
         assert f"runtime error: {data}: " in capsys.readouterr().err
+
+    def test_allocation_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        # A size the machine could really fail to allocate would take it
+        # down first, so the runner raises as numpy does when it cannot.
+        def out_of_memory(cfg):
+            raise MemoryError("Unable to allocate 80.0 GiB for an array")
+
+        monkeypatch.setattr(convkernel.cli, "run_depth_sweep", out_of_memory)
+        config = write_config(tmp_path, SMALL_SWEEP + f"outdir = {tmp_path}\n")
+        assert main(["sweep", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "runtime error: Unable to allocate 80.0 GiB for an array\n")
 
 
 class TestDeterminism:

@@ -11,72 +11,82 @@ from convkernel import (
     GeometryKind,
     Padding,
     apply_conv_operator,
+    sine_profile,
     symmetric_spectrum,
     toeplitz_spectrum,
-    tridiagonal_ones,
 )
+
+
+def tridiagonal_ones(dim):
+    return np.eye(dim) + np.eye(dim, k=1) + np.eye(dim, k=-1)
 
 
 class TestToeplitzClosedForm:
     @pytest.mark.parametrize("dim", range(1, 51))
     def test_matches_numerical_eigendecomposition(self, dim):
-        closed = toeplitz_spectrum(dim)
+        eigenvalues, _ = toeplitz_spectrum(dim)
         numerical = np.linalg.eigvalsh(tridiagonal_ones(dim))[::-1]
-        assert_allclose(closed.eigenvalues, numerical, atol=1e-10, rtol=0)
+        assert_allclose(eigenvalues, numerical, atol=1e-10, rtol=0)
+
+    @pytest.mark.parametrize("dim", range(1, 51))
+    def test_basis_diagonalizes_the_tridiagonal_matrix(self, dim):
+        # The basis every zero-padding transform beyond the stencil depths is built from.
+        eigenvalues, basis = toeplitz_spectrum(dim)
+        assert basis.shape == (dim, dim)
+        assert_allclose(basis.T @ basis, np.eye(dim), atol=1e-12, rtol=0)
+        assert_allclose(basis.T @ tridiagonal_ones(dim) @ basis, np.diag(eigenvalues),
+                        atol=1e-12, rtol=0)
+        profile = sine_profile(dim)
+        assert_allclose(basis[:, 0], profile / np.linalg.norm(profile), atol=1e-12, rtol=0)
 
     def test_dim4_values(self):
-        closed = toeplitz_spectrum(4)
+        eigenvalues, _ = toeplitz_spectrum(4)
         assert_allclose(
-            closed.eigenvalues,
+            eigenvalues,
             [2.618034, 1.618034, 0.381966, -0.618034],
             atol=1e-6,
             rtol=0,
         )
 
     def test_dim4_leading_eigenvector_is_sine_profile(self):
-        closed = toeplitz_spectrum(4)
+        _, basis = toeplitz_spectrum(4)
         sines = np.sin(np.arange(1, 5) * np.pi / 5.0)
-        assert_allclose(closed.leading_eigenvector, sines / np.linalg.norm(sines),
-                        atol=1e-12, rtol=0)
-        numerical = symmetric_spectrum(tridiagonal_ones(4))
-        assert_allclose(closed.leading_eigenvector, numerical.leading_eigenvector,
-                        atol=1e-10, rtol=0)
+        assert_allclose(basis[:, 0], sines / np.linalg.norm(sines), atol=1e-12, rtol=0)
+        _, numerical = symmetric_spectrum(tridiagonal_ones(4))
+        assert_allclose(basis[:, 0], numerical, atol=1e-10, rtol=0)
 
     def test_dim1(self):
-        closed = toeplitz_spectrum(1)
-        assert_allclose(closed.eigenvalues, [1.0], atol=1e-12, rtol=0)
-        assert closed.spectral_gap == 0.0
+        eigenvalues, basis = toeplitz_spectrum(1)
+        assert_allclose(eigenvalues, [1.0], atol=1e-12, rtol=0)
+        assert_allclose(basis, [[1.0]], atol=1e-12, rtol=0)
 
     def test_dim0_rejected(self):
         with pytest.raises(ValueError, match="dim"):
             toeplitz_spectrum(0)
-        with pytest.raises(ValueError, match="dim"):
-            tridiagonal_ones(0)
 
 
 class TestSymmetricSpectrum:
     def test_scaled_identity(self):
-        summary = symmetric_spectrum(np.eye(4) / 2.0)
-        assert_allclose(summary.eigenvalues, [0.5] * 4, atol=0, rtol=0)
-        assert summary.spectral_gap == 0.0
+        eigenvalues, _ = symmetric_spectrum(np.eye(4) / 2.0)
+        assert_allclose(eigenvalues, [0.5] * 4, atol=0, rtol=0)
 
     def test_rank_one_all_ones(self):
-        summary = symmetric_spectrum(np.ones((4, 4)) / 4.0)
-        assert_allclose(summary.eigenvalues, [1.0, 0.0, 0.0, 0.0], atol=1e-12, rtol=0)
-        assert_allclose(summary.leading_eigenvector, np.full(4, 0.5), atol=1e-12, rtol=0)
+        eigenvalues, leading = symmetric_spectrum(np.ones((4, 4)) / 4.0)
+        assert_allclose(eigenvalues, [1.0, 0.0, 0.0, 0.0], atol=1e-12, rtol=0)
+        assert_allclose(leading, np.full(4, 0.5), atol=1e-12, rtol=0)
 
     def test_sign_convention_flips_negative_leader(self):
         u = np.array([-3.0, 1.0]) / np.sqrt(10.0)
-        summary = symmetric_spectrum(np.outer(u, u))
-        assert summary.leading_eigenvector[0] > 0
-        assert_allclose(summary.leading_eigenvector, -u, atol=1e-12, rtol=0)
+        _, leading = symmetric_spectrum(np.outer(u, u))
+        assert leading[0] > 0
+        assert_allclose(leading, -u, atol=1e-12, rtol=0)
 
     def test_eigenvalues_descending(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((8, 8))
-        summary = symmetric_spectrum((a + a.T) / 2.0)
-        assert np.all(np.diff(summary.eigenvalues) <= 0)
-        assert_allclose(np.linalg.norm(summary.leading_eigenvector), 1.0, atol=1e-12)
+        eigenvalues, leading = symmetric_spectrum((a + a.T) / 2.0)
+        assert np.all(np.diff(eigenvalues) <= 0)
+        assert_allclose(np.linalg.norm(leading), 1.0, atol=1e-12)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -111,7 +121,5 @@ class TestOperatorDiagonalRestriction:
             out = apply_conv_operator(basis, geometry, Padding.ZERO)
             restricted[:, j] = np.diagonal(out, offset=offset)
         assert_allclose(restricted, tridiagonal_ones(dim), atol=0, rtol=0)
-        numerical = symmetric_spectrum(restricted)
-        assert_allclose(
-            numerical.eigenvalues, toeplitz_spectrum(dim).eigenvalues, atol=1e-10, rtol=0
-        )
+        numerical, _ = symmetric_spectrum(restricted)
+        assert_allclose(numerical, toeplitz_spectrum(dim)[0], atol=1e-10, rtol=0)
