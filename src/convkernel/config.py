@@ -45,6 +45,8 @@ INT, DEPTH, FLOAT, BOOL = "int", "depth", "float", "bool"
 PATH, FILE, DEPTHS = "path", "file", "depths"
 GEOMETRY, SQUARE = "geometry", "square"
 _RANGE_KEYS = ("depth_min", "depth_max", "depth_count")
+# The most depths a log-spaced range may ask for; its grid builds in about 10 ms.
+DEPTH_COUNT_MAX = 10_000
 
 
 class ConfigError(ValueError):
@@ -65,6 +67,8 @@ def log_spaced_depths(low: int, high: int, count: int) -> tuple[int, ...]:
         raise ValueError(f"need depth_max >= depth_min, got {low}..{high}")
     if count < 1:
         raise ValueError(f"need depth_count >= 1, got {count}")
+    if count > DEPTH_COUNT_MAX:
+        raise ValueError(f"need depth_count <= {DEPTH_COUNT_MAX}, got {count}")
     # Near 2**63 a rounded float can exceed high (and int64), so ints are clipped.
     grid = np.rint(np.geomspace(low, high, count))
     return tuple(sorted({min(max(int(d), low), high) for d in grid}))
@@ -263,7 +267,9 @@ def _take_depths(pairs: _Pairs, default: tuple[int, ...]) -> tuple[int, ...]:
     try:
         return log_spaced_depths(*bounds)
     except ValueError as exc:
-        raise pairs.error(str(exc), *given) from None
+        # The line of the first key the message names, else of the first given.
+        named = [k for k in given if k in str(exc)]
+        raise pairs.error(str(exc), *named, *given) from None
 
 
 # Cross-key checks.  Each error names the line of the first listed key that

@@ -132,8 +132,6 @@ def min_norm_solve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     m, p = x.shape
     if m > p:
         raise ValueError(f"need rows <= columns, got {x.shape}")
-    if m == 0:
-        return np.zeros(p)
     dual, _ = _apply_pinv(x @ x.T, y)
     coef = x.T @ dual
     residual = float(np.linalg.norm(x @ coef - y))

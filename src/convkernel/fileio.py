@@ -35,13 +35,6 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     _write_atomic(path, text.encode())
 
 
-def save_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:
-    """Dense comma-separated rows, no header, 17 significant digits."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    lines = [",".join(format_float(v) for v in row) for row in matrix]
-    write_text_atomic(path, "\n".join(lines) + "\n")
-
-
 def load_matrix_csv(path: str | Path) -> np.ndarray:
     """Dense comma-separated rows of finite numbers; blank lines are skipped."""
     data = Path(path).read_bytes()

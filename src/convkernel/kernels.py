@@ -3,11 +3,10 @@
 The depth-d feature transform of a linear convolutional network is the
 depth-0 PSD matrix after d applications of the convolution overlap
 operator (a sum of shift-conjugations, one per filter tap), renormalized
-to unit Frobenius norm.  This module builds the shift bases, applies the
-operator as a direct stencil (for the shallowest depths, and as the
-reference the tests hold the closed form to), computes deeper transforms
-in closed form, and provides the closed-form spectra and infinite-depth
-limits.
+to unit Frobenius norm.  This module applies the operator as a direct
+stencil (for the shallowest depths, and as the reference the tests hold
+the closed form to), computes deeper transforms in closed form, and
+provides the closed-form spectra and infinite-depth limits.
 """
 
 from __future__ import annotations
@@ -167,33 +166,6 @@ class FeatureTransform:
         matrix = reduce(np.kron, [self.factor] * self.power)
         matrix.setflags(write=False)
         return matrix
-
-
-def _shift_matrix_1d(p: int, shift: int, padding: Padding) -> np.ndarray:
-    out = np.zeros((p, p))
-    for row in range(p):
-        col = row - shift
-        if padding is Padding.CIRCULAR:
-            out[row, col % p] = 1.0
-        elif 0 <= col < p:
-            out[row, col] = 1.0
-    return out
-
-
-def basis_matrices(geometry: ConvGeometry, padding: Padding) -> list[np.ndarray]:
-    """Shift bases of the convolution operator, one per filter tap.
-
-    Returns 3 matrices (1-D) ordered by shift -1, 0, +1, or 9 matrices
-    (2-D) ordered row-major over shift pairs, each the Kronecker product
-    of one 1-D basis per axis.  Conjugating by the shift-k basis moves
-    entry (i, j) to (i+k, j+k); zero padding drops out-of-range entries,
-    circular padding wraps them.
-    """
-    if not isinstance(padding, Padding):
-        raise ValueError(f"unsupported padding: {padding!r}")
-    axes = geometry.axes
-    return [reduce(np.kron, [_shift_matrix_1d(n, k, padding) for n, k in zip(axes, taps)])
-            for taps in itertools.product((-1, 0, 1), repeat=len(axes))]
 
 
 def _shift_slices(size: int, shift: int) -> tuple[slice, slice]:
@@ -368,8 +340,6 @@ def toeplitz_spectrum(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _fix_sign(vector: np.ndarray) -> np.ndarray:
     scale = float(np.max(np.abs(vector)))
-    if scale == 0.0:
-        return vector
     nonzero = np.nonzero(np.abs(vector) > 1e-12 * scale)[0]
     if nonzero.size and vector[nonzero[0]] < 0:
         return -vector

@@ -270,16 +270,6 @@ def excess_risk_mc(
     return _monte_carlo(trial_values, shapes, trials, seed)
 
 
-def variance_lower_bound(noise_var: float, n: int, p: int) -> float:
-    """Floor noise_var * n / (p - n - 1) on the variance, attained at the
-    inverse-covariance transform."""
-    if noise_var < 0:
-        raise ValueError(f"noise_var must be >= 0, got {noise_var}")
-    if p <= n + 1:
-        raise ValueError(f"bound diverges unless p > n + 1, got n={n}, p={p}")
-    return noise_var * n / (p - n - 1)
-
-
 def misalignment(transform: FeatureTransform, coef: np.ndarray) -> float:
     """Fraction of the transform's spectrum not aligned with coef, in [0, 1].
 

@@ -1,0 +1,62 @@
+"""Reference constructions that only the tests use.
+
+The shift-basis form of the convolution operator is the oracle the stencil
+and the closed form are held to, variance_lower_bound is the analytic
+variance floor the estimators are checked against, and save_matrix_csv
+writes the covariance and coefficient files the file-reading paths load.
+"""
+
+from __future__ import annotations
+
+import itertools
+from functools import reduce
+from pathlib import Path
+
+import numpy as np
+
+from convkernel.fileio import format_float, write_text_atomic
+from convkernel.kernels import ConvGeometry, Padding
+
+
+def _shift_matrix_1d(p: int, shift: int, padding: Padding) -> np.ndarray:
+    out = np.zeros((p, p))
+    for row in range(p):
+        col = row - shift
+        if padding is Padding.CIRCULAR:
+            out[row, col % p] = 1.0
+        elif 0 <= col < p:
+            out[row, col] = 1.0
+    return out
+
+
+def basis_matrices(geometry: ConvGeometry, padding: Padding) -> list[np.ndarray]:
+    """Shift bases of the convolution operator, one per filter tap.
+
+    Returns 3 matrices (1-D) ordered by shift -1, 0, +1, or 9 matrices
+    (2-D) ordered row-major over shift pairs, each the Kronecker product
+    of one 1-D basis per axis.  Conjugating by the shift-k basis moves
+    entry (i, j) to (i+k, j+k); zero padding drops out-of-range entries,
+    circular padding wraps them.
+    """
+    if not isinstance(padding, Padding):
+        raise ValueError(f"unsupported padding: {padding!r}")
+    axes = geometry.axes
+    return [reduce(np.kron, [_shift_matrix_1d(n, k, padding) for n, k in zip(axes, taps)])
+            for taps in itertools.product((-1, 0, 1), repeat=len(axes))]
+
+
+def variance_lower_bound(noise_var: float, n: int, p: int) -> float:
+    """Floor noise_var * n / (p - n - 1) on the variance, attained at the
+    inverse-covariance transform."""
+    if noise_var < 0:
+        raise ValueError(f"noise_var must be >= 0, got {noise_var}")
+    if p <= n + 1:
+        raise ValueError(f"bound diverges unless p > n + 1, got n={n}, p={p}")
+    return noise_var * n / (p - n - 1)
+
+
+def save_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:
+    """Dense comma-separated rows, no header, 17 significant digits."""
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    lines = [",".join(format_float(v) for v in row) for row in matrix]
+    write_text_atomic(path, "\n".join(lines) + "\n")

@@ -10,6 +10,7 @@ import pytest
 import convkernel.cli
 from _digits import make_synthetic_idx
 from convkernel.cli import main
+from convkernel.config import DEPTH_COUNT_MAX
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +90,21 @@ class TestValidate:
         config = write_config(tmp_path, f"experiment = sweep\ndepths = 1,1{'0' * 400}\n")
         assert main(["validate", str(config)]) == 1
         assert f"config error: {config}:2: depths must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", [10**18, DEPTH_COUNT_MAX + 1],
+                             ids=["10**18", "max+1"])
+    def test_oversized_depth_count_exits_1_naming_its_line(self, tmp_path, capsys, count):
+        config = write_config(tmp_path, "experiment = sweep\ndepth_min = 1\n"
+                                        f"depth_max = 100\ndepth_count = {count}\n")
+        assert main(["validate", str(config)]) == 1
+        assert (f"config error: {config}:4: need depth_count <= {DEPTH_COUNT_MAX}, "
+                f"got {count}") in capsys.readouterr().err
+
+    def test_largest_depth_count_validates(self, tmp_path, capsys):
+        config = write_config(tmp_path, "experiment = sweep\ndepth_min = 1\n"
+                                        f"depth_max = 100\ndepth_count = {DEPTH_COUNT_MAX}\n")
+        assert main(["validate", str(config)]) == 0
+        assert "config OK" in capsys.readouterr().out
 
     def test_missing_config_exits_1(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.cfg")]) == 1

@@ -3,6 +3,7 @@
 import pytest
 
 from convkernel.config import (
+    DEPTH_COUNT_MAX,
     ConfigError,
     EigvecConfig,
     MnistConfig,
@@ -336,6 +337,8 @@ class TestLogSpacedDepths:
             log_spaced_depths(5, 4, 3)
         with pytest.raises(ValueError):
             log_spaced_depths(1, 5, 0)
+        with pytest.raises(ValueError, match="depth_count <="):
+            log_spaced_depths(1, 5, DEPTH_COUNT_MAX + 1)
 
 
 class TestEigvec:

@@ -1,7 +1,9 @@
-"""The README's config tables and the benchmark's traced functions match the code."""
+"""The README's config tables and the benchmark's traced functions match the
+code, and the package defines nothing that it does not use itself."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -114,6 +116,28 @@ def test_traced_functions_exist():
         module = importlib.import_module(f"convkernel.{owner}")
         for function in functions:
             assert callable(getattr(module, function, None)), f"{owner}.{function}"
+
+
+def test_every_package_definition_has_a_caller():
+    """Each module-level function and class in src/convkernel is referenced
+    by the package outside its own definition and outside __init__.py, so
+    no code is kept that only the tests or the exports reach."""
+    package = ROOT / "src" / "convkernel"
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    callers = [tree for module, tree in trees.items() if module != "__init__"]
+    unused = []
+    for module, tree in trees.items():
+        for definition in tree.body:
+            if not isinstance(definition, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            own = {id(node) for node in ast.walk(definition)}
+            if not any(id(node) not in own
+                       and definition.name in (getattr(node, "id", None),
+                                               getattr(node, "attr", None))
+                       for caller in callers for node in ast.walk(caller)):
+                unused.append(f"{module}.{definition.name}")
+    assert unused == []
 
 
 def test_readme_library_example_runs(capsys):

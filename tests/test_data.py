@@ -146,6 +146,10 @@ class TestMinNormSolve:
             assert abs(null_dir @ coef) <= 1e-10
             assert np.linalg.norm(coef + null_dir) >= np.linalg.norm(coef)
 
+    def test_empty_system(self):
+        coef = min_norm_solve(np.zeros((0, 5)), np.zeros(0))
+        assert_array_equal(coef, np.zeros(5))
+
     def test_inconsistent_system_reports_residual(self):
         x = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match="residual"):

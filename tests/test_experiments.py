@@ -13,6 +13,7 @@ import convkernel.experiments
 import convkernel.kernels
 import convkernel.regression
 from _digits import make_synthetic_idx
+from _oracles import save_matrix_csv
 from convkernel.cli import main
 from convkernel.config import EigvecConfig, parse_config
 from convkernel.experiments import (
@@ -22,7 +23,6 @@ from convkernel.experiments import (
     run_eigvec_gallery,
     run_mnist_experiment,
 )
-from convkernel.fileio import save_matrix_csv
 from convkernel.kernels import Architecture, ConvGeometry, GeometryKind, Padding
 from convkernel.rng import derive_seed
 

@@ -11,10 +11,10 @@ from convkernel.fileio import (
     grayscale,
     load_matrix_csv,
     load_vector_csv,
-    save_matrix_csv,
     write_pgm,
     write_text_atomic,
 )
+from _oracles import save_matrix_csv
 
 
 class TestFloatFormat:

@@ -12,8 +12,8 @@ from convkernel import (
     GeometryKind,
     Padding,
     apply_conv_operator,
-    basis_matrices,
 )
+from _oracles import basis_matrices
 from _util import random_symmetric
 
 ONE_D_SIZES = range(3, 11)

@@ -32,10 +32,10 @@ from convkernel.regression import (
     fit_ridgeless,
     misalignment,
     psd_sqrt,
-    variance_lower_bound,
     variance_mc,
 )
 from convkernel.rng import trial_rng, trials_per_chunk
+from _oracles import variance_lower_bound
 from _util import random_psd, random_unit_vector
 
 

@@ -15,6 +15,7 @@ from convkernel import (
     symmetric_spectrum,
     toeplitz_spectrum,
 )
+from convkernel.kernels import _fix_sign
 
 
 def tridiagonal_ones(dim):
@@ -80,6 +81,15 @@ class TestSymmetricSpectrum:
         _, leading = symmetric_spectrum(np.outer(u, u))
         assert leading[0] > 0
         assert_allclose(leading, -u, atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("vector, expected", [
+        ([0.0, -1e-13, -2.0, 1.0], [0.0, 1e-13, 2.0, -1.0]),
+        ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+    ], ids=["noise-before-leader", "zero"])
+    def test_sign_fix_reads_the_first_entry_above_rounding(self, vector, expected):
+        # Entries up to 1e-12 of the largest are rounding noise and do not set
+        # the sign; a zero vector has no such entry and is returned as it is.
+        assert_allclose(_fix_sign(np.array(vector)), expected, atol=0, rtol=0)
 
     def test_eigenvalues_descending(self):
         rng = np.random.default_rng(5)
