@@ -249,8 +249,11 @@ def _take_depths(pairs: _Pairs, default: tuple[int, ...]) -> tuple[int, ...]:
         )
     if explicit is not None:
         value, _ = explicit
+        parts = value.split(",") if value else []
+        if not all(part.strip() for part in parts):
+            raise pairs.error(f"depths has an empty item, got {value!r}", "depths")
         try:
-            depths = tuple(int(part.strip()) for part in value.split(",") if part.strip())
+            depths = tuple(int(part) for part in parts)
         except ValueError:
             raise pairs.error(f"depths must be integers, got {value!r}", "depths") from None
         try:

@@ -136,20 +136,15 @@ def _transform(cfg: SweepConfig, coef: np.ndarray, depth: int) -> FeatureTransfo
     return feature_transforms([depth], cfg.geometry, cfg.padding, cfg.architecture)[0]
 
 
-def _ridged_inverse(matrix: np.ndarray) -> tuple[np.ndarray, float]:
-    """Inverse after adding a tiny ridge so near-singular transforms invert."""
-    eigenvalues, eigenvectors = np.linalg.eigh(matrix)
-    epsilon = RIDGE_EPSILON_RTOL * float(eigenvalues[-1])
-    inverse = (eigenvectors / (eigenvalues + epsilon)) @ eigenvectors.T
-    return (inverse + inverse.T) / 2.0, epsilon
-
-
-def _resolve_covariance(cfg: SweepConfig) -> np.ndarray | None:
-    """The identity or file covariance; None for inverse_theta, which needs
-    the transform at sigma_depth."""
+def _resolve_covariance(cfg: SweepConfig, coef: np.ndarray) -> tuple[np.ndarray, float | None]:
+    """(covariance, ridge_epsilon): the identity or file covariance with no
+    ridge (None), or for inverse_theta the inverse of T + epsilon I, T the
+    depth-sigma_depth transform as apply on the identity and epsilon
+    RIDGE_EPSILON_RTOL times its largest eigenvalue, so a near-singular T
+    inverts."""
     p = cfg.geometry.p
     if cfg.sigma_source == "identity":
-        return np.eye(p)
+        return np.eye(p), None
     if cfg.sigma_source == "file":
         covariance = load_matrix_csv(cfg.sigma_file)
         if covariance.shape != (p, p):
@@ -157,8 +152,12 @@ def _resolve_covariance(cfg: SweepConfig) -> np.ndarray | None:
                 f"covariance file {cfg.sigma_file} has shape {covariance.shape}, "
                 f"expected ({p}, {p})"
             )
-        return covariance
-    return None
+        return covariance, None
+    theta = _transform(cfg, coef, cfg.sigma_depth).apply(np.eye(p))
+    eigenvalues, eigenvectors = np.linalg.eigh(theta)
+    epsilon = RIDGE_EPSILON_RTOL * float(eigenvalues[-1])
+    inverse = (eigenvectors / (eigenvalues + epsilon)) @ eigenvectors.T
+    return (inverse + inverse.T) / 2.0, epsilon
 
 
 def run_depth_sweep(cfg: SweepConfig) -> list[DepthSweepRecord]:
@@ -172,10 +171,7 @@ def run_depth_sweep(cfg: SweepConfig) -> list[DepthSweepRecord]:
     every output is checked before any is written.
     """
     coef = _resolve_coef(cfg)
-    covariance = _resolve_covariance(cfg)
-    ridge_epsilon = None
-    if covariance is None:
-        covariance, ridge_epsilon = _ridged_inverse(_transform(cfg, coef, cfg.sigma_depth).matrix)
+    covariance, ridge_epsilon = _resolve_covariance(cfg, coef)
     problem = RegressionProblem(covariance, coef, cfg.noise_var, cfg.n_train)
     seeds = {name: derive_seed(cfg.seed, name) for name in ("bias", "variance", "risk")}
 

@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, reduce
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -159,13 +159,6 @@ class FeatureTransform:
             return x @ f.T
         grid = x.reshape(x.shape[:-1] + f.shape)
         return (f @ grid @ f.T).reshape(x.shape)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The p x p power of the factor, formed on first read; read-only."""
-        matrix = reduce(np.kron, [self.factor] * self.power)
-        matrix.setflags(write=False)
-        return matrix
 
 
 def _shift_slices(size: int, shift: int) -> tuple[slice, slice]:
@@ -356,7 +349,7 @@ def symmetric_spectrum(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def leading_eigenvector(transform: FeatureTransform) -> np.ndarray:
-    """Sign-fixed unit leading eigenvector of transform.matrix.
+    """Sign-fixed unit leading eigenvector of the p x p transform.
 
     The Kronecker power of the factor's leading eigenvector (the top
     eigenvalue of a power of a PSD factor is the power of its own), so the

@@ -1,7 +1,8 @@
 """Reference constructions that only the tests use.
 
 The shift-basis form of the convolution operator is the oracle the stencil
-and the closed form are held to, variance_lower_bound is the analytic
+and the closed form are held to, dense forms a transform's p x p matrix
+as the Kronecker power of its factor, variance_lower_bound is the analytic
 variance floor the estimators are checked against, and save_matrix_csv
 writes the covariance and coefficient files the file-reading paths load.
 """
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from convkernel.fileio import format_float, write_text_atomic
-from convkernel.kernels import ConvGeometry, Padding
+from convkernel.kernels import ConvGeometry, FeatureTransform, Padding
 
 
 def _shift_matrix_1d(p: int, shift: int, padding: Padding) -> np.ndarray:
@@ -43,6 +44,11 @@ def basis_matrices(geometry: ConvGeometry, padding: Padding) -> list[np.ndarray]
     axes = geometry.axes
     return [reduce(np.kron, [_shift_matrix_1d(n, k, padding) for n, k in zip(axes, taps)])
             for taps in itertools.product((-1, 0, 1), repeat=len(axes))]
+
+
+def dense(transform: FeatureTransform) -> np.ndarray:
+    """The p x p matrix of a transform: the power-th Kronecker power of its factor."""
+    return reduce(np.kron, [transform.factor] * transform.power)
 
 
 def variance_lower_bound(noise_var: float, n: int, p: int) -> float:

@@ -36,7 +36,7 @@ from convkernel.regression import (
     excess_risk_mc,
     variance_mc,
 )
-from _oracles import basis_matrices, variance_lower_bound
+from _oracles import basis_matrices, dense, variance_lower_bound
 
 
 def verdict(number: int, label: str, ok: bool, detail: str = "") -> None:
@@ -121,8 +121,8 @@ class TestAcceptance:
         for p in (5, 10):
             geometry = ConvGeometry(GeometryKind.ONE_D, p)
             for architecture in Architecture:
-                limit = feature_transforms([math.inf], geometry, Padding.ZERO,
-                                           architecture)[0].matrix
+                limit = dense(feature_transforms([math.inf], geometry, Padding.ZERO,
+                                                 architecture)[0])
                 matrix = unit_start(geometry, architecture)
                 iterations = 0
                 while (
@@ -137,8 +137,8 @@ class TestAcceptance:
                 details.append(f"1d p={p} {architecture.value}@{iterations}")
 
         geometry = ConvGeometry(GeometryKind.TWO_D, 28 * 28)
-        limit_diag = np.diag(feature_transforms([math.inf], geometry, Padding.ZERO,
-                                                Architecture.FLATTENING)[0].matrix)
+        limit_diag = np.diag(dense(feature_transforms([math.inf], geometry, Padding.ZERO,
+                                                      Architecture.FLATTENING)[0]))
         unit_limit_diag = limit_diag / np.linalg.norm(limit_diag)
         for architecture in Architecture:
             matrix = unit_start(geometry, architecture)
@@ -167,9 +167,9 @@ class TestAcceptance:
                     [0, 1, 2, 3, 5, 8, 13, 40], geometry, Padding.CIRCULAR,
                     architecture,
                 )
-                base = np.asarray(snapshots[0].matrix)
+                base = dense(snapshots[0])
                 drift = max(
-                    float(np.linalg.norm(np.asarray(ft.matrix) - base))
+                    float(np.linalg.norm(dense(ft) - base))
                     for ft in snapshots
                 )
                 ok = ok and drift <= 1e-12

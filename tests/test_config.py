@@ -266,6 +266,11 @@ class TestDepthGrids:
         message = error_of(tmp_path, "experiment = sweep\ndepths =\n")
         assert "nonempty" in message
 
+    @pytest.mark.parametrize("depths", ["1,,2", "1,2,", ",1"])
+    def test_explicit_depths_empty_item(self, tmp_path, depths):
+        message = error_of(tmp_path, f"experiment = sweep\ndepths = {depths}\n")
+        assert f":2: depths has an empty item, got {depths!r}" in message
+
     def test_range_and_explicit_conflict(self, tmp_path):
         message = error_of(
             tmp_path, "experiment = sweep\ndepths = 1,2\ndepth_min = 1\n"

@@ -140,6 +140,26 @@ def test_every_package_definition_has_a_caller():
     assert unused == []
 
 
+def kron_owners(node: ast.AST, owner: str):
+    """The innermost function enclosing each name or attribute kron under node,
+    or owner where none does."""
+    if isinstance(node, ast.FunctionDef):
+        owner = node.name
+    if "kron" in (getattr(node, "id", None), getattr(node, "attr", None)):
+        yield owner
+    for child in ast.iter_child_nodes(node):
+        yield from kron_owners(child, owner)
+
+
+def test_only_a_vector_takes_a_kronecker_power():
+    """No package code forms the p x p Kronecker power of a factor: kron
+    appears only in leading_eigenvector, which takes the power of a vector."""
+    owners = {f"{path.stem}.{owner}"
+              for path in sorted((ROOT / "src" / "convkernel").glob("*.py"))
+              for owner in kron_owners(ast.parse(path.read_text(encoding="utf-8")), "<module>")}
+    assert owners == {"kernels.leading_eigenvector"}
+
+
 def test_readme_library_example_runs(capsys):
     """The README's library example runs against the current API."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")

@@ -13,17 +13,24 @@ import convkernel.experiments
 import convkernel.kernels
 import convkernel.regression
 from _digits import make_synthetic_idx
-from _oracles import save_matrix_csv
+from _oracles import dense, save_matrix_csv
 from convkernel.cli import main
 from convkernel.config import EigvecConfig, parse_config
 from convkernel.experiments import (
     _meta_json,
+    _resolve_covariance,
     participation_ratio,
     run_depth_sweep,
     run_eigvec_gallery,
     run_mnist_experiment,
 )
-from convkernel.kernels import Architecture, ConvGeometry, GeometryKind, Padding
+from convkernel.kernels import (
+    Architecture,
+    ConvGeometry,
+    GeometryKind,
+    Padding,
+    feature_transforms,
+)
 from convkernel.rng import derive_seed
 
 
@@ -153,6 +160,24 @@ class TestDepthSweep:
         meta = (tmp_path / "out" / "sweep_meta.json").read_text()
         assert '"ridge_epsilon"' in meta
         assert "time" not in meta.lower()
+
+    def test_two_d_inverse_theta_inverts_the_ridged_transform(self, tmp_path):
+        cfg = sweep_config(
+            tmp_path,
+            "geometry = 2d\np = 16\nn = 5\nsigma_source = inverse_theta\nsigma_depth = 4\n"
+            f"depths = 1,4\n{FAST_TRIALS}outdir = {tmp_path / 'out'}\n",
+        )
+        covariance, epsilon = _resolve_covariance(cfg, np.ones(16))
+        (theta,) = feature_transforms([4], cfg.geometry, cfg.padding, cfg.architecture)
+        assert theta.power == 2
+        expected = np.linalg.inv(dense(theta) + epsilon * np.eye(16))
+        assert_allclose(covariance, expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
+        run_depth_sweep(cfg)
+        rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2
+        assert np.all(np.isfinite([float(cell) for row in rows for cell in row.split(",")]))
+        meta = json.loads((tmp_path / "out" / "sweep_meta.json").read_text())
+        assert meta["ridge_epsilon"] == epsilon > 0.0
 
     def test_meta_is_resolved_config_plus_derived_fields(self, tmp_path):
         cfg = sweep_config(
@@ -475,6 +500,8 @@ class TestMnistExperiment:
     def test_deep_transforms_never_form_the_pixel_matrix(self, tmp_path, idx_paths,
                                                           monkeypatch):
         # The fit and misalignment act with the 28 x 28 factor on each axis.
+        # One 784 x 784 float64 array is 4.9 MB; the run without one peaks
+        # near 1 MB.
         built = []
         original = convkernel.experiments.feature_transforms
 
@@ -489,9 +516,14 @@ class TestMnistExperiment:
             "count_per_class = 20\nn = 6\ntrials = 3\ndepths = 3,16\n"
             f"outdir = {tmp_path / 'out'}\n",
         )
-        run_mnist_experiment(cfg)
-        assert len(built) == 2
-        assert all(ft.power == 2 and "matrix" not in ft.__dict__ for ft in built)
+        tracemalloc.start()
+        try:
+            run_mnist_experiment(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(built) == 2 and all(ft.power == 2 for ft in built)
+        assert peak < 784 * 784 * 8 / 2
 
     def test_builds_one_transform_at_a_time(self, tmp_path, idx_paths, monkeypatch):
         lengths = []

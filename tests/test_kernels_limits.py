@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from _oracles import dense
 from _util import unit_start
 from convkernel import (
     Architecture,
@@ -35,7 +36,7 @@ def limit_of(geometry, padding, arch):
 
 
 def distances_to_limit(geometry, padding, arch, depth: int) -> np.ndarray:
-    limit = limit_of(geometry, padding, arch).matrix
+    limit = dense(limit_of(geometry, padding, arch))
     current = unit_start(geometry, arch)
     out = [np.linalg.norm(current - limit)]
     for _ in range(depth):
@@ -49,20 +50,20 @@ class TestLimitValues:
     def test_one_d_p3_sine_diagonal(self):
         ft = limit_of(geom_1d(3), Padding.ZERO, Architecture.POOLING)
         expected = np.diag([1.0 / np.sqrt(2.0), 1.0, 1.0 / np.sqrt(2.0)]) / np.sqrt(2.0)
-        assert_allclose(ft.matrix, expected, atol=1e-15, rtol=0)
-        assert np.linalg.norm(ft.matrix) == pytest.approx(1.0, abs=1e-12)
+        assert_allclose(dense(ft), expected, atol=1e-15, rtol=0)
+        assert np.linalg.norm(dense(ft)) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_d_side2_uniform_diagonal(self):
         ft = limit_of(geom_2d(2), Padding.ZERO, Architecture.FLATTENING)
-        assert_allclose(ft.matrix, np.eye(4) / 2.0, atol=1e-15, rtol=0)
+        assert_allclose(dense(ft), np.eye(4) / 2.0, atol=1e-15, rtol=0)
 
     def test_circular_pooling_all_ones(self):
         ft = limit_of(geom_1d(4), Padding.CIRCULAR, Architecture.POOLING)
-        assert_allclose(ft.matrix, np.ones((4, 4)) / 4.0, atol=0, rtol=0)
+        assert_allclose(dense(ft), np.ones((4, 4)) / 4.0, atol=0, rtol=0)
 
     def test_circular_flattening_identity(self):
         ft = limit_of(geom_1d(9), Padding.CIRCULAR, Architecture.FLATTENING)
-        assert_allclose(ft.matrix, np.eye(9) / 3.0, atol=0, rtol=0)
+        assert_allclose(dense(ft), np.eye(9) / 3.0, atol=0, rtol=0)
 
     def test_two_d_diagonal_is_sine_outer_product(self):
         side = 5
@@ -70,8 +71,9 @@ class TestLimitValues:
         profile = sine_profile(side)
         weights = np.outer(profile, profile).ravel()
         weights /= np.linalg.norm(weights)
-        assert_allclose(np.diagonal(ft.matrix), weights, atol=1e-15, rtol=0)
-        assert np.all(ft.matrix == np.diag(np.diagonal(ft.matrix)))
+        matrix = dense(ft)
+        assert_allclose(np.diagonal(matrix), weights, atol=1e-15, rtol=0)
+        assert np.all(matrix == np.diag(np.diagonal(matrix)))
 
 
 class TestZeroPaddingConvergence:

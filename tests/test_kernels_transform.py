@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import convkernel.kernels
+from _oracles import dense
 from _util import unit_start
 from convkernel import (
     Architecture,
@@ -39,25 +40,25 @@ def geom_1d(p: int) -> ConvGeometry:
 class TestInitialConditions:
     def test_pooling_starts_all_ones(self):
         ft = feature_transforms([0], geom_1d(5), Padding.ZERO, Architecture.POOLING)[0]
-        assert_allclose(ft.matrix, np.ones((5, 5)) / 5.0, atol=0, rtol=0)
+        assert_allclose(dense(ft), np.ones((5, 5)) / 5.0, atol=0, rtol=0)
 
     def test_flattening_starts_identity(self):
         ft = feature_transforms([0], geom_1d(5), Padding.ZERO, Architecture.FLATTENING)[0]
-        assert_allclose(ft.matrix, np.eye(5) / np.sqrt(5.0), atol=0, rtol=0)
+        assert_allclose(dense(ft), np.eye(5) / np.sqrt(5.0), atol=0, rtol=0)
 
 
 class TestCircularFixedPoints:
     def test_flattening_p4_is_half_identity_at_every_depth(self):
         depths = [0, 1, 2, 7, 33]
         for ft in feature_transforms(depths, geom_1d(4), Padding.CIRCULAR, Architecture.FLATTENING):
-            assert_array_equal(ft.matrix, np.eye(4) / 2.0)
+            assert_array_equal(dense(ft), np.eye(4) / 2.0)
 
     @pytest.mark.parametrize("arch", ARCHS)
     @pytest.mark.parametrize("p", (3, 6, 11))
     def test_normalized_iterates_never_move(self, p, arch):
         start = unit_start(geom_1d(p), arch)
         for ft in feature_transforms([0, 1, 2, 5, 20], geom_1d(p), Padding.CIRCULAR, arch):
-            assert np.max(np.abs(ft.matrix - start)) <= 1e-12
+            assert np.max(np.abs(dense(ft) - start)) <= 1e-12
 
 
 class TestRecursionPlumbing:
@@ -68,17 +69,17 @@ class TestRecursionPlumbing:
         depths = [0, 3, 7]
         for depth, ft in zip(depths, feature_transforms(depths, geometry, padding, arch)):
             single = feature_transforms([depth], geometry, padding, arch)[0]
-            assert_array_equal(ft.matrix, single.matrix)
+            assert_array_equal(dense(ft), dense(single))
 
     @pytest.mark.parametrize("arch", ARCHS)
     @pytest.mark.parametrize("padding", PADDINGS)
     @pytest.mark.parametrize("geometry", [geom_1d(7), ConvGeometry(GeometryKind.TWO_D, 9)])
     def test_iterates_are_normalized_symmetric_psd(self, geometry, padding, arch):
         for ft in feature_transforms([0, 1, 4, 9], geometry, padding, arch):
-            fro = np.linalg.norm(ft.matrix)
-            assert abs(fro - 1.0) <= 1e-12
-            assert_array_equal(ft.matrix, ft.matrix.T)
-            assert np.linalg.eigvalsh(ft.matrix)[0] >= -1e-10
+            matrix = dense(ft)
+            assert abs(np.linalg.norm(matrix) - 1.0) <= 1e-12
+            assert_array_equal(matrix, matrix.T)
+            assert np.linalg.eigvalsh(matrix)[0] >= -1e-10
 
     def test_depth_list_validation(self):
         geometry = geom_1d(4)
@@ -133,8 +134,8 @@ class TestFeatureTransformValidation:
     def test_scales_a_single_factor(self):
         f = np.array([[2.0, 1.0], [1.0, 3.0]])
         ft = FeatureTransform(f)
-        assert_array_equal(ft.matrix, f / np.linalg.norm(f))
-        assert ft.factor is ft.matrix and ft.power == 1 and ft.p == 2
+        assert_array_equal(dense(ft), f / np.linalg.norm(f))
+        assert ft.power == 1 and ft.p == 2
 
     @pytest.mark.parametrize("shape, power", [((4, 4), 1), ((2, 2), 2)])
     def test_rejects_zero_factor_without_warning(self, shape, power):
@@ -156,7 +157,7 @@ class TestFeatureTransformValidation:
         big = np.eye(2) * 1e100
         ft = FeatureTransform(big, 2)
         assert_is_square_of_unit_factor(ft, big)
-        assert_within_ulps(ft.matrix, np.eye(4) / 2.0, 4)
+        assert_within_ulps(dense(ft), np.eye(4) / 2.0, 4)
 
     # Squared entries below about 1e-162 underflow, so numpy's norm alone
     # would call these zero or scale them off unit norm.
@@ -165,8 +166,8 @@ class TestFeatureTransformValidation:
     def test_scales_tiny_factors_to_unit_norm(self, scale):
         f = np.array([[2.0, 1.0], [1.0, 3.0]])
         ft = FeatureTransform(f * scale)
-        assert_within_ulps(ft.matrix, f / np.linalg.norm(f), 2)
-        assert abs(np.linalg.norm(ft.matrix) - 1.0) <= 4e-16
+        assert_within_ulps(dense(ft), f / np.linalg.norm(f), 2)
+        assert abs(np.linalg.norm(dense(ft)) - 1.0) <= 4e-16
 
     def test_rejects_subnormal_factor(self):
         with pytest.raises(ValueError, match="feature transform is too small"):
@@ -175,12 +176,12 @@ class TestFeatureTransformValidation:
     @pytest.mark.parametrize("scale", [1.0, 1e-100, 1e-139])
     def test_ordinary_norms_are_numpys(self, scale):
         f = np.array([[2.0, 1.0], [1.0, 3.0]]) * scale
-        assert_array_equal(FeatureTransform(f).matrix, f / np.linalg.norm(f))
+        assert_array_equal(dense(FeatureTransform(f)), f / np.linalg.norm(f))
 
-    def test_matrix_is_read_only(self):
+    def test_factor_is_read_only(self):
         ft = feature_transforms([2], geom_1d(4), Padding.ZERO, Architecture.POOLING)[0]
         with pytest.raises(ValueError):
-            ft.matrix[0, 0] = 9.0
+            ft.factor[0, 0] = 9.0
 
 
 def stencil_iterates(depth: int, geometry, padding, arch) -> list[np.ndarray]:
@@ -209,7 +210,7 @@ class TestClosedForm:
         closed = feature_transforms(range(depth + 1), geometry, padding, arch)
         iterates = stencil_iterates(depth, geometry, padding, arch)
         for d, (ft, iterate) in enumerate(zip(closed, iterates)):
-            assert np.max(np.abs(ft.matrix - iterate)) <= 1e-13, d
+            assert np.max(np.abs(dense(ft) - iterate)) <= 1e-13, d
 
     @pytest.mark.parametrize("arch", ARCHS)
     @pytest.mark.parametrize("padding", PADDINGS)
@@ -220,7 +221,7 @@ class TestClosedForm:
                                   padding, arch)
         line = feature_transforms(depths, geom_1d(side), padding, arch)
         for square, factor in zip(grid, line):
-            assert_allclose(square.matrix, np.kron(factor.matrix, factor.matrix),
+            assert_allclose(dense(square), np.kron(dense(factor), dense(factor)),
                             rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("arch", ARCHS)
@@ -231,16 +232,16 @@ class TestClosedForm:
         start = unit_start(geometry, arch)
         if padding is Padding.CIRCULAR and geometry.kind is GeometryKind.TWO_D:
             # The square of a unit s x s factor, not one p x p scaling.
-            assert_within_ulps(ft.matrix, start, 4)
+            assert_within_ulps(dense(ft), start, 4)
         else:
-            assert_array_equal(ft.matrix, start)
+            assert_array_equal(dense(ft), start)
 
     @pytest.mark.parametrize("arch", ARCHS)
     @pytest.mark.parametrize("geometry", [geom_1d(10), ConvGeometry(GeometryKind.TWO_D, 784)])
     def test_depth_beyond_any_iteration_reaches_the_limit(self, geometry, arch):
         # Powers of the unscaled eigenvalues would overflow long before this depth.
         ft, limit = feature_transforms([10**6, math.inf], geometry, Padding.ZERO, arch)
-        assert_allclose(ft.matrix, limit.matrix, rtol=0, atol=1e-12)
+        assert_allclose(dense(ft), dense(limit), rtol=0, atol=1e-12)
 
     def test_deep_transforms_never_call_the_stencil(self, monkeypatch):
         def stencil(*args):
@@ -254,6 +255,32 @@ class TestClosedForm:
                 feature_transforms([0, 1, 2] + deep, geometry, Padding.CIRCULAR, arch)
 
 
+class TestZeroPaddingStructure:
+    # Under zero padding each layer sums shifts whose edges fall off, so a
+    # pooled transform is a sum of outer products of the all-ones vector cut
+    # short at either end by up to D pixels per axis.  Those span the
+    # all-ones vector and D unit vectors at each end, and the rank is
+    # min(2D + 1, s) per axis.  A flattened transform never leaves the diagonal.
+    GEOMETRIES = [geom_1d(7), geom_1d(8), geom_1d(28),
+                  ConvGeometry(GeometryKind.TWO_D, 9), ConvGeometry(GeometryKind.TWO_D, 49)]
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_pooling_rank_grows_by_two_per_layer(self, geometry):
+        side, dim = geometry.axes[0], len(geometry.axes)
+        depths = range(16)
+        for depth, ft in zip(depths, feature_transforms(depths, geometry, Padding.ZERO,
+                                                        Architecture.POOLING)):
+            singular = np.linalg.svd(dense(ft), compute_uv=False)
+            assert np.sum(singular > 1e-10 * singular[0]) == min(2 * depth + 1, side) ** dim
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_flattening_is_diagonal_at_every_depth(self, geometry):
+        for ft in feature_transforms(list(range(16)) + [math.inf], geometry, Padding.ZERO,
+                                     Architecture.FLATTENING):
+            matrix = dense(ft)
+            assert_array_equal(matrix, np.diag(np.diagonal(matrix)))
+
+
 def assert_within_ulps(got: np.ndarray, expected: np.ndarray, ulps: int) -> None:
     assert np.max(np.abs(got - expected)) <= ulps * np.spacing(np.max(np.abs(expected)))
 
@@ -262,7 +289,7 @@ def assert_is_square_of_unit_factor(ft: FeatureTransform, factor: np.ndarray) ->
     unit = factor / np.linalg.norm(factor)
     assert ft.power == 2
     assert_array_equal(ft.factor, unit)
-    assert_array_equal(ft.matrix, np.kron(unit, unit))
+    assert_array_equal(dense(ft), np.kron(unit, unit))
 
 
 class TestFactors:
@@ -274,7 +301,7 @@ class TestFactors:
         geometry = ConvGeometry(GeometryKind.TWO_D, side * side)
         (ft,) = feature_transforms([depth], geometry, Padding.ZERO, arch)
         assert ft.power == 2 and ft.factor.shape == (side, side)
-        eigenvalues, dense = symmetric_spectrum(ft.matrix)
+        eigenvalues, solved = symmetric_spectrum(dense(ft))
         # A tied top eigenvalue (flattening on an even side) has no unique
         # leading eigenvector to compare.  Under a relative gap g the dense
         # solve's vector is itself only determined to about eps / g.
@@ -282,8 +309,8 @@ class TestFactors:
         assume(gap >= 1e-8)
         tol = 1e-12 + 10 * np.finfo(float).eps / gap
         factored = leading_eigenvector(ft)
-        assert_allclose(factored, dense, rtol=0, atol=tol)
-        assert_allclose(participation_ratio(factored), participation_ratio(dense),
+        assert_allclose(factored, solved, rtol=0, atol=tol)
+        assert_allclose(participation_ratio(factored), participation_ratio(solved),
                         rtol=tol, atol=0)
 
     def test_matrix_is_kron_square_of_unit_factor(self):
@@ -310,17 +337,13 @@ class TestFactors:
         for depth, ft in zip(depths, feature_transforms(depths, geometry, padding, arch)):
             assert abs(np.linalg.norm(ft.factor) - 1.0) <= 1e-15, depth
 
-    def test_product_is_formed_once_on_first_read_and_read_only(self, monkeypatch):
+    def test_apply_never_forms_the_product(self, monkeypatch):
         calls = []
         kron = np.kron
         monkeypatch.setattr(np, "kron", lambda a, b: calls.append(1) or kron(a, b))
         ft = FeatureTransform(np.ones((3, 3)), 2)
         ft.apply(np.ones((4, 9)))
-        assert calls == [] and "matrix" not in ft.__dict__
-        first = ft.matrix
-        assert ft.matrix is first and calls == [1]
-        with pytest.raises(ValueError):
-            first[0, 0] = 9.0
+        assert calls == []
 
     # Per-axis transforms are exactly the square of their unit factor, and
     # within a few ulp of the dense construction scaled once.
@@ -333,17 +356,17 @@ class TestFactors:
         for arch in ARCHS:
             (limit,) = feature_transforms([math.inf], geometry, Padding.ZERO, arch)
             assert_is_square_of_unit_factor(limit, line)
-            assert_within_ulps(limit.matrix, diagonal / np.linalg.norm(diagonal), 4)
+            assert_within_ulps(dense(limit), diagonal / np.linalg.norm(diagonal), 4)
             start = np.eye(side) if arch is Architecture.FLATTENING else np.ones((side, side))
             circular = feature_transforms([0, 1, 5, math.inf], geometry, Padding.CIRCULAR, arch)
             for ft in circular:
                 assert_is_square_of_unit_factor(ft, start)
-                assert_within_ulps(ft.matrix, unit_start(geometry, arch), 4)
+                assert_within_ulps(dense(ft), unit_start(geometry, arch), 4)
 
     def test_dense_transform_is_its_own_factor(self):
         for ft in feature_transforms([0, 1, 2], ConvGeometry(GeometryKind.TWO_D, 9),
                                      Padding.ZERO, Architecture.POOLING):
-            assert ft.power == 1 and ft.factor is ft.matrix
+            assert ft.power == 1 and ft.factor.shape == (9, 9)
 
     def test_rejects_indefinite_factor(self):
         flip = np.diag([1.0, -1.0])
@@ -378,7 +401,7 @@ class TestApply:
     def test_matches_matrix(self, geometry, padding, arch, depth, leading, seed):
         (ft,) = feature_transforms([depth], geometry, padding, arch)
         x = np.random.default_rng(seed).standard_normal(tuple(leading) + (geometry.p,))
-        expected = (ft.matrix @ x[..., None])[..., 0]
+        expected = (dense(ft) @ x[..., None])[..., 0]
         got = ft.apply(x)
         assert got.shape == x.shape
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))

@@ -35,7 +35,7 @@ from convkernel.regression import (
     variance_mc,
 )
 from convkernel.rng import trial_rng, trials_per_chunk
-from _oracles import variance_lower_bound
+from _oracles import dense, variance_lower_bound
 from _util import random_psd, random_unit_vector
 
 
@@ -162,9 +162,9 @@ class TestFitRidgeless:
         (ft,) = feature_transforms([6], ConvGeometry(GeometryKind.TWO_D, 49), Padding.ZERO, arch)
         assert ft.power == 2
         x, y = rng.standard_normal((3, 5, 49)), rng.standard_normal((3, 5))
-        dense = fit_ridgeless(FeatureTransform(ft.matrix), x, y)
-        assert_allclose(fit_ridgeless(ft, x, y), dense, rtol=0,
-                        atol=1e-10 * np.max(np.abs(dense)))
+        expected = fit_ridgeless(FeatureTransform(dense(ft)), x, y)
+        assert_allclose(fit_ridgeless(ft, x, y), expected, rtol=0,
+                        atol=1e-10 * np.max(np.abs(expected)))
 
 
 class TestApplyPinv:
@@ -500,7 +500,7 @@ class TestPerTrialOracle:
         extra = {"test_points": test_points} if name == "risk" else {}
         transform = FeatureTransform(transform)
         estimate = estimator(transform, problem, trials=trials, seed=7, **extra)
-        expected, condition = oracle_estimate(name, transform.matrix, problem, trials, 7,
+        expected, condition = oracle_estimate(name, dense(transform), problem, trials, 7,
                                               test_points)
         assert condition <= 1e6
         assert estimate.trials == trials
@@ -655,7 +655,7 @@ class TestMisalignment:
         for depth in (0, 1, 3, 20):
             (ft,) = feature_transforms([depth], ConvGeometry(GeometryKind.TWO_D, 36),
                                        Padding.ZERO, arch)
-            matrix = ft.matrix
+            matrix = dense(ft)
             expected = 1.0 - (unit @ matrix @ unit / np.linalg.norm(matrix)) ** 2
             assert_allclose(misalignment(ft, coef), expected, rtol=0, atol=1e-13)
 
