@@ -125,10 +125,9 @@ def binary_digit_subset(
     return Dataset(x, y)
 
 
-def min_norm_solve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Minimum-Euclidean-norm interpolant of an under-determined system."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+def min_norm_solve(dataset: Dataset) -> np.ndarray:
+    """Minimum-Euclidean-norm interpolant of the under-determined system x b = y."""
+    x, y = dataset.x, dataset.y
     m, p = x.shape
     if m > p:
         raise ValueError(f"need rows <= columns, got {x.shape}")

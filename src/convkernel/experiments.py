@@ -251,7 +251,7 @@ def run_mnist_experiment(cfg: MnistConfig) -> list[MnistDepthRecord]:
     )
     total = len(subset)
     p = subset.x.shape[1]
-    coef = min_norm_solve(subset.x, subset.y)
+    coef = min_norm_solve(subset)
 
     geometry = ConvGeometry(GeometryKind.TWO_D, p)
     subsample_seed = derive_seed(cfg.seed, "subsample")

@@ -29,8 +29,10 @@ DEFAULT_RISK_TEST_POINTS = 256
 class RegressionProblem:
     """Population model: rows x ~ N(0, covariance), y = x.coef + noise.
 
-    covariance_sqrt, the PSD root the estimators draw designs with, is
-    computed once here, after the covariance is checked.
+    covariance and coef are held as read-only copies, so the caller's
+    arrays stay writeable.  covariance_sqrt, the PSD root the estimators
+    draw designs with, is computed once here, after the covariance is
+    checked.
     """
 
     covariance: np.ndarray
@@ -40,8 +42,8 @@ class RegressionProblem:
     covariance_sqrt: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        covariance = np.asarray(self.covariance, dtype=float)
-        coef = np.asarray(self.coef, dtype=float)
+        covariance = np.array(self.covariance, dtype=float)
+        coef = np.array(self.coef, dtype=float)
         p = coef.shape[0] if coef.ndim == 1 else -1
         if coef.ndim != 1:
             raise ValueError(f"coef must be a vector, got shape {coef.shape}")
@@ -152,27 +154,19 @@ def fit_ridgeless(
 
 
 def bias_conditional(
-    transform: FeatureTransform,
-    coef: np.ndarray,
-    covariance: np.ndarray,
-    x_train: np.ndarray,
+    transform: FeatureTransform, problem: RegressionProblem, x_train: np.ndarray
 ) -> float | np.ndarray:
-    """Squared covariance-norm of the part of coef the mean predictor misses.
+    """Squared covariance-norm of the part of the problem's coef the mean
+    predictor misses.
 
     Computes r = (I - T X^T (X T X^T)^+ X) coef and returns r^T covariance r,
     a float for one design x_train (n, p) and an array for a stack (..., n, p).
     """
-    coef = np.asarray(coef, dtype=float)
-    covariance = np.asarray(covariance, dtype=float)
+    coef = problem.coef
     x_train = np.asarray(x_train, dtype=float)
-    p = coef.shape[0]
-    if transform.p != p or covariance.shape != (p, p) or x_train.shape[-1] != p:
-        raise ValueError(
-            f"inconsistent shapes: transform size {transform.p}, covariance "
-            f"{covariance.shape}, x_train {x_train.shape}, coef {coef.shape}"
-        )
     residual = (coef - fit_ridgeless(transform, x_train, x_train @ coef))[..., None, :]
-    value = np.maximum((residual @ covariance @ np.swapaxes(residual, -1, -2))[..., 0, 0], 0.0)
+    value = np.maximum(
+        (residual @ problem.covariance @ np.swapaxes(residual, -1, -2))[..., 0, 0], 0.0)
     return float(value) if value.ndim == 0 else value
 
 
@@ -210,9 +204,7 @@ def bias_mc(
     """Mean conditional bias over training designs drawn from the problem."""
 
     def trial_values(z: np.ndarray) -> np.ndarray:
-        return bias_conditional(
-            transform, problem.coef, problem.covariance, z @ problem.covariance_sqrt
-        )
+        return bias_conditional(transform, problem, z @ problem.covariance_sqrt)
 
     return _monte_carlo(trial_values, ((problem.n_train, problem.p),), trials, seed)
 
@@ -279,8 +271,8 @@ def misalignment(transform: FeatureTransform, coef: np.ndarray) -> float:
     """
     coef = np.asarray(coef, dtype=float)
     coef_norm = float(np.linalg.norm(coef))
-    if coef_norm == 0.0:
-        raise ValueError("coef must be nonzero")
+    if not 0.0 < coef_norm < math.inf:
+        raise ValueError("coef must be nonzero and finite")
     unit = coef / coef_norm
     aligned = float(unit @ transform.apply(unit))
     return float(np.clip(1.0 - aligned**2, 0.0, 1.0))

@@ -212,10 +212,10 @@ class TestAcceptance:
             transform = random_psd(rng, p)
             coef = rng.standard_normal(p)
             x_train = rng.standard_normal((n, p))
-            covariance = random_psd(rng, p)
-            base = bias_conditional(FeatureTransform(transform), coef, covariance, x_train)
+            problem = RegressionProblem(random_psd(rng, p), coef, 0.0, n)
+            base = bias_conditional(FeatureTransform(transform), problem, x_train)
             updated = bias_conditional(
-                FeatureTransform(transform + np.outer(coef, coef)), coef, covariance, x_train
+                FeatureTransform(transform + np.outer(coef, coef)), problem, x_train
             )
             kernel = x_train @ transform @ x_train.T
             u = x_train @ coef

@@ -6,7 +6,11 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -17,6 +21,31 @@ from convkernel.config import GEOMETRY, SCHEMAS, SQUARE, parse_config
 from convkernel.experiments import run_depth_sweep, run_eigvec_gallery, run_mnist_experiment
 
 ROOT = Path(__file__).resolve().parents[1]
+# Loads the benchmark's tracer as test_traced_functions_exist does, wraps
+# every traced function, runs the configs named on the command line and
+# prints the span summary and counters.
+TRACE_SCRIPT = """
+import importlib.util
+import json
+import sys
+
+spec = importlib.util.spec_from_file_location("spans", sys.argv[1])
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+tracer = spans.Tracer()
+from convkernel import config, experiments
+
+tracer.install()
+runners = {"sweep": experiments.run_depth_sweep, "eigvec": experiments.run_eigvec_gallery,
+           "mnist": experiments.run_mnist_experiment}
+for path in sys.argv[2:]:
+    cfg = config.parse_config(path)
+    runners[cfg.experiment](cfg)
+trace = tracer.export()
+print(json.dumps({"traced": [f"{owner}.{name}" for owner, names in spans.TRACED.items()
+                             for name in names],
+                  "summary": spans.summarize(trace), "counters": trace["counters"]}))
+"""
 HEADING = re.compile(r"^#### `(\w+)`$")
 ROW = re.compile(r"^\| `(\w+)` \| (`[^`]*`|required|none) \|")
 CSV_HEADER = re.compile(r"^- `(\w+\.csv)`: `([\w,]+)`", re.MULTILINE)
@@ -116,6 +145,36 @@ def test_traced_functions_exist():
         module = importlib.import_module(f"convkernel.{owner}")
         for function in functions:
             assert callable(getattr(module, function, None)), f"{owner}.{function}"
+
+
+def test_traced_run_records_every_traced_function(tmp_path):
+    """A traced run of tiny sweep, eigvec and mnist configs, as the benchmark's
+    --trace 1 makes, records a span for every traced function.  It runs in a
+    subprocess because the tracer patches module attributes."""
+    images, labels = make_synthetic_idx(tmp_path, count_per_class=3)
+    configs = {
+        "sweep": "p = 8\nn = 4\ndepths = 1,2\nsigma_source = inverse_theta\nsigma_depth = 1\n"
+                 "trials_bias = 2\ntrials_var = 2\ntrials_risk = 2\nrisk_test_points = 2\n",
+        "eigvec": "p = 9\ndepths = 0,1\n",
+        "mnist": f"images = {images}\nlabels = {labels}\ncount_per_class = 3\nn = 4\n"
+                 "trials = 2\ndepths = 0\n",
+    }
+    paths = []
+    for name, body in configs.items():
+        paths.append(tmp_path / f"{name}.cfg")
+        paths[-1].write_text(f"experiment = {name}\n{body}outdir = {tmp_path / name}\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+                             "1"))
+    result = subprocess.run(
+        [sys.executable, "-c", TRACE_SCRIPT, str(ROOT / "perfbench" / "spans.py"), *paths],
+        env=env, capture_output=True, text=True, timeout=60, check=False)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert [name for name in report["traced"] if name not in report["summary"]] == []
+    for counter in ("kernels.transforms_built", "regression.mc_trials",
+                    "kernels.conv_op.adds_computed"):
+        assert report["counters"][counter] > 0, counter
 
 
 def test_every_package_definition_has_a_caller():

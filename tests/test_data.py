@@ -119,11 +119,11 @@ class TestBinaryDigitSubset:
 class TestMinNormSolve:
     def test_identity_system(self):
         y = np.array([1.0, -2.0, 3.0])
-        assert_allclose(min_norm_solve(np.eye(3), y), y, atol=0, rtol=0)
+        assert_allclose(min_norm_solve(Dataset(np.eye(3), y)), y, atol=0, rtol=0)
 
     def test_single_row(self):
         x = np.array([[3.0, 4.0]])
-        coef = min_norm_solve(x, np.array([5.0]))
+        coef = min_norm_solve(Dataset(x, np.array([5.0])))
         assert_allclose(coef, np.array([3.0, 4.0]) / 5.0, atol=1e-12, rtol=0)
 
     def test_min_norm_against_generator(self):
@@ -131,7 +131,7 @@ class TestMinNormSolve:
         x = rng.standard_normal((10, 50))
         generator = rng.standard_normal(50)
         y = x @ generator
-        coef = min_norm_solve(x, y)
+        coef = min_norm_solve(Dataset(x, y))
         assert np.linalg.norm(x @ coef - y) <= 1e-8 * np.linalg.norm(y)
         assert np.linalg.norm(coef) <= np.linalg.norm(generator) + 1e-10
 
@@ -139,7 +139,7 @@ class TestMinNormSolve:
         rng = np.random.default_rng(11)
         x = rng.standard_normal((4, 12))
         y = rng.standard_normal(4)
-        coef = min_norm_solve(x, y)
+        coef = min_norm_solve(Dataset(x, y))
         # Any null-space perturbation only grows the norm.
         _, _, vt = np.linalg.svd(x)
         for null_dir in vt[4:]:
@@ -147,15 +147,15 @@ class TestMinNormSolve:
             assert np.linalg.norm(coef + null_dir) >= np.linalg.norm(coef)
 
     def test_empty_system(self):
-        coef = min_norm_solve(np.zeros((0, 5)), np.zeros(0))
+        coef = min_norm_solve(Dataset(np.zeros((0, 5)), np.zeros(0)))
         assert_array_equal(coef, np.zeros(5))
 
     def test_inconsistent_system_reports_residual(self):
         x = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match="residual"):
-            min_norm_solve(x, np.array([1.0, 1.0]))
+            min_norm_solve(Dataset(x, np.array([1.0, 1.0])))
 
     def test_wide_requirement(self):
         with pytest.raises(ValueError, match="rows <= columns"):
-            min_norm_solve(np.ones((3, 2)), np.ones(3))
+            min_norm_solve(Dataset(np.ones((3, 2)), np.ones(3)))
 

@@ -79,6 +79,15 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="covariance is not PSD"):
             RegressionProblem(np.diag([1e-170, -1e-170, 1e-170]), np.ones(3), 0.1, 1)
 
+    def test_leaves_the_callers_arrays_writeable(self):
+        covariance, coef = np.eye(2), np.ones(2)
+        problem = RegressionProblem(covariance, coef, 0.1, 1)
+        assert covariance.flags.writeable and coef.flags.writeable
+        assert not problem.covariance.flags.writeable and not problem.coef.flags.writeable
+        covariance[0, 0] = coef[0] = 5.0
+        assert_array_equal(problem.covariance, np.eye(2))
+        assert_array_equal(problem.coef, np.ones(2))
+
 
 class TestFitRidgeless:
     # fit_ridgeless returns the coefficients b; the interpolant predicts x @ b.
@@ -222,14 +231,14 @@ class TestStackedFits:
         kept = np.arange(p) < 3
         transform = FeatureTransform(random_psd(rng, p) * np.outer(kept, kept))
         coef, covariance = rng.standard_normal(p), random_psd(rng, p)
+        problem = RegressionProblem(covariance, coef, 0.0, n)
         x = rng.standard_normal((trials, n, p))
         y = rng.standard_normal((trials, n))
         weights = fit_ridgeless(transform, x, y)
         assert_array_equal(weights, np.stack([fit_ridgeless(transform, *t) for t in zip(x, y)]))
-        values = bias_conditional(transform, coef, covariance, x)
+        values = bias_conditional(transform, problem, x)
         assert values.shape == (trials,)
-        assert_array_equal(values, [bias_conditional(transform, coef, covariance, xi)
-                                    for xi in x])
+        assert_array_equal(values, [bias_conditional(transform, problem, xi) for xi in x])
 
     def test_fit_ridgeless_rejects_mismatched_trial_axes(self):
         with pytest.raises(ValueError, match="y_train"):
@@ -243,7 +252,8 @@ class TestBiasConditional:
         coef = rng.standard_normal(p)
         covariance = random_psd(rng, p)
         x = rng.standard_normal((n, p))
-        value = bias_conditional(FeatureTransform(np.outer(coef, coef)), coef, covariance, x)
+        problem = RegressionProblem(covariance, coef, 0.0, n)
+        value = bias_conditional(FeatureTransform(np.outer(coef, coef)), problem, x)
         bound = 1e-10 * (coef @ coef) * np.linalg.norm(covariance, 2)
         assert 0.0 <= value <= bound
 
@@ -253,7 +263,8 @@ class TestBiasConditional:
         q, _ = np.linalg.qr(rng.standard_normal((p, n)))
         x = q.T
         coef = rng.standard_normal(p)
-        value = bias_conditional(FeatureTransform(np.eye(p)), coef, np.eye(p), x)
+        problem = RegressionProblem(np.eye(p), coef, 0.0, n)
+        value = bias_conditional(FeatureTransform(np.eye(p)), problem, x)
         expected = float(np.sum((coef - x.T @ (x @ coef)) ** 2))
         assert_allclose(value, expected, atol=1e-12, rtol=0)
 
@@ -268,26 +279,40 @@ class TestBiasConditional:
             u = x @ coef
             kernel = x @ transform @ x.T
             shrink = u @ np.linalg.solve(kernel, u)
-            base = bias_conditional(FeatureTransform(transform), coef, covariance, x)
+            problem = RegressionProblem(covariance, coef, 0.0, n)
+            base = bias_conditional(FeatureTransform(transform), problem, x)
             updated = bias_conditional(FeatureTransform(transform + np.outer(coef, coef)),
-                                       coef, covariance, x)
+                                       problem, x)
             assert_allclose(updated, base / (1.0 + shrink) ** 2, rtol=1e-8, atol=0)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(8)
         p, n = 9, 4
         for _ in range(30):
-            value = bias_conditional(
-                FeatureTransform(random_psd(rng, p)),
-                rng.standard_normal(p),
-                random_psd(rng, p),
-                rng.standard_normal((n, p)),
-            )
+            transform = FeatureTransform(random_psd(rng, p))
+            coef = rng.standard_normal(p)
+            problem = RegressionProblem(random_psd(rng, p), coef, 0.0, n)
+            value = bias_conditional(transform, problem, rng.standard_normal((n, p)))
             assert value >= 0.0
 
     def test_rejects_shape_mismatch(self):
+        problem = RegressionProblem(np.eye(4), np.ones(4), 0.0, 2)
         with pytest.raises(ValueError, match="shapes"):
-            bias_conditional(FeatureTransform(np.eye(3)), np.ones(4), np.eye(4), np.ones((2, 4)))
+            bias_conditional(FeatureTransform(np.eye(3)), problem, np.ones((2, 4)))
+        # A design as wide as the transform but not as the problem.
+        with pytest.raises(ValueError):
+            bias_conditional(FeatureTransform(np.eye(3)), problem, np.ones((2, 3)))
+
+    @pytest.mark.parametrize("covariance", [
+        -np.eye(4),
+        np.random.default_rng(35).standard_normal((4, 4)),
+        np.full((4, 4), np.nan),
+    ])
+    def test_covariance_is_checked_before_the_bias(self, covariance):
+        # The bias reads its covariance only from a checked problem; given
+        # these directly it returned 0.0, 0.0 and nan.
+        with pytest.raises(ValueError, match="covariance"):
+            RegressionProblem(covariance, np.ones(4), 0.0, 2)
 
 
 class TestBiasMC:
@@ -662,6 +687,9 @@ class TestMisalignment:
     def test_rejects_zero_inputs(self):
         with pytest.raises(ValueError, match="coef"):
             misalignment(FeatureTransform(np.eye(3)), np.zeros(3))
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                misalignment(FeatureTransform(np.eye(3)), np.array([1.0, value, 0.0]))
         # A zero transform fails where it is built.
         with pytest.raises(ValueError, match="zero"):
             FeatureTransform(np.zeros((3, 3)))
