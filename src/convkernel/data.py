@@ -27,7 +27,8 @@ class IdxFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Flattened examples with labels."""
+    """Flattened examples with labels, held read-only: a writeable input is
+    copied, so the caller's arrays stay its own, and a read-only one kept."""
 
     x: np.ndarray
     y: np.ndarray
@@ -35,6 +36,7 @@ class Dataset:
     def __post_init__(self) -> None:
         x = np.asarray(self.x, dtype=float)
         y = np.asarray(self.y, dtype=float)
+        x, y = (a.copy() if a.flags.writeable else a for a in (x, y))
         if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
             raise ValueError(
                 f"need matching row counts, got x {x.shape} and y {y.shape}"
@@ -91,6 +93,8 @@ def load_idx_images(images_path: str | Path, labels_path: str | Path) -> Dataset
         )
     x = np.frombuffer(pixels, dtype=np.uint8).reshape(count, rows * cols) / 255.0
     y = np.frombuffer(labels, dtype=np.uint8).astype(float)
+    x.setflags(write=False)
+    y.setflags(write=False)
     return Dataset(x, y)
 
 
@@ -122,6 +126,8 @@ def binary_digit_subset(
         picks.append((indices[:count_per_class], sign))
     x = np.vstack([dataset.x[idx] for idx, _ in picks])
     y = np.concatenate([np.full(count_per_class, sign) for _, sign in picks])
+    x.setflags(write=False)
+    y.setflags(write=False)
     return Dataset(x, y)
 
 

@@ -161,23 +161,18 @@ class FeatureTransform:
         return (f @ grid @ f.T).reshape(x.shape)
 
 
-def _shift_slices(size: int, shift: int) -> tuple[slice, slice]:
-    # Destination and source ranges so dst[d] = src[d + shift] stays in range.
-    lo = max(0, -shift)
-    hi = size - max(0, shift)
-    return slice(lo, hi), slice(lo + shift, hi + shift)
-
-
 def apply_conv_operator(
     matrix: np.ndarray, geometry: ConvGeometry, padding: Padding
 ) -> np.ndarray:
     """Apply the convolution overlap operator as a direct index-shift stencil.
 
     Entry (i, j) of the result sums the input entries shifted by each
-    filter tap along both axes at once.  Accumulation order over taps is
-    fixed so results are bit-reproducible.  feature_transforms iterates it
-    only up to STENCIL_DEPTH_MAX; iterated with renormalization, it is the
-    reference the closed form is tested against.
+    filter tap along both axes at once: the (axes + axes) grid is padded
+    once, with zeros or by wrapping, and each tap adds one window of it.
+    Accumulation order over taps is fixed so results are bit-reproducible.
+    feature_transforms iterates it only up to STENCIL_DEPTH_MAX; iterated
+    with renormalization, it is the reference the closed form is tested
+    against.
     """
     matrix = np.asarray(matrix, dtype=float)
     p = geometry.p
@@ -187,13 +182,10 @@ def apply_conv_operator(
         raise ValueError(f"unsupported padding: {padding!r}")
     axes = geometry.axes
     grid = matrix.reshape(axes + axes)
+    padded = np.pad(grid, 1, mode="wrap" if padding is Padding.CIRCULAR else "constant")
     out = np.zeros_like(grid)
     for taps in itertools.product((-1, 0, 1), repeat=len(axes)):
-        if padding is Padding.CIRCULAR:
-            out += np.roll(grid, tuple(-k for k in taps) * 2, axis=tuple(range(grid.ndim)))
-        else:
-            dst, src = zip(*(_shift_slices(n, k) for n, k in zip(axes, taps)))
-            out[dst + dst] += grid[src + src]
+        out += padded[tuple(slice(1 + k, 1 + k + n) for n, k in zip(axes * 2, taps * 2))]
     return out.reshape(p, p)
 
 

@@ -27,6 +27,23 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError, match="NaN"):
             Dataset(np.array([[np.nan, 0.0]]), np.zeros(1))
 
+    def test_callers_arrays_stay_writeable_and_unshared(self):
+        x, y = np.ones((2, 3)), np.ones(2)
+        ds = Dataset(x, y)
+        assert x.flags.writeable and y.flags.writeable
+        x[0, 0] = 5.0
+        y[1] = 7.0
+        assert_array_equal(ds.x, np.ones((2, 3)))
+        assert_array_equal(ds.y, np.ones(2))
+        assert not ds.x.flags.writeable and not ds.y.flags.writeable
+
+    def test_read_only_input_is_kept(self):
+        x, y = np.ones((2, 3)), np.ones(2)
+        x.setflags(write=False)
+        y.setflags(write=False)
+        ds = Dataset(x, y)
+        assert ds.x is x and ds.y is y
+
 
 class TestIdxParsing:
     def test_loads_synthetic_pair(self, tmp_path):

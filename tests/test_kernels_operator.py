@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -164,6 +166,24 @@ class TestApplyKnownValues:
         got = apply_conv_operator(np.ones((5, 5)), geom_1d(5), Padding.CIRCULAR)
         assert_array_equal(got, 3.0 * np.ones((5, 5)))
 
+    # On the 3 x 3 grid, entry ((a, b), (c, d)) counts the 3 x 3 shift pairs
+    # that keep all four coordinates in range: a row count times a column
+    # count, each the 1-D count on 3 pixels.  A window misaligned by one
+    # along any of the four axes changes some of them.
+    def test_two_d_identity_zero_padding(self):
+        got = apply_conv_operator(np.eye(9), geom_2d(3), Padding.ZERO)
+        assert_array_equal(got, np.diag([4.0, 6.0, 4.0, 6.0, 9.0, 6.0, 4.0, 6.0, 4.0]))
+
+    def test_two_d_all_ones_zero_padding(self):
+        line = np.array([[2, 2, 1], [2, 3, 2], [1, 2, 2]], dtype=float)
+        got = apply_conv_operator(np.ones((9, 9)), geom_2d(3), Padding.ZERO)
+        assert_array_equal(got, np.kron(line, line))
+
+    @pytest.mark.parametrize("start", [np.eye(9), np.ones((9, 9))], ids=["identity", "all_ones"])
+    def test_two_d_circular_padding(self, start):
+        got = apply_conv_operator(start, geom_2d(3), Padding.CIRCULAR)
+        assert_array_equal(got, 9.0 * start)
+
 
 class TestOperatorProperties:
     @pytest.mark.parametrize("padding", PADDINGS)
@@ -209,6 +229,19 @@ class TestOperatorProperties:
             out = apply_conv_operator(x, geometry, Padding.ZERO)
             mask = np.abs(np.subtract.outer(np.arange(p), np.arange(p))) != offset
             assert np.all(out[mask] == 0.0)
+
+    @pytest.mark.parametrize("padding", PADDINGS)
+    def test_side_28_holds_one_padded_copy(self, padding):
+        # One (30, 30, 30, 30) padded grid (6.48 MB) plus the output
+        # (4.92 MB), not a shifted copy per tap.
+        x = random_symmetric(np.random.default_rng(28), 784)
+        tracemalloc.start()
+        try:
+            apply_conv_operator(x, geom_2d(28), padding)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
