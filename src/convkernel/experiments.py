@@ -1,6 +1,10 @@
 """Experiment runners behind the CLI: depth sweeps, eigenvector gallery,
 two-digit image regression.
 
+A sweep runs its depths in groups whose p x p arrays and per-trial values
+fit DEPTH_GROUP_BUDGET_BYTES; each estimator draws its trials once per group
+and solves every depth of the group on them as if it were alone.
+
 Every runner computes all records first and only then writes its outputs
 atomically, so a failed run leaves no partial files.  Output is fully
 determined by the config (including its seed) and the BLAS thread count:
@@ -51,6 +55,12 @@ from convkernel.regression import (
 from convkernel.rng import derive_seed, trial_rng
 
 RIDGE_EPSILON_RTOL = 1e-10
+# Bytes a sweep holds per group of depths.  Each depth costs its transform
+# (at most p x p), variance_mc's conjugated p x p matrix and one float per
+# trial of the largest estimator's per-trial values.  Larger groups draw the
+# trials fewer times; a p = 20 sweep at 6000 trials holds 54.4 KB per depth,
+# and a depth over the budget forms a group of one.
+DEPTH_GROUP_BUDGET_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -160,6 +170,31 @@ def _resolve_covariance(cfg: SweepConfig, coef: np.ndarray) -> tuple[np.ndarray,
     return (inverse + inverse.T) / 2.0, epsilon
 
 
+def _sweep_group(
+    cfg: SweepConfig,
+    coef: np.ndarray,
+    problem: RegressionProblem,
+    seeds: dict[str, int],
+    depths: tuple[int, ...],
+) -> list[DepthSweepRecord]:
+    """The records of one group of depths, whose transforms are built one
+    call at a time and freed on return."""
+    transforms = [_transform(cfg, coef, depth) for depth in depths]
+    bias = bias_mc(transforms, problem, trials=cfg.trials_bias, seed=seeds["bias"])
+    variance = variance_mc(transforms, problem, trials=cfg.trials_var,
+                           seed=seeds["variance"])
+    risk = excess_risk_mc(transforms, problem, trials=cfg.trials_risk,
+                          seed=seeds["risk"], test_points=cfg.risk_test_points)
+    columns = zip(
+        depths,
+        bias.mean, bias.std_error,
+        variance.mean, variance.std_error,
+        risk.mean, risk.std_error,
+        [misalignment(transform, coef) for transform in transforms],
+    )
+    return [DepthSweepRecord(*column) for column in columns]
+
+
 def run_depth_sweep(cfg: SweepConfig) -> list[DepthSweepRecord]:
     """Bias, variance, risk and misalignment per depth; writes sweep.csv.
 
@@ -167,31 +202,21 @@ def run_depth_sweep(cfg: SweepConfig) -> list[DepthSweepRecord]:
     shared across depths, so per-depth estimates ride on common random
     numbers and depth comparisons are free of independent-sampling noise.
     Input files are read before any transform is built, so a bad one fails
-    before the depth work; one transform is built and held at a time, and
-    every output is checked before any is written.
+    before the depth work.  Depths run in consecutive groups under
+    DEPTH_GROUP_BUDGET_BYTES, one group held at a time, and every output
+    is checked before any is written.
     """
     coef = _resolve_coef(cfg)
     covariance, ridge_epsilon = _resolve_covariance(cfg, coef)
     problem = RegressionProblem(covariance, coef, cfg.noise_var, cfg.n_train)
     seeds = {name: derive_seed(cfg.seed, name) for name in ("bias", "variance", "risk")}
 
+    p = cfg.geometry.p
+    trials = max(cfg.trials_bias, cfg.trials_var, cfg.trials_risk)
+    group = max(1, DEPTH_GROUP_BUDGET_BYTES // (8 * (2 * p * p + trials)))
     records = []
-    for depth in cfg.depths:
-        transform = _transform(cfg, coef, depth)
-        bias = bias_mc(transform, problem, trials=cfg.trials_bias, seed=seeds["bias"])
-        variance = variance_mc(transform, problem, trials=cfg.trials_var,
-                               seed=seeds["variance"])
-        risk = excess_risk_mc(transform, problem, trials=cfg.trials_risk,
-                              seed=seeds["risk"], test_points=cfg.risk_test_points)
-        records.append(
-            DepthSweepRecord(
-                depth,
-                bias.mean, bias.std_error,
-                variance.mean, variance.std_error,
-                risk.mean, risk.std_error,
-                misalignment(transform, coef),
-            )
-        )
+    for first in range(0, len(cfg.depths), group):
+        records += _sweep_group(cfg, coef, problem, seeds, cfg.depths[first:first + group])
 
     meta = _meta_json(cfg, derived_seeds=seeds, ridge_epsilon=ridge_epsilon)
     csv = _csv_text("sweep.csv", records)
@@ -266,20 +291,20 @@ def run_mnist_experiment(cfg: MnistConfig) -> list[MnistDepthRecord]:
     def loss_estimate(transform: FeatureTransform) -> RiskEstimate:
         fitted = fit_ridgeless(transform, x_trials, y_trials)
         errors = subset.x @ fitted.T - subset.y[:, None]
-        return _estimate(np.mean(errors**2, axis=0))
+        return _estimate(np.mean(errors**2, axis=0)[None])
 
     records = []
     for depth in cfg.depths:
         (ft,) = feature_transforms([depth], geometry, cfg.padding, cfg.architecture)
         loss = loss_estimate(ft)
-        records.append(MnistDepthRecord(depth, loss.mean, loss.std_error,
+        records.append(MnistDepthRecord(depth, loss.mean[0], loss.std_error[0],
                                         misalignment(ft, coef)))
 
     baseline = loss_estimate(FeatureTransform(np.eye(geometry.side), 2))
     meta = _meta_json(
         cfg, side=geometry.side,
-        baseline_identity_loss_mean=baseline.mean,
-        baseline_identity_loss_se=baseline.std_error,
+        baseline_identity_loss_mean=baseline.mean[0],
+        baseline_identity_loss_se=baseline.std_error[0],
     )
     csv = _csv_text("mnist.csv", records)
     cfg.outdir.mkdir(parents=True, exist_ok=True)

@@ -4,14 +4,18 @@ The predictor is x^T b with coefficients b = T X^T (X T X^T)^+ y for a
 FeatureTransform T, read only through T.apply.  Monte Carlo estimators
 quantify its bias (error of the mean predictor over training-set draws),
 variance (label-noise contribution), and total excess risk; the three are
-related by risk = bias + variance.
+related by risk = bias + variance.  Each estimator takes a sequence of
+transforms and draws every chunk of trials once for all of them, so the
+transforms ride on common random numbers; each transform's estimate is
+bit for bit the one it gets alone.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,8 +56,10 @@ class RegressionProblem:
                 f"covariance shape {covariance.shape} does not match coef length {p}"
             )
         _check_symmetric_psd(covariance, "covariance")
-        if self.noise_var < 0:
-            raise ValueError(f"noise_var must be >= 0, got {self.noise_var}")
+        if not 0 <= self.noise_var < math.inf:
+            raise ValueError(f"noise_var must be finite and >= 0, got {self.noise_var}")
+        if isinstance(self.n_train, bool) or not isinstance(self.n_train, numbers.Integral):
+            raise ValueError(f"n_train must be an integer, got {self.n_train!r}")
         if not 1 <= self.n_train < p:
             raise ValueError(
                 f"need 1 <= n_train < p for the over-parameterized regime, "
@@ -73,10 +79,16 @@ class RegressionProblem:
 
 @dataclass(frozen=True)
 class RiskEstimate:
-    """Monte Carlo mean with its standard error; deterministic per (seed, trials)."""
+    """Monte Carlo means with their standard errors; deterministic per
+    (seed, trials).
 
-    mean: float
-    std_error: float
+    mean and std_error hold one float per transform, in the order the
+    estimator was given them (one per row of values, see _estimate), and
+    trials is the trial count of each.
+    """
+
+    mean: tuple[float, ...]
+    std_error: tuple[float, ...]
     trials: int
 
 
@@ -171,76 +183,102 @@ def bias_conditional(
 
 
 def _estimate(values: np.ndarray) -> RiskEstimate:
-    trials = len(values)
-    mean = float(np.mean(values))
-    std_error = float(np.std(values, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-    return RiskEstimate(mean, std_error, trials)
+    """Mean and standard error of each row of values (k, trials), one trial
+    per entry.  A C-contiguous row reduces as it would alone, bit for bit."""
+    trials = values.shape[-1]
+    mean = np.mean(values, axis=-1)
+    if trials > 1:
+        std_error = np.std(values, axis=-1, ddof=1) / np.sqrt(trials)
+    else:
+        std_error = np.zeros_like(mean)
+    return RiskEstimate(tuple(mean.tolist()), tuple(std_error.tolist()), trials)
 
 
 def _monte_carlo(
-    trial_values: Callable[..., np.ndarray],
+    chunk_values: Callable[..., Iterator[np.ndarray]],
     shapes: tuple[tuple[int, ...], ...],
+    count: int,
     trials: int,
     seed: int,
 ) -> RiskEstimate:
-    """Mean and standard error of the trial values over trials, where trial t
-    draws standard normal arrays of the given shapes, in order, from
-    trial_rng(seed, t).  Trials run in chunks: trial_values takes one stack
-    per shape, trials on axis 0, and returns one value per trial."""
+    """Mean and standard error of each of count transforms' trial values
+    over trials, where trial t draws standard normal arrays of the
+    given shapes, in order, from trial_rng(seed, t).  Trials run in chunks,
+    each drawn once: chunk_values takes one stack per shape, trials on axis
+    0, and yields each transform's values in turn, one per trial."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    values = np.empty(trials)
+    # One contiguous row per transform, so each reduces as it would alone.
+    values = np.empty((count, trials))
     for start, draws in trial_chunks(seed, trials, shapes):
-        values[start:start + draws[0].shape[0]] = trial_values(*draws)
+        stop = start + draws[0].shape[0]
+        for row, chunk in zip(values, chunk_values(*draws), strict=True):
+            row[start:stop] = chunk
     return _estimate(values)
 
 
 def bias_mc(
-    transform: FeatureTransform,
+    transforms: Sequence[FeatureTransform],
     problem: RegressionProblem,
     trials: int = DEFAULT_BIAS_TRIALS,
     seed: int = 0,
 ) -> RiskEstimate:
-    """Mean conditional bias over training designs drawn from the problem."""
+    """Mean conditional bias of each transform over training designs drawn
+    from the problem, the same designs for every transform."""
 
-    def trial_values(z: np.ndarray) -> np.ndarray:
-        return bias_conditional(transform, problem, z @ problem.covariance_sqrt)
+    def chunk_values(z: np.ndarray) -> Iterator[np.ndarray]:
+        x_train = z @ problem.covariance_sqrt
+        for transform in transforms:
+            yield bias_conditional(transform, problem, x_train)
 
-    return _monte_carlo(trial_values, ((problem.n_train, problem.p),), trials, seed)
+    shapes = ((problem.n_train, problem.p),)
+    return _monte_carlo(chunk_values, shapes, len(transforms), trials, seed)
 
 
 def variance_mc(
-    transform: FeatureTransform,
+    transforms: Sequence[FeatureTransform],
     problem: RegressionProblem,
     trials: int = DEFAULT_VARIANCE_TRIALS,
     seed: int = 0,
 ) -> RiskEstimate:
-    """Label-noise contribution to the excess risk, averaged over designs.
+    """Label-noise contribution to the excess risk of each transform,
+    averaged over designs, the same designs for every transform.
 
     Per trial draws a standard normal design Z and evaluates
     noise_var * trace((Z S Z^T)^+^2  Z S^2 Z^T) = noise_var * ||(Z S Z^T)^+ Z S||_F^2
-    with S the covariance-conjugated transform sqrt(cov) T sqrt(cov).
+    with S the covariance-conjugated transform sqrt(cov) T sqrt(cov); one
+    p x p S per transform is held while the estimator runs.
     """
     sqrt_cov = problem.covariance_sqrt
-    conjugated = transform.apply(sqrt_cov) @ sqrt_cov
-    conjugated = (conjugated + conjugated.T) / 2.0
+    conjugated = []
+    for transform in transforms:
+        matrix = transform.apply(sqrt_cov) @ sqrt_cov
+        conjugated.append((matrix + matrix.T) / 2.0)
 
-    def trial_values(z: np.ndarray) -> np.ndarray:
-        zs = z @ conjugated
-        solution, _ = _apply_pinv(zs @ np.swapaxes(z, -1, -2), zs)
+    def noise_energy(zs: np.ndarray, z_t: np.ndarray) -> np.ndarray:
+        solution, _ = _apply_pinv(zs @ z_t, zs)
         return problem.noise_var * np.sum(solution**2, axis=(-2, -1))
 
-    return _monte_carlo(trial_values, ((problem.n_train, problem.p),), trials, seed)
+    def chunk_values(z: np.ndarray) -> Iterator[np.ndarray]:
+        # A transform's temporaries live in one call, so none is held while
+        # the next transform is solved.
+        z_t = np.swapaxes(z, -1, -2)
+        for matrix in conjugated:
+            yield noise_energy(z @ matrix, z_t)
+
+    shapes = ((problem.n_train, problem.p),)
+    return _monte_carlo(chunk_values, shapes, len(transforms), trials, seed)
 
 
 def excess_risk_mc(
-    transform: FeatureTransform,
+    transforms: Sequence[FeatureTransform],
     problem: RegressionProblem,
     trials: int = DEFAULT_RISK_TRIALS,
     seed: int = 0,
     test_points: int = DEFAULT_RISK_TEST_POINTS,
 ) -> RiskEstimate:
-    """Direct Monte Carlo of squared prediction error on fresh test draws.
+    """Direct Monte Carlo of squared prediction error on fresh test draws,
+    for each transform on the same draws.
 
     Per trial: draw a training set with noisy labels, fit, then average
     (x.coef - prediction)^2 over test_points fresh covariate draws.
@@ -250,16 +288,20 @@ def excess_risk_mc(
     sqrt_cov = problem.covariance_sqrt
     noise_scale = np.sqrt(problem.noise_var)
 
-    def trial_values(z: np.ndarray, noise: np.ndarray, z_test: np.ndarray) -> np.ndarray:
+    def chunk_values(
+        z: np.ndarray, noise: np.ndarray, z_test: np.ndarray
+    ) -> Iterator[np.ndarray]:
         x_train = z @ sqrt_cov
         y_train = x_train @ problem.coef + noise_scale * noise
-        fitted = fit_ridgeless(transform, x_train, y_train)
         x_test = z_test @ sqrt_cov
-        errors = x_test @ problem.coef - _matvec(x_test, fitted)
-        return np.mean(errors**2, axis=-1)
+        y_test = x_test @ problem.coef
+        for transform in transforms:
+            fitted = fit_ridgeless(transform, x_train, y_train)
+            errors = y_test - _matvec(x_test, fitted)
+            yield np.mean(errors**2, axis=-1)
 
     shapes = ((problem.n_train, problem.p), (problem.n_train,), (test_points, problem.p))
-    return _monte_carlo(trial_values, shapes, trials, seed)
+    return _monte_carlo(chunk_values, shapes, len(transforms), trials, seed)
 
 
 def misalignment(transform: FeatureTransform, coef: np.ndarray) -> float:

@@ -31,3 +31,4 @@ def unit_start(geometry, arch: Architecture) -> np.ndarray:
     """The depth-0 matrix, identity or all-ones, scaled to unit Frobenius norm."""
     start = np.eye(geometry.p) if arch is Architecture.FLATTENING else np.ones((geometry.p,) * 2)
     return start / np.linalg.norm(start)
+

@@ -186,21 +186,21 @@ class TestAcceptance:
         covariance = random_psd(rng, p)
         problem = RegressionProblem(covariance, random_unit_vector(rng, p), noise, n)
         bound = variance_lower_bound(noise, n, p)
-        matched = variance_mc(FeatureTransform(np.linalg.inv(covariance)), problem,
+        matched = variance_mc([FeatureTransform(np.linalg.inv(covariance))], problem,
                               trials=2000, seed=402)
-        attained = abs(matched.mean - bound) <= 3.0 * matched.std_error
+        attained = abs(matched.mean[0] - bound) <= 3.0 * matched.std_error[0]
 
         exceeded = []
         for k in range(5):
             perturbed = np.linalg.inv(covariance) + 0.5 * random_psd(rng, p)
-            estimate = variance_mc(FeatureTransform(perturbed), problem, trials=2000,
-                                   seed=403 + k)
-            exceeded.append(estimate.mean - bound > 3.0 * estimate.std_error)
+            estimate = variance_mc([FeatureTransform(perturbed)], problem,
+                                   trials=2000, seed=403 + k)
+            exceeded.append(estimate.mean[0] - bound > 3.0 * estimate.std_error[0])
         elapsed = time.perf_counter() - start
         verdict(
             4, "noise variance attains its floor only at the inverse covariance",
             attained and all(exceeded) and elapsed < 120.0,
-            f"|gap|={abs(matched.mean - bound):.2e} vs 3se={3 * matched.std_error:.2e},"
+            f"|gap|={abs(matched.mean[0] - bound):.2e} vs 3se={3 * matched.std_error[0]:.2e},"
             f" {sum(exceeded)}/5 perturbed exceed, {elapsed:.1f}s",
         )
 
@@ -294,12 +294,12 @@ class TestAcceptance:
                 covariance, random_unit_vector(rng, p), float(rng.uniform(0.0, 0.3)), n
             )
             transform = FeatureTransform(random_psd(rng, p))
-            bias = bias_mc(transform, problem, trials=400, seed=810 + k)
-            variance = variance_mc(transform, problem, trials=400, seed=830 + k)
-            risk = excess_risk_mc(transform, problem, trials=400, seed=850 + k,
+            bias = bias_mc([transform], problem, trials=400, seed=810 + k)
+            variance = variance_mc([transform], problem, trials=400, seed=830 + k)
+            risk = excess_risk_mc([transform], problem, trials=400, seed=850 + k,
                                   test_points=256)
-            gap = abs(risk.mean - (bias.mean + variance.mean))
-            margin = 3.0 * (bias.std_error + variance.std_error + risk.std_error)
+            gap = abs(risk.mean[0] - (bias.mean[0] + variance.mean[0]))
+            margin = 3.0 * (bias.std_error[0] + variance.std_error[0] + risk.std_error[0])
             worst_ratio = max(worst_ratio, gap / margin if margin > 0 else 0.0)
             failures += gap > margin
         verdict(

@@ -150,6 +150,72 @@ class TestDepthSweep:
         run_depth_sweep(cfg)
         assert built == [[4], [1], [4], [9]]
 
+    def test_draws_each_trial_once_per_depth_group(self, tmp_path, monkeypatch):
+        drawn = []
+        original = convkernel.regression.trial_chunks
+
+        def counting(seed, trials, shapes):
+            for start, stacks in original(seed, trials, shapes):
+                drawn.append(stacks[0].shape[0])
+                yield start, stacks
+
+        monkeypatch.setattr(convkernel.regression, "trial_chunks", counting)
+        outputs = []
+        # The default budget holds all three p = 10 depths in one group; a
+        # budget of one byte makes each depth a group of one.
+        for budget, groups in ((convkernel.experiments.DEPTH_GROUP_BUDGET_BYTES, 1), (1, 3)):
+            monkeypatch.setattr(convkernel.experiments, "DEPTH_GROUP_BUDGET_BYTES", budget)
+            drawn.clear()
+            outdir = tmp_path / f"groups{groups}"
+            cfg = sweep_config(
+                tmp_path,
+                "sigma_source = inverse_theta\nsigma_depth = 4\np = 10\nn = 5\n"
+                "depths = 1,4,9\ntrials_bias = 25\ntrials_var = 30\ntrials_risk = 35\n"
+                f"risk_test_points = 32\noutdir = {outdir}\n",
+            )
+            run_depth_sweep(cfg)
+            assert sum(drawn) == groups * (25 + 30 + 35)
+            outputs.append([(outdir / name).read_bytes()
+                            for name in ("sweep.csv", "sweep_meta.json")])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("p, depths, trials, budget", [
+        # At p = 400 a depth holds two 1.28 MB arrays, so twelve depths
+        # (30.7 MB) exceed the 16 MB budget and run in two groups.
+        pytest.param(400, 12, 2, None, id="large p"),
+        # At p = 6 a depth's 2000 per-trial values (16 KB) outweigh its two
+        # p x p arrays (576 B), so forty depths (663 KB) exceed a 64 KB
+        # budget and run in groups of three.
+        pytest.param(6, 40, 2000, 64 * 1024, id="many trials"),
+    ])
+    def test_depth_groups_hold_at_most_the_budget(self, tmp_path, monkeypatch, p, depths,
+                                                  trials, budget):
+        # A group adds at most the budget to one depth's working set.
+        # Circular padding keeps the transforms cheap to build.
+        if budget is not None:
+            monkeypatch.setattr(convkernel.experiments, "DEPTH_GROUP_BUDGET_BYTES", budget)
+        budget = convkernel.experiments.DEPTH_GROUP_BUDGET_BYTES
+
+        def peak_bytes(depth_list, name):
+            cfg = sweep_config(
+                tmp_path,
+                "padding = circular\narchitecture = flattening\n"
+                f"p = {p}\nn = 3\ndepths = {depth_list}\ntrials_bias = 2\n"
+                f"trials_var = {trials}\ntrials_risk = 2\nrisk_test_points = 8\n"
+                f"outdir = {tmp_path / name}\n",
+                name=f"{name}.cfg",
+            )
+            tracemalloc.start()
+            try:
+                run_depth_sweep(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert depths * 8 * (2 * p * p + trials) > budget
+        one = peak_bytes("5", "one")
+        assert peak_bytes(",".join(map(str, range(1, depths + 1))), "all") <= budget + one
+
     def test_meta_records_ridge_for_inverse_sigma(self, tmp_path):
         cfg = sweep_config(
             tmp_path,

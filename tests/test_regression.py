@@ -57,6 +57,21 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="noise_var"):
             RegressionProblem(np.eye(3), np.ones(3), -0.1, 2)
 
+    @pytest.mark.parametrize("noise_var", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_noise(self, noise_var):
+        # A NaN noise_var made variance_mc return nan with a RuntimeWarning.
+        with pytest.raises(ValueError, match="noise_var must be finite"):
+            RegressionProblem(np.eye(3), np.ones(3), noise_var, 2)
+
+    @pytest.mark.parametrize("n_train", [2.5, 2.0, True, "2"])
+    def test_rejects_non_integer_n_train(self, n_train):
+        # 2.5 passed the range check and failed as a TypeError in the draws.
+        with pytest.raises(ValueError, match="n_train must be an integer"):
+            RegressionProblem(np.eye(3), np.ones(3), 0.0, n_train)
+
+    def test_accepts_numpy_integer_n_train(self):
+        assert RegressionProblem(np.eye(3), np.ones(3), 0.0, np.int64(2)).n_train == 2
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="covariance shape"):
             RegressionProblem(np.eye(4), np.ones(3), 0.0, 2)
@@ -318,16 +333,16 @@ class TestBiasConditional:
 class TestBiasMC:
     def test_zero_at_coef_outer_product(self):
         problem = identity_problem()
-        estimate = bias_mc(FeatureTransform(np.outer(problem.coef, problem.coef)), problem,
-                           trials=50, seed=9)
-        assert estimate.mean <= 1e-12
+        estimate = bias_mc([FeatureTransform(np.outer(problem.coef, problem.coef))],
+                           problem, trials=50, seed=9)
+        assert estimate.mean[0] <= 1e-12
 
     def test_identity_transform_projects_onto_random_subspace(self):
         # With identity transform and covariance, the mean predictor projects
         # onto the row space, leaving (p - n)/p of the coef energy on average.
         problem = identity_problem(p=20, n=10, noise_var=0.0)
-        estimate = bias_mc(FeatureTransform(np.eye(20)), problem, trials=500, seed=10)
-        assert abs(estimate.mean - 0.5) <= 3.0 * estimate.std_error
+        estimate = bias_mc([FeatureTransform(np.eye(20))], problem, trials=500, seed=10)
+        assert abs(estimate.mean[0] - 0.5) <= 3.0 * estimate.std_error[0]
 
     @pytest.mark.parametrize("blend", [0.25, 0.5, 1.0])
     def test_blending_toward_coef_never_hurts(self, blend):
@@ -336,23 +351,23 @@ class TestBiasMC:
         problem = RegressionProblem(random_psd(rng, p), random_unit_vector(rng, p), 0.0, 5)
         transform = random_psd(rng, p)
         blended = (1.0 - blend) * transform + blend * np.outer(problem.coef, problem.coef)
-        base = bias_mc(FeatureTransform(transform), problem, trials=80, seed=12)
-        better = bias_mc(FeatureTransform(blended), problem, trials=80, seed=12)
-        assert better.mean <= base.mean + 1e-12
+        base = bias_mc([FeatureTransform(transform)], problem, trials=80, seed=12)
+        better = bias_mc([FeatureTransform(blended)], problem, trials=80, seed=12)
+        assert better.mean[0] <= base.mean[0] + 1e-12
 
     def test_deterministic_per_seed(self):
         problem = identity_problem()
         identity = FeatureTransform(np.eye(20))
-        a = bias_mc(identity, problem, trials=40, seed=13)
-        b = bias_mc(identity, problem, trials=40, seed=13)
-        c = bias_mc(identity, problem, trials=40, seed=14)
+        a = bias_mc([identity], problem, trials=40, seed=13)
+        b = bias_mc([identity], problem, trials=40, seed=13)
+        c = bias_mc([identity], problem, trials=40, seed=14)
         assert a == b
         assert a.mean != c.mean
 
     def test_single_trial_has_zero_std_error(self):
         problem = identity_problem()
-        estimate = bias_mc(FeatureTransform(np.eye(20)), problem, trials=1, seed=15)
-        assert estimate.std_error == 0.0
+        estimate = bias_mc([FeatureTransform(np.eye(20))], problem, trials=1, seed=15)
+        assert estimate.std_error == (0.0,)
 
 
 class TestVarianceMC:
@@ -361,37 +376,37 @@ class TestVarianceMC:
         p, n = 20, 10
         covariance = random_psd(rng, p)
         problem = RegressionProblem(covariance, random_unit_vector(rng, p), 0.01, n)
-        estimate = variance_mc(FeatureTransform(np.linalg.inv(covariance)), problem,
+        estimate = variance_mc([FeatureTransform(np.linalg.inv(covariance))], problem,
                                trials=600, seed=17)
         bound = variance_lower_bound(0.01, n, p)
-        assert abs(estimate.mean - bound) <= 3.0 * estimate.std_error
+        assert abs(estimate.mean[0] - bound) <= 3.0 * estimate.std_error[0]
 
     def test_zero_noise_gives_zero(self):
         problem = identity_problem(noise_var=0.0)
-        estimate = variance_mc(FeatureTransform(np.eye(20)), problem, trials=20, seed=18)
-        assert estimate.mean == 0.0
-        assert estimate.std_error == 0.0
+        estimate = variance_mc([FeatureTransform(np.eye(20))], problem, trials=20, seed=18)
+        assert estimate.mean == (0.0,)
+        assert estimate.std_error == (0.0,)
 
     def test_spiked_transform_exceeds_bound(self):
         problem = identity_problem(noise_var=0.01)
         spiked = np.diag(np.r_[np.ones(19), 100.0])
-        estimate = variance_mc(FeatureTransform(spiked), problem, trials=600, seed=19)
+        estimate = variance_mc([FeatureTransform(spiked)], problem, trials=600, seed=19)
         bound = variance_lower_bound(0.01, 10, 20)
-        assert estimate.mean > bound + 3.0 * estimate.std_error
+        assert estimate.mean[0] > bound + 3.0 * estimate.std_error[0]
 
     def test_scale_invariance_on_matched_seeds(self):
         problem = identity_problem()
         rng = np.random.default_rng(20)
         transform = random_psd(rng, 20)
-        a = variance_mc(FeatureTransform(transform), problem, trials=50, seed=21)
-        b = variance_mc(FeatureTransform(1e3 * transform), problem, trials=50, seed=21)
+        a = variance_mc([FeatureTransform(transform)], problem, trials=50, seed=21)
+        b = variance_mc([FeatureTransform(1e3 * transform)], problem, trials=50, seed=21)
         assert_allclose(b.mean, a.mean, rtol=1e-10, atol=0)
 
     def test_deterministic_per_seed(self):
         problem = identity_problem()
         identity = FeatureTransform(np.eye(20))
-        a = variance_mc(identity, problem, trials=30, seed=22)
-        b = variance_mc(identity, problem, trials=30, seed=22)
+        a = variance_mc([identity], problem, trials=30, seed=22)
+        b = variance_mc([identity], problem, trials=30, seed=22)
         assert a == b
 
 
@@ -438,8 +453,9 @@ class TestVarianceTraceOracle:
                                     float(rng.uniform(0.01, 2.0)), n)
         values, condition = trace_formula_variance(transform, problem, trials, seed)
         assume(condition <= 1e6)
-        estimate = variance_mc(FeatureTransform(transform), problem, trials=trials, seed=seed)
-        expected = _estimate(values)
+        estimate = variance_mc([FeatureTransform(transform)], problem, trials=trials,
+                               seed=seed)
+        expected = _estimate(values[None])
         assert_allclose(estimate.mean, expected.mean, rtol=1e-9, atol=0)
         assert_allclose(estimate.std_error, expected.std_error, rtol=1e-9, atol=0)
 
@@ -501,12 +517,13 @@ def oracle_estimate(name, transform, problem, trials, seed, test_points):
         else:
             values[trial], cond = oracle_risk_trial(transform, problem, rng, test_points)
         condition = max(condition, cond)
-    return _estimate(values), condition
+    return _estimate(values[None]), condition
 
 
 class TestPerTrialOracle:
-    # The estimators run trials in chunks of stacked draws; the per-trial
-    # loop is the reference.  Chunk counts are taken from the draw shapes.
+    # The estimators run trials in chunks of stacked draws, each chunk drawn
+    # once for all transforms; the per-trial loop over one transform is the
+    # reference.  Chunk counts are taken from the draw shapes.
     P, N = 12, 5
 
     def problem(self, noise_var=0.3):
@@ -520,17 +537,32 @@ class TestPerTrialOracle:
         transform = (basis[:, :rank] * rng.uniform(0.5, 2.0, rank)) @ basis[:, :rank].T
         return (transform + transform.T) / 2.0
 
-    def run(self, name, transform, problem, trials, test_points=DEFAULT_RISK_TEST_POINTS):
+    def run(self, name, ranks, problem, trials, test_points=DEFAULT_RISK_TEST_POINTS):
         estimator = {"bias": bias_mc, "variance": variance_mc, "risk": excess_risk_mc}[name]
         extra = {"test_points": test_points} if name == "risk" else {}
-        transform = FeatureTransform(transform)
-        estimate = estimator(transform, problem, trials=trials, seed=7, **extra)
-        expected, condition = oracle_estimate(name, dense(transform), problem, trials, 7,
-                                              test_points)
-        assert condition <= 1e6
+
+        def call(transforms):
+            return estimator(transforms, problem, trials=trials, seed=7, **extra)
+
+        transforms = [FeatureTransform(self.transform(rank)) for rank in ranks]
+        estimate = call(transforms)
         assert estimate.trials == trials
-        assert_allclose(estimate.mean, expected.mean, rtol=1e-12, atol=0)
-        assert_allclose(estimate.std_error, expected.std_error, rtol=1e-12, atol=0)
+        for k, transform in enumerate(transforms):
+            expected, condition = oracle_estimate(name, dense(transform), problem, trials, 7,
+                                                  test_points)
+            assert condition <= 1e6
+            assert_allclose(estimate.mean[k], expected.mean[0], rtol=1e-12, atol=0)
+            assert_allclose(estimate.std_error[k], expected.std_error[0], rtol=1e-12, atol=0)
+        if len(transforms) > 1:
+            # Each transform's estimate is bit for bit its estimate alone,
+            # whatever other transforms share the call, in whatever order.
+            for k, transform in enumerate(transforms):
+                single = call([transform])
+                assert single.mean == estimate.mean[k:k + 1]
+                assert single.std_error == estimate.std_error[k:k + 1]
+            backwards = call(transforms[::-1])
+            assert backwards.mean == estimate.mean[::-1]
+            assert backwards.std_error == estimate.std_error[::-1]
         return estimate
 
     def chunk(self, name, test_points=DEFAULT_RISK_TEST_POINTS):
@@ -540,26 +572,42 @@ class TestPerTrialOracle:
         return trials_per_chunk(shapes)
 
     @pytest.mark.parametrize("name", ["bias", "variance", "risk"])
-    @pytest.mark.parametrize("rank", [3, 8, 12])  # 3 < n: every Gram drops rank
+    # 3 < n: every Gram drops rank; 12 = p is full rank.  The last entry
+    # evaluates all three ranks on the same draws in one call.
+    @pytest.mark.parametrize("ranks", [pytest.param((3,), id="3"), pytest.param((8,), id="8"),
+                                       pytest.param((12,), id="12"),
+                                       pytest.param((3, 12, 8), id="3+12+8")])
     @pytest.mark.parametrize("chunks", ["one trial", "one chunk", "three chunks plus one"])
-    def test_matches_per_trial_loop(self, name, rank, chunks):
+    def test_matches_per_trial_loop(self, name, ranks, chunks):
         chunk = self.chunk(name)
         assert chunk > 1
         trials = {"one trial": 1, "one chunk": chunk, "three chunks plus one": 3 * chunk + 1}
-        self.run(name, self.transform(rank), self.problem(), trials[chunks])
+        self.run(name, ranks, self.problem(), trials[chunks])
 
     @pytest.mark.parametrize("name", ["variance", "risk"])
     def test_zero_noise(self, name):
-        estimate = self.run(name, self.transform(8), self.problem(noise_var=0.0),
+        estimate = self.run(name, (8,), self.problem(noise_var=0.0),
                             3 * self.chunk(name) + 1)
         if name == "variance":
-            assert estimate.mean == 0.0
-            assert estimate.std_error == 0.0
+            assert estimate.mean == (0.0,)
+            assert estimate.std_error == (0.0,)
+
+    def test_estimates_compare_and_hash_by_value(self):
+        problem = self.problem()
+        transforms = [FeatureTransform(self.transform(rank)) for rank in (3, 12)]
+        a = bias_mc(transforms, problem, trials=5, seed=7)
+        b = bias_mc(transforms, problem, trials=5, seed=7)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != bias_mc(transforms, problem, trials=5, seed=8)
+        assert all(type(value) is float for value in a.mean + a.std_error)
+        with pytest.raises(TypeError):
+            a.mean[0] = 0.0
 
     def test_one_trial_per_chunk_with_many_test_points(self):
         test_points = 700
         assert self.chunk("risk", test_points) == 1
-        self.run("risk", self.transform(12), self.problem(), 4, test_points)
+        self.run("risk", (12,), self.problem(), 4, test_points)
 
 
 class TestMonteCarloMemory:
@@ -577,7 +625,7 @@ class TestMonteCarloMemory:
     def test_variance_sweep_size(self):
         problem = identity_problem(p=20, n=10)
         identity = FeatureTransform(np.eye(20))
-        assert self.peak_mb(lambda: variance_mc(identity, problem, trials=6000)) < 2.0
+        assert self.peak_mb(lambda: variance_mc([identity], problem, trials=6000)) < 2.0
 
     def test_entry_check_holds_one_temporary(self):
         # Beyond the matrix itself: one p-by-p temporary (the asymmetry
@@ -592,7 +640,7 @@ class TestMonteCarloMemory:
         # draws take 1.7 MB.
         problem = RegressionProblem(np.eye(784), np.ones(784), 0.01, 10)
         transform = FeatureTransform(np.eye(784))
-        peak = self.peak_mb(lambda: excess_risk_mc(transform, problem, trials=20))
+        peak = self.peak_mb(lambda: excess_risk_mc([transform], problem, trials=20))
         assert peak < 6.0
 
 
@@ -600,7 +648,7 @@ class TestMonteCarloMemory:
 @pytest.mark.parametrize("trials", [0, -3])
 def test_estimators_reject_bad_trials(estimator, trials):
     with pytest.raises(ValueError, match="trials must be >= 1"):
-        estimator(FeatureTransform(np.eye(20)), identity_problem(), trials=trials, seed=0)
+        estimator([FeatureTransform(np.eye(20))], identity_problem(), trials=trials, seed=0)
 
 
 class TestVarianceLowerBound:
@@ -622,14 +670,15 @@ class TestExcessRiskMC:
     def test_noiseless_aligned_transform_has_zero_risk(self):
         problem = identity_problem(noise_var=0.0)
         transform = FeatureTransform(np.outer(problem.coef, problem.coef))
-        estimate = excess_risk_mc(transform, problem, trials=20, seed=23, test_points=50)
-        assert estimate.mean <= 1e-20
+        estimate = excess_risk_mc([transform], problem, trials=20, seed=23, test_points=50)
+        assert estimate.mean[0] <= 1e-20
 
     def test_identity_reference_value(self):
         problem = identity_problem(noise_var=0.01)
-        estimate = excess_risk_mc(FeatureTransform(np.eye(20)), problem, trials=400, seed=24)
+        estimate = excess_risk_mc([FeatureTransform(np.eye(20))], problem, trials=400,
+                                  seed=24)
         expected = 0.5 + variance_lower_bound(0.01, 10, 20)
-        assert abs(estimate.mean - expected) <= 4.0 * estimate.std_error
+        assert abs(estimate.mean[0] - expected) <= 4.0 * estimate.std_error[0]
 
     def test_decomposes_into_bias_plus_variance(self):
         rng = np.random.default_rng(25)
@@ -640,11 +689,11 @@ class TestExcessRiskMC:
             )
             transform = FeatureTransform(random_psd(rng, p))
             seed = 100 + trial
-            bias = bias_mc(transform, problem, trials=400, seed=seed)
-            variance = variance_mc(transform, problem, trials=400, seed=seed + 1)
-            risk = excess_risk_mc(transform, problem, trials=400, seed=seed + 2)
-            gap = abs(risk.mean - bias.mean - variance.mean)
-            assert gap <= 3.0 * (bias.std_error + variance.std_error + risk.std_error)
+            bias = bias_mc([transform], problem, trials=400, seed=seed)
+            variance = variance_mc([transform], problem, trials=400, seed=seed + 1)
+            risk = excess_risk_mc([transform], problem, trials=400, seed=seed + 2)
+            gap = abs(risk.mean[0] - bias.mean[0] - variance.mean[0])
+            assert gap <= 3.0 * (bias.std_error[0] + variance.std_error[0] + risk.std_error[0])
 
 
 class TestMisalignment:
