@@ -45,8 +45,8 @@ from convkernel.kernels import (
 from convkernel.regression import (
     RegressionProblem,
     RiskEstimate,
-    _estimate,
     bias_mc,
+    estimate,
     excess_risk_mc,
     fit_ridgeless,
     misalignment,
@@ -291,7 +291,7 @@ def run_mnist_experiment(cfg: MnistConfig) -> list[MnistDepthRecord]:
     def loss_estimate(transform: FeatureTransform) -> RiskEstimate:
         fitted = fit_ridgeless(transform, x_trials, y_trials)
         errors = subset.x @ fitted.T - subset.y[:, None]
-        return _estimate(np.mean(errors**2, axis=0)[None])
+        return estimate(np.mean(errors**2, axis=0)[None])
 
     records = []
     for depth in cfg.depths:

@@ -4,7 +4,10 @@ The predictor is x^T b with coefficients b = T X^T (X T X^T)^+ y for a
 FeatureTransform T, read only through T.apply.  Monte Carlo estimators
 quantify its bias (error of the mean predictor over training-set draws),
 variance (label-noise contribution), and total excess risk; the three are
-related by risk = bias + variance.  Each estimator takes a sequence of
+related by risk = bias + variance.  Every Gram X T X^T is solved by one
+PSD pseudo-inverse kernel, _apply_pinv: through its Cholesky factor where
+that factor certifies full rank under the PINV_RTOL cutoff, and through its
+eigendecomposition otherwise.  Each estimator takes a sequence of
 transforms and draws every chunk of trials once for all of them, so the
 transforms ride on common random numbers; each transform's estimate is
 bit for bit the one it gets alone.
@@ -12,6 +15,7 @@ bit for bit the one it gets alone.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -83,8 +87,9 @@ class RiskEstimate:
     (seed, trials).
 
     mean and std_error hold one float per transform, in the order the
-    estimator was given them (one per row of values, see _estimate), and
-    trials is the trial count of each.
+    estimator was given them, and trials is the trial count of each;
+    estimate reduces a (transforms, trials) array of per-trial values to
+    one.
     """
 
     mean: tuple[float, ...]
@@ -97,31 +102,60 @@ def _apply_pinv(kernel: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
     stack (..., n, n), for a vector rhs (..., n) or a matrix rhs (..., n, k);
     eigenvalues up to n * max * PINV_RTOL are dropped.
 
+    A kernel K with Cholesky factor L is certified when
+    2 * n * PINV_RTOL * trace(K) * ||L^-1||_F^2 < 1: its least eigenvalue,
+    at least 1 / ||L^-1||_F^2, is then above the cutoff n * max * PINV_RTOL
+    (max <= trace(K)) with a factor 2 to spare for rounding, so it keeps
+    full rank and is solved as L^-T (L^-1 rhs).  Every other kernel is
+    solved through its eigendecomposition, dropping what the cutoff drops.
+    Each kernel's path and bits depend on that kernel alone, not on the
+    kernels stacked with it.
+
     Returns (solution, kept): for one kernel the rank kept, for a stack the
-    number of kernels kept at full rank.  Either way kept is below
-    kernel.shape[0] exactly when some rank was dropped.
+    number of kernels kept at full rank (certified kernels count as full
+    rank).  Either way kept is below kernel.shape[0] exactly when some rank
+    was dropped.
     """
     n = kernel.shape[-1]
     single = kernel.ndim == 2
     kernel = (kernel + np.swapaxes(kernel, -1, -2)) / 2.0
-    eigenvalues, eigenvectors = np.linalg.eigh(
-        kernel.reshape((math.prod(kernel.shape[:-2]), n, n)))
+    kernels = kernel.reshape((math.prod(kernel.shape[:-2]), n, n))
+    vector = rhs.ndim == kernel.ndim - 1
+    columns = rhs.reshape((len(kernels), n, 1 if vector else rhs.shape[-1]))
+    try:
+        inverses = np.linalg.inv(np.linalg.cholesky(kernels))
+    except np.linalg.LinAlgError:
+        # Factor each kernel alone, so one that fails (a zero kernel, say)
+        # sends none of its stackmates to the eigendecomposition; a failed
+        # kernel's NaN inverse fails the certificate.
+        inverses = np.full_like(kernels, np.nan)
+        for inverse, matrix in zip(inverses, kernels):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                inverse[...] = np.linalg.inv(np.linalg.cholesky(matrix))
+    # The product form holds for n = 0 too; an inverse overflowing to inf
+    # fails the certificate.
+    with np.errstate(over="ignore"):
+        certified = (2 * n * PINV_RTOL * np.trace(kernels, axis1=-2, axis2=-1)
+                     * np.sum(np.square(inverses), axis=(-2, -1)) < 1.0)
+    rest = ~certified
+    solution = np.empty(columns.shape)
+    # Boolean indexing copies each operand contiguous, so the products run
+    # one gemv or gemm per kernel with the same operands whatever the stack.
+    factor_inverses = inverses[certified]
+    solution[certified] = (np.swapaxes(factor_inverses, -1, -2)
+                           @ (factor_inverses @ columns[certified]))
+    eigenvalues, eigenvectors = np.linalg.eigh(kernels[rest])
     cutoff = n * np.max(eigenvalues, axis=-1, initial=0.0) * PINV_RTOL
     keep = eigenvalues > cutoff[:, None]
     ranks = np.sum(keep, axis=-1)
-    vector = rhs.ndim == kernel.ndim - 1
-    columns = rhs.reshape((ranks.size, n, 1 if vector else rhs.shape[-1]))
     # A dropped eigenvalue divides as inf, so its terms are exact zeros.
-    # Each transposed basis is made contiguous, so the products run one gemv
-    # or gemm per kernel with the same operands whatever the stack: a
-    # kernel's solution does not depend on the kernels stacked with it.
     basis_t = np.ascontiguousarray(np.swapaxes(eigenvectors, -1, -2))
     divisors = np.where(keep, eigenvalues, np.inf)[..., None]
-    solution = np.swapaxes(basis_t, -1, -2) @ ((basis_t @ columns) / divisors)
+    solution[rest] = np.swapaxes(basis_t, -1, -2) @ ((basis_t @ columns[rest]) / divisors)
     solution = solution.reshape(rhs.shape)
     if single:
-        return solution, int(ranks[0])
-    return solution, int(np.sum(ranks == n))
+        return solution, n if certified[0] else int(ranks[0])
+    return solution, int(np.sum(certified) + np.sum(ranks == n))
 
 
 def _matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
@@ -182,7 +216,7 @@ def bias_conditional(
     return float(value) if value.ndim == 0 else value
 
 
-def _estimate(values: np.ndarray) -> RiskEstimate:
+def estimate(values: np.ndarray) -> RiskEstimate:
     """Mean and standard error of each row of values (k, trials), one trial
     per entry.  A C-contiguous row reduces as it would alone, bit for bit."""
     trials = values.shape[-1]
@@ -214,7 +248,7 @@ def _monte_carlo(
         stop = start + draws[0].shape[0]
         for row, chunk in zip(values, chunk_values(*draws), strict=True):
             row[start:stop] = chunk
-    return _estimate(values)
+    return estimate(values)
 
 
 def bias_mc(

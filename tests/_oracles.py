@@ -3,8 +3,10 @@
 The shift-basis form of the convolution operator is the oracle the stencil
 and the closed form are held to, dense forms a transform's p x p matrix
 as the Kronecker power of its factor, variance_lower_bound is the analytic
-variance floor the estimators are checked against, and save_matrix_csv
-writes the covariance and coefficient files the file-reading paths load.
+variance floor the estimators are checked against, eigh_pinv_solve is
+the eigendecomposition pseudo-inverse solve the fast Cholesky path is held
+to, and save_matrix_csv writes the covariance and coefficient files the
+file-reading paths load.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 
 from convkernel.fileio import format_float, write_text_atomic
 from convkernel.kernels import ConvGeometry, FeatureTransform, Padding
+from convkernel.regression import PINV_RTOL
 
 
 def _shift_matrix_1d(p: int, shift: int, padding: Padding) -> np.ndarray:
@@ -66,3 +69,21 @@ def save_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     lines = [",".join(format_float(v) for v in row) for row in matrix]
     write_text_atomic(path, "\n".join(lines) + "\n")
+
+
+def eigh_pinv_solve(kernel: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
+    """Pseudo-inverse solve of one symmetric PSD kernel (n, n) for a vector
+    or matrix rhs through its eigendecomposition, dropping eigenvalues up to
+    n * max * PINV_RTOL; returns (solution, rank).  Each step is the one
+    regression._apply_pinv takes for a kernel it does not certify, on a
+    stack of one, so such a kernel's solution matches this bit for bit."""
+    n = kernel.shape[-1]
+    kernel = ((kernel + kernel.T) / 2.0)[None]
+    columns = rhs.reshape((1, n, -1))
+    eigenvalues, eigenvectors = np.linalg.eigh(kernel)
+    cutoff = n * np.max(eigenvalues, axis=-1, initial=0.0) * PINV_RTOL
+    keep = eigenvalues > cutoff[:, None]
+    basis_t = np.ascontiguousarray(np.swapaxes(eigenvectors, -1, -2))
+    divisors = np.where(keep, eigenvalues, np.inf)[..., None]
+    solution = np.swapaxes(basis_t, -1, -2) @ ((basis_t @ columns) / divisors)
+    return solution.reshape(rhs.shape), int(np.sum(keep))

@@ -199,24 +199,36 @@ def test_every_package_definition_has_a_caller():
     assert unused == []
 
 
-def kron_owners(node: ast.AST, owner: str):
-    """The innermost function enclosing each name or attribute kron under node,
-    or owner where none does."""
+def name_owners(node: ast.AST, name: str, owner: str):
+    """The innermost function enclosing each name or attribute called name
+    under node, or owner where none does."""
     if isinstance(node, ast.FunctionDef):
         owner = node.name
-    if "kron" in (getattr(node, "id", None), getattr(node, "attr", None)):
+    if name in (getattr(node, "id", None), getattr(node, "attr", None)):
         yield owner
     for child in ast.iter_child_nodes(node):
-        yield from kron_owners(child, owner)
+        yield from name_owners(child, name, owner)
+
+
+def package_owners(name: str) -> set[str]:
+    """module.function for each package function that uses name."""
+    return {f"{path.stem}.{owner}"
+            for path in sorted((ROOT / "src" / "convkernel").glob("*.py"))
+            for owner in name_owners(ast.parse(path.read_text(encoding="utf-8")), name,
+                                     "<module>")}
 
 
 def test_only_a_vector_takes_a_kronecker_power():
     """No package code forms the p x p Kronecker power of a factor: kron
     appears only in leading_eigenvector, which takes the power of a vector."""
-    owners = {f"{path.stem}.{owner}"
-              for path in sorted((ROOT / "src" / "convkernel").glob("*.py"))
-              for owner in kron_owners(ast.parse(path.read_text(encoding="utf-8")), "<module>")}
-    assert owners == {"kernels.leading_eigenvector"}
+    assert package_owners("kron") == {"kernels.leading_eigenvector"}
+
+
+def test_one_kernel_solves_a_gram():
+    """The certified Cholesky solve lives only in the one PSD pseudo-inverse
+    kernel: cholesky appears only in regression._apply_pinv, so no second
+    fast path solves a Gram outside its certificate."""
+    assert package_owners("cholesky") == {"regression._apply_pinv"}
 
 
 def test_readme_library_example_runs(capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,9 +26,9 @@ from convkernel.regression import (
     PINV_RTOL,
     RegressionProblem,
     _apply_pinv,
-    _estimate,
     bias_conditional,
     bias_mc,
+    estimate,
     excess_risk_mc,
     fit_ridgeless,
     misalignment,
@@ -35,7 +36,7 @@ from convkernel.regression import (
     variance_mc,
 )
 from convkernel.rng import trial_rng, trials_per_chunk
-from _oracles import dense, variance_lower_bound
+from _oracles import dense, eigh_pinv_solve, variance_lower_bound
 from _util import random_psd, random_unit_vector
 
 
@@ -191,6 +192,36 @@ class TestFitRidgeless:
                         atol=1e-10 * np.max(np.abs(expected)))
 
 
+KERNEL_KINDS = ("certified", "ill-conditioned", "rank-deficient", "zero")
+
+
+def random_kernel(rng: np.random.Generator, kind: str, n: int) -> np.ndarray:
+    """An n x n PSD kernel at a random scale: well conditioned, with
+    eigenvalues spread down to where the certificate and the eigh cutoff
+    fall, a Gram of fewer than n columns, or zero."""
+    scale = 10.0 ** rng.uniform(-3, 3)
+    if kind == "certified":
+        return scale * random_psd(rng, n)
+    if kind == "ill-conditioned":
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        spread = rng.uniform(8, 16)
+        eigenvalues = 10.0 ** -np.append(spread, rng.uniform(0, spread, n - 1))
+        return scale * (q * eigenvalues) @ q.T
+    if kind == "rank-deficient":
+        x = rng.standard_normal((n, int(rng.integers(0, n))))
+        return scale * x @ x.T
+    return np.zeros((n, n))
+
+
+def spied_pinv(kernel: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """_apply_pinv's (solution, kept), and the stack of kernels it sent to
+    the eigendecomposition."""
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+        solution, kept = _apply_pinv(kernel, rhs)
+    (sent,), _ = eigh.call_args
+    return solution, kept, sent
+
+
 class TestApplyPinv:
     def test_matrix_rhs_matches_column_by_column(self):
         # gemm and gemv may round the last bit differently, so columns agree
@@ -236,6 +267,59 @@ class TestApplyPinv:
         assert _apply_pinv(stack, np.ones((2, 3)))[1] == 2
         stack[1, 2, 2] = 0.0
         assert _apply_pinv(stack, np.ones((2, 3)))[1] == 1
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 8),
+           kinds=st.lists(st.sampled_from(KERNEL_KINDS), min_size=1, max_size=6),
+           columns=st.sampled_from(((), (1,), (3,))),
+           seed=st.integers(0, 2**32 - 1))
+    def test_each_kernel_matches_the_eigh_oracle_and_itself_alone(self, n, kinds, columns,
+                                                                   seed):
+        rng = np.random.default_rng(seed)
+        kernels = np.stack([random_kernel(rng, kind, n) for kind in kinds])
+        rhs = rng.standard_normal((len(kinds), n) + columns)
+        solution, full = _apply_pinv(kernels, rhs)
+        alone = [spied_pinv(k, r) for k, r in zip(kernels, rhs)]
+        assert_array_equal(solution, np.stack([a for a, _, _ in alone]))
+        assert full == sum(rank == n for _, rank, _ in alone)
+        oracle_ranks = []
+        for kernel, column, (single, rank, sent) in zip(kernels, rhs, alone):
+            expected, oracle_rank = eigh_pinv_solve(kernel, column)
+            oracle_ranks.append(oracle_rank)
+            assert rank == oracle_rank
+            if len(sent):
+                assert_array_equal(single, expected)
+            else:
+                # Both solves are backward stable, so they differ by about
+                # the condition number times the unit roundoff.
+                eigenvalues = np.linalg.eigvalsh(kernel)
+                scale = 16 * n * np.finfo(float).eps * eigenvalues[-1] / eigenvalues[0]
+                assert np.linalg.norm(single - expected) <= scale * np.linalg.norm(expected)
+        # perfbench counts a rank drop where kept < kernel.shape[0].
+        assert (full < len(kinds)) == (min(oracle_ranks) < n)
+
+    @pytest.mark.parametrize("factor, certified", [(1.1, True), (0.9, False)])
+    def test_kernels_either_side_of_the_certificate(self, factor, certified):
+        # For diag(1, eps) the certificate 2 n PINV_RTOL tr(K) ||L^-1||_F^2 < 1
+        # reads 4 PINV_RTOL (2 + eps + 1/eps) < 1, which holds for eps above
+        # about 4 PINV_RTOL.  Both sides keep full rank: eigh's cutoff is
+        # 2 PINV_RTOL.
+        eps = factor * 4 * PINV_RTOL
+        rhs = np.array([1.0, 2.0])
+        solution, rank, sent = spied_pinv(np.diag([1.0, eps]), rhs)
+        assert len(sent) == (not certified)
+        assert rank == 2
+        assert_allclose(solution, [1.0, 2.0 / eps], rtol=1e-13)
+
+    def test_only_the_uncertified_kernels_of_a_stack_take_eigh(self):
+        # A zero kernel fails the batched factorization; its stackmates are
+        # still factored one by one and stay off the eigendecomposition.
+        kernels = np.stack([np.diag([1.0, 4.4 * PINV_RTOL]), np.zeros((2, 2)),
+                            np.diag([1.0, 3.6 * PINV_RTOL]), np.eye(2)])
+        solution, full, sent = spied_pinv(kernels, np.ones((4, 2)))
+        assert_array_equal(sent, kernels[[1, 2]])
+        assert full == 3
+        assert_array_equal(solution[1], 0.0)
 
 
 class TestStackedFits:
@@ -453,11 +537,11 @@ class TestVarianceTraceOracle:
                                     float(rng.uniform(0.01, 2.0)), n)
         values, condition = trace_formula_variance(transform, problem, trials, seed)
         assume(condition <= 1e6)
-        estimate = variance_mc([FeatureTransform(transform)], problem, trials=trials,
-                               seed=seed)
-        expected = _estimate(values[None])
-        assert_allclose(estimate.mean, expected.mean, rtol=1e-9, atol=0)
-        assert_allclose(estimate.std_error, expected.std_error, rtol=1e-9, atol=0)
+        result = variance_mc([FeatureTransform(transform)], problem, trials=trials,
+                             seed=seed)
+        expected = estimate(values[None])
+        assert_allclose(result.mean, expected.mean, rtol=1e-9, atol=0)
+        assert_allclose(result.std_error, expected.std_error, rtol=1e-9, atol=0)
 
 
 def oracle_pinv(kernel, rhs):
@@ -517,7 +601,7 @@ def oracle_estimate(name, transform, problem, trials, seed, test_points):
         else:
             values[trial], cond = oracle_risk_trial(transform, problem, rng, test_points)
         condition = max(condition, cond)
-    return _estimate(values[None]), condition
+    return estimate(values[None]), condition
 
 
 class TestPerTrialOracle:
