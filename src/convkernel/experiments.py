@@ -246,8 +246,9 @@ def run_eigvec_gallery(cfg: EigvecConfig) -> list[GalleryRecord]:
     records = []
     images: list[np.ndarray] = []
     for depth in cfg.depths:
-        (ft,) = feature_transforms([depth], cfg.geometry, cfg.padding, cfg.architecture)
-        leading = leading_eigenvector(ft)
+        # No name holds the transform, so the next depth is built without it.
+        leading = leading_eigenvector(
+            feature_transforms([depth], cfg.geometry, cfg.padding, cfg.architecture)[0])
         records.append(GalleryRecord(depth, participation_ratio(leading)))
         images.append(grayscale(leading.reshape(cfg.geometry.axes)))
     csv = _csv_text("gallery.csv", records)
@@ -299,6 +300,7 @@ def run_mnist_experiment(cfg: MnistConfig) -> list[MnistDepthRecord]:
         loss = loss_estimate(ft)
         records.append(MnistDepthRecord(depth, loss.mean[0], loss.std_error[0],
                                         misalignment(ft, coef)))
+        del ft  # so the next depth is built and checked without it
 
     baseline = loss_estimate(FeatureTransform(np.eye(geometry.side), 2))
     meta = _meta_json(

@@ -11,6 +11,7 @@ provides the closed-form spectra and infinite-depth limits.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import sys
@@ -109,10 +110,60 @@ def _check_finite_symmetric(matrix: np.ndarray, what: str) -> float:
     return fro
 
 
+def cholesky_or_nan(stack: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of each matrix of a stack (k, n, n), read from
+    its lower triangle; all NaN for a matrix that does not factor.
+
+    The stack is factored in one call; when that raises, each matrix of a
+    larger stack is factored alone, so one failure spoils none of its
+    stackmates and each factor's bits depend on its own matrix only.  A
+    one-matrix stack is not factored again: it would fail again.
+    """
+    try:
+        return np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        factors = np.full_like(stack, np.nan)
+        for factor, matrix in zip(factors, stack if len(stack) > 1 else ()):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                factor[...] = np.linalg.cholesky(matrix)
+        return factors
+
+
 def _check_symmetric_psd(matrix: np.ndarray, what: str) -> float:
-    """_check_finite_symmetric, then PSD to PSD_RTOL of the norm; returns the norm."""
+    """_check_finite_symmetric, then PSD to PSD_RTOL of the norm: raise unless
+    the smallest eigenvalue of matrix (of its lower triangle, as eigvalsh
+    reads it) is at least -PSD_RTOL * fro; returns the norm fro.
+
+    A Cholesky factorization certifies most matrices without an eigen-solve.
+    With unit roundoff u and g = (n + 1) u / (1 - (n + 1) u), B = fl(matrix
+    / fro + s I), s = PSD_RTOL / 2, is factored.  If that succeeds, B + E is
+    PSD with ||E||_2 <= g tr(B) / (1 - g) (Higham, Accuracy and Stability of
+    Numerical Algorithms, Thm 10.3), and rounding the scale and the shift
+    moves B by less than 4u in norm.  So the smallest eigenvalue of
+    matrix / fro is at least -(s + 2 g tr(B) / (1 - g) + 4u), where the
+    factor 2 covers the rounding of the computed trace, and the matrix is
+    certified when
+
+        2 g tr(B) / (1 - g) + 4u <= PSD_RTOL / 2.
+
+    Otherwise eigvalsh decides, and it alone builds the error message: the
+    factorization fails, or the bound is too loose (tr(B) <= sqrt(n) + n s,
+    so every PSD matrix up to n of about 3700 can be certified).
+    """
     fro = _check_finite_symmetric(matrix, what)
-    smallest = float(np.linalg.eigvalsh(matrix)[0]) if fro > 0.0 else 0.0
+    if fro == 0.0:
+        return fro
+    n = matrix.shape[0]
+    shifted = matrix / fro
+    shifted.flat[::n + 1] += PSD_RTOL / 2
+    unit = np.finfo(float).eps / 2
+    gamma = (n + 1) * unit / (1 - (n + 1) * unit)
+    # A matrix that does not factor comes back all NaN.
+    if (2 * gamma * float(np.trace(shifted)) / (1 - gamma) + 4 * unit <= PSD_RTOL / 2
+            and not np.isnan(cholesky_or_nan(shifted[None])[0, 0, 0])):
+        return fro
+    del shifted  # eigvalsh makes its own copy
+    smallest = float(np.linalg.eigvalsh(matrix)[0])
     if smallest < -PSD_RTOL * fro:
         raise ValueError(f"{what} is not PSD (smallest eigenvalue {smallest:.3e})")
     return fro

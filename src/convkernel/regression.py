@@ -15,7 +15,6 @@ bit for bit the one it gets alone.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -23,7 +22,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from convkernel.kernels import FeatureTransform, _check_symmetric_psd
+from convkernel.kernels import FeatureTransform, _check_symmetric_psd, cholesky_or_nan
 from convkernel.rng import trial_chunks
 
 PINV_RTOL = 1e-12
@@ -122,16 +121,9 @@ def _apply_pinv(kernel: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
     kernels = kernel.reshape((math.prod(kernel.shape[:-2]), n, n))
     vector = rhs.ndim == kernel.ndim - 1
     columns = rhs.reshape((len(kernels), n, 1 if vector else rhs.shape[-1]))
-    try:
-        inverses = np.linalg.inv(np.linalg.cholesky(kernels))
-    except np.linalg.LinAlgError:
-        # Factor each kernel alone, so one that fails (a zero kernel, say)
-        # sends none of its stackmates to the eigendecomposition; a failed
-        # kernel's NaN inverse fails the certificate.
-        inverses = np.full_like(kernels, np.nan)
-        for inverse, matrix in zip(inverses, kernels):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                inverse[...] = np.linalg.inv(np.linalg.cholesky(matrix))
+    # A kernel that does not factor (a zero kernel, say) has a NaN factor,
+    # whose NaN inverse fails the certificate.
+    inverses = np.linalg.inv(cholesky_or_nan(kernels))
     # The product form holds for n = 0 too; an inverse overflowing to inf
     # fails the certificate.
     with np.errstate(over="ignore"):

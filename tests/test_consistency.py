@@ -225,10 +225,13 @@ def test_only_a_vector_takes_a_kronecker_power():
 
 
 def test_one_kernel_solves_a_gram():
-    """The certified Cholesky solve lives only in the one PSD pseudo-inverse
-    kernel: cholesky appears only in regression._apply_pinv, so no second
-    fast path solves a Gram outside its certificate."""
-    assert package_owners("cholesky") == {"regression._apply_pinv"}
+    """Cholesky factors come from one helper, kernels.cholesky_or_nan, and
+    only the two certificates call it: the one PSD pseudo-inverse kernel
+    and the PSD check.  So no second fast path factors a matrix outside a
+    certificate."""
+    assert package_owners("cholesky") == {"kernels.cholesky_or_nan"}
+    assert package_owners("cholesky_or_nan") == {"regression._apply_pinv",
+                                                 "kernels._check_symmetric_psd"}
 
 
 def test_readme_library_example_runs(capsys):

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -379,6 +380,23 @@ class TestParticipationRatio:
             participation_ratio(np.zeros(4))
 
 
+def release_checking(monkeypatch) -> list[weakref.ref]:
+    """Patch experiments.feature_transforms to assert, on each call, that
+    every transform it built before is already dead; returns their weak
+    references."""
+    refs = []
+    original = convkernel.experiments.feature_transforms
+
+    def checking(*args):
+        assert all(ref() is None for ref in refs)
+        built = original(*args)
+        refs.extend(weakref.ref(ft) for ft in built)
+        return built
+
+    monkeypatch.setattr(convkernel.experiments, "feature_transforms", checking)
+    return refs
+
+
 def eigvec_config(tmp_path, body=""):
     path = tmp_path / "eig.cfg"
     path.write_text("experiment = eigvec\n" + body)
@@ -476,6 +494,12 @@ class TestEigvecGallery:
         run_eigvec_gallery(cfg)
         expected = [(25, 25)] * 3 + [(5, 5)] * 2
         assert shapes == {"_check_symmetric_psd": expected, "symmetric_spectrum": expected}
+
+    def test_releases_each_transform_before_the_next(self, tmp_path, monkeypatch):
+        refs = release_checking(monkeypatch)
+        cfg = eigvec_config(tmp_path, f"p = 25\ndepths = 0,1,2,3\noutdir = {tmp_path / 'out'}\n")
+        run_eigvec_gallery(cfg)
+        assert len(refs) == 4
 
     def test_rerun_is_byte_identical(self, tmp_path):
         blobs = []
@@ -608,6 +632,17 @@ class TestMnistExperiment:
         )
         run_mnist_experiment(cfg)
         assert lengths == [1, 1, 1]
+
+    def test_releases_each_transform_before_the_next(self, tmp_path, idx_paths, monkeypatch):
+        refs = release_checking(monkeypatch)
+        cfg = self.mnist_cfg(
+            tmp_path,
+            idx_paths,
+            "count_per_class = 20\nn = 6\ntrials = 2\ndepths = 0,2,4\n"
+            f"outdir = {tmp_path / 'out'}\n",
+        )
+        run_mnist_experiment(cfg)
+        assert len(refs) == 3
 
     def test_draws_each_subsample_once(self, tmp_path, idx_paths, monkeypatch):
         seeds = []

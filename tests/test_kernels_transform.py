@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from convkernel import (
     symmetric_spectrum,
 )
 from convkernel.experiments import participation_ratio
+from convkernel.kernels import PSD_RTOL, _check_symmetric_psd
 
 ARCHS = (Architecture.FLATTENING, Architecture.POOLING)
 PADDINGS = (Padding.ZERO, Padding.CIRCULAR)
@@ -182,6 +184,82 @@ class TestFeatureTransformValidation:
         ft = feature_transforms([2], geom_1d(4), Padding.ZERO, Architecture.POOLING)[0]
         with pytest.raises(ValueError):
             ft.factor[0, 0] = 9.0
+
+
+def spy_eigvalsh():
+    return mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh)
+
+
+class TestPsdCertificate:
+    """The shifted Cholesky certificate of _check_symmetric_psd decides as
+    eigvalsh would, and spares the eigen-solve whenever it certifies."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 60),
+        rank_share=st.floats(0.0, 1.0),
+        least=st.sampled_from([None, -2.0, -0.1]),
+        scale=st.sampled_from([1e-150, 1.0, 1e150]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_decides_as_eigvalsh(self, n, rank_share, least, scale, seed):
+        # A random PSD matrix of random rank; or, for least = c, a symmetric
+        # one whose smallest eigenvalue is c * PSD_RTOL * ||A||_F.
+        rng = np.random.default_rng(seed)
+        basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        eigenvalues = rng.uniform(0.0, 1.0, n) * (np.arange(n) < round(rank_share * n))
+        if least is not None:
+            assume(eigenvalues[:-1].any())
+            eigenvalues[-1] = least * PSD_RTOL * np.linalg.norm(eigenvalues[:-1])
+        matrix = (basis * eigenvalues) @ basis.T
+        matrix = scale * (matrix + matrix.T) / 2.0
+        fro = np.linalg.norm(matrix)
+        smallest = np.linalg.eigvalsh(matrix)[0]
+        with spy_eigvalsh() as eigvalsh:
+            if least == -2.0:
+                assert smallest < -PSD_RTOL * fro
+                with pytest.raises(ValueError, match=r"m is not PSD \(smallest eigenvalue "):
+                    _check_symmetric_psd(matrix, "m")
+            else:
+                assert smallest >= -PSD_RTOL * fro
+                assert _check_symmetric_psd(matrix, "m") == pytest.approx(fro, rel=1e-15)
+                assert eigvalsh.call_count == 0
+
+    def test_uncertified_matrix_is_factored_once(self):
+        # Smallest eigenvalue -0.7 * PSD_RTOL * ||A||_F: inside the tolerance,
+        # but below the shift, so the factorization fails and eigvalsh passes it.
+        matrix = np.eye(784)
+        matrix[-1, -1] = -0.7 * PSD_RTOL * math.sqrt(784)
+        with spy_eigvalsh() as eigvalsh, mock.patch.object(
+                np.linalg, "cholesky", wraps=np.linalg.cholesky) as cholesky:
+            assert _check_symmetric_psd(matrix, "m") == np.linalg.norm(matrix)
+        assert (cholesky.call_count, eigvalsh.call_count) == (1, 1)
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_dense_image_depths_take_no_eigen_solve(self, arch):
+        geometry = ConvGeometry(GeometryKind.TWO_D, 784)
+        with spy_eigvalsh() as eigvalsh:
+            transforms = feature_transforms([0, 1, 2], geometry, Padding.ZERO, arch)
+        assert [ft.factor.shape for ft in transforms] == [(784, 784)] * 3
+        assert eigvalsh.call_count == 0
+
+    def test_indefinite_matrix_names_its_smallest_eigenvalue(self):
+        with spy_eigvalsh() as eigvalsh:
+            with pytest.raises(ValueError,
+                               match=r"^m is not PSD \(smallest eigenvalue -1\.000e\+00\)$"):
+                _check_symmetric_psd(np.array([[1.0, 2.0], [2.0, 1.0]]), "m")
+        assert eigvalsh.call_count == 1
+
+    @pytest.mark.parametrize("matrix, fro", [
+        (1e-170 * np.eye(2), 1e-170 * math.sqrt(2.0)),
+        (1e150 * np.array([[2.0, 1.0], [1.0, 2.0]]), 1e150 * math.sqrt(10.0)),
+    ])
+    def test_extreme_scales_are_certified(self, matrix, fro):
+        with spy_eigvalsh() as eigvalsh:
+            assert _check_symmetric_psd(matrix, "m") == pytest.approx(fro, rel=1e-15)
+            with pytest.raises(ValueError, match=r"m is not PSD \(smallest eigenvalue -"):
+                _check_symmetric_psd(matrix * np.array([[1.0, -1.0], [-1.0, -1.0]]), "m")
+        assert eigvalsh.call_count == 1
 
 
 def stencil_iterates(depth: int, geometry, padding, arch) -> list[np.ndarray]:

@@ -711,12 +711,13 @@ class TestMonteCarloMemory:
         identity = FeatureTransform(np.eye(20))
         assert self.peak_mb(lambda: variance_mc([identity], problem, trials=6000)) < 2.0
 
-    def test_entry_check_holds_one_temporary(self):
-        # Beyond the matrix itself: one p-by-p temporary (the asymmetry
-        # test, freed before eigvalsh) or eigvalsh's own copy, not both.
+    def test_entry_check_holds_two_temporaries(self):
+        # Beyond the matrix itself, the certified check holds the scaled,
+        # shifted copy and its Cholesky factor (LAPACK's working copy is not
+        # traced), the price of skipping eigvalsh; a third p-by-p copy fails.
         transform = np.eye(784)
         peak = self.peak_mb(lambda: _check_symmetric_psd(transform, "transform"))
-        assert peak <= 1.2 * transform.nbytes / 2**20
+        assert peak <= 2.2 * transform.nbytes / 2**20
 
     def test_risk_on_image_size(self):
         # The 784 x 784 transform (4.7 MB) is built and checked once, before
