@@ -1,7 +1,8 @@
 """Deterministic file output: 17-significant-digit CSV and binary PGM.
 
 All writes are atomic (temp file in the target directory, then rename) so
-partial results never appear under the final name.
+partial results never appear under the final name.  An output gets the
+mode open() would give a new file, 0o666 less the umask, not mkstemp's 0o600.
 """
 
 from __future__ import annotations
@@ -21,7 +22,10 @@ def format_float(value: float) -> str:
 def _write_atomic(path: str | Path, data: bytes) -> None:
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
+    umask = os.umask(0)  # the only way to read it is to set it
+    os.umask(umask)
     try:
+        os.chmod(tmp_name, 0o666 & ~umask)
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
         os.replace(tmp_name, path)

@@ -4,9 +4,10 @@ The depth-d feature transform of a linear convolutional network is the
 depth-0 PSD matrix after d applications of the convolution overlap
 operator (a sum of shift-conjugations, one per filter tap), renormalized
 to unit Frobenius norm.  This module applies the operator as a direct
-stencil (for the shallowest depths, and as the reference the tests hold
-the closed form to), computes deeper transforms in closed form, and
-provides the closed-form spectra and infinite-depth limits.
+stencil (for the shallowest depths of callers that ask for it, and as the
+reference the tests hold the closed form to), computes every other
+transform in closed form, and provides the closed-form spectra and
+infinite-depth limits.
 """
 
 from __future__ import annotations
@@ -28,11 +29,12 @@ PSD_RTOL = 1e-10
 # squares that underflow (each below about 2e-308) move the sum of squares
 # (at least 1e-280) by less than an ulp, for any matrix that fits in memory.
 TINY_NORM = 1e-140
-# Zero-padding depths up to this one iterate the stencil instead of using the
-# closed form.  Both agree to about 1e-16, but ridgeless regression on pooled
-# images amplifies a last-bit change of the depth-1 or depth-2 transform up
-# to 1e-6 relative (Gram condition numbers near 5e10), and outputs recorded
-# from the iterate are compared at that tolerance.
+# By default, zero-padding depths up to this one iterate the stencil instead
+# of using the closed form.  Both agree to about 1e-16, but ridgeless
+# regression on pooled images amplifies a last-bit change of the depth-1 or
+# depth-2 transform up to 1e-6 relative (Gram condition numbers near 5e10),
+# and outputs recorded from the iterate are compared at that tolerance.  The
+# eigenvector gallery, which nothing pins at depths 1 and 2, passes 0.
 STENCIL_DEPTH_MAX = 2
 DEPTH_MAX = 2**63 - 1  # the largest int64, so every depth is a numpy integer
 
@@ -221,7 +223,7 @@ def apply_conv_operator(
     filter tap along both axes at once: the (axes + axes) grid is padded
     once, with zeros or by wrapping, and each tap adds one window of it.
     Accumulation order over taps is fixed so results are bit-reproducible.
-    feature_transforms iterates it only up to STENCIL_DEPTH_MAX; iterated
+    feature_transforms iterates it only up to stencil_depth_max; iterated
     with renormalization, it is the reference the closed form is tested
     against.
     """
@@ -287,7 +289,8 @@ def _axis_factor(n: int, depth: int | float, padding: Padding,
 
 
 def _feature_transform(
-    depth: int | float, geometry: ConvGeometry, padding: Padding, architecture: Architecture
+    depth: int | float, geometry: ConvGeometry, padding: Padding, architecture: Architecture,
+    stencil_depth_max: int,
 ) -> FeatureTransform:
     """The depth-`depth` transform; depth math.inf is the infinite-depth limit.
 
@@ -295,15 +298,15 @@ def _feature_transform(
     permutes the identity and the all-ones matrix onto themselves), so
     every depth is depth 0.  Zero padding drives every start to the same
     diagonal limit, the sine profile per axis.  Under zero padding, depths
-    up to STENCIL_DEPTH_MAX iterate the stencil from the unnormalized
+    up to stencil_depth_max iterate the stencil from the unnormalized
     start, normalizing before each layer, so the transform's own scaling
-    keeps the iterate's bits.  The operator acts on each axis's index pair
-    of the axes + axes tensor separately, and both depth-0 matrices are
-    products of one factor per axis, so every other transform is the 1-D
-    transform V of one axis raised to one Kronecker power per axis
-    (kron(V, V) in 2-D).
+    keeps the iterate's bits (depth 0 runs no layer: the dense start).
+    The operator acts on each axis's index pair of the axes + axes tensor
+    separately, and both depth-0 matrices are products of one factor per
+    axis, so every other transform is the 1-D transform V of one axis
+    raised to one Kronecker power per axis (kron(V, V) in 2-D).
     """
-    if padding is Padding.CIRCULAR or depth > STENCIL_DEPTH_MAX:
+    if padding is Padding.CIRCULAR or depth > stencil_depth_max:
         axes = geometry.axes
         return FeatureTransform(_axis_factor(axes[0], depth, padding, architecture), len(axes))
     matrix = _start(geometry.p, architecture)
@@ -333,21 +336,29 @@ def feature_transforms(
     geometry: ConvGeometry,
     padding: Padding,
     architecture: Architecture,
+    stencil_depth_max: int = STENCIL_DEPTH_MAX,
 ) -> list[FeatureTransform]:
     """Unit-Frobenius feature transforms at the given strictly increasing
     depths; a last depth of math.inf gives the infinite-depth limit.
 
-    Each depth is computed on its own, beyond STENCIL_DEPTH_MAX in closed
+    Each depth is computed on its own, beyond stencil_depth_max in closed
     form (see _feature_transform) at a cost that does not depend on the
     depth; apply_conv_operator, iterated with renormalization, is the
     reference it matches.  The recursion's scale factor does not affect
     downstream regression quantities, so every transform has unit
     Frobenius norm.
+
+    stencil_depth_max exists because two callers need different values:
+    the mnist runner keeps the default, whose iterated bits its recorded
+    outputs pin, and the eigenvector gallery passes 0, so only its depth 0
+    is dense.  It goes away with the stencil branch once those outputs are
+    re-recorded from the closed form.
     """
     depths = check_depths(depths)
     if not isinstance(padding, Padding):
         raise ValueError(f"unsupported padding: {padding!r}")
-    return [_feature_transform(d, geometry, padding, architecture) for d in depths]
+    return [_feature_transform(d, geometry, padding, architecture, stencil_depth_max)
+            for d in depths]
 
 
 def sine_profile(dim: int) -> np.ndarray:

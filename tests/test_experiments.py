@@ -31,6 +31,8 @@ from convkernel.kernels import (
     GeometryKind,
     Padding,
     feature_transforms,
+    leading_eigenvector,
+    symmetric_spectrum,
 )
 from convkernel.rng import derive_seed
 
@@ -387,9 +389,9 @@ def release_checking(monkeypatch) -> list[weakref.ref]:
     refs = []
     original = convkernel.experiments.feature_transforms
 
-    def checking(*args):
+    def checking(*args, **kwargs):
         assert all(ref() is None for ref in refs)
-        built = original(*args)
+        built = original(*args, **kwargs)
         refs.extend(weakref.ref(ft) for ft in built)
         return built
 
@@ -453,7 +455,8 @@ class TestEigvecGallery:
     def test_closed_form_depths_never_form_the_pixel_matrix(self, tmp_path):
         # One 784 x 784 float64 array is 4.9 MB; the 28 x 28 factors, their
         # eigenvectors and the images stay far below a quarter of that.
-        cfg = eigvec_config(tmp_path, f"p = 784\ndepths = 3,10,48\noutdir = {tmp_path / 'out'}\n")
+        cfg = eigvec_config(tmp_path,
+                            f"p = 784\ndepths = 1,2,3,10,48\noutdir = {tmp_path / 'out'}\n")
         tracemalloc.start()
         try:
             run_eigvec_gallery(cfg)
@@ -482,8 +485,8 @@ class TestEigvecGallery:
         assert all(b < a for a, b in zip(ratios, ratios[1:]))
 
     def test_closed_form_depths_solve_only_the_side_factor(self, tmp_path, monkeypatch):
-        # Depths 0..2 iterate the stencil and stay dense (p x p); deeper ones
-        # check and solve their s x s factor once.
+        # Only depth 0 is dense (p x p); every deeper one checks and solves
+        # its s x s factor once.
         shapes = {"_check_symmetric_psd": [], "symmetric_spectrum": []}
         for name, seen in shapes.items():
             original = getattr(convkernel.kernels, name)
@@ -492,7 +495,7 @@ class TestEigvecGallery:
                                 seen.append(matrix.shape) or original(matrix, *args))
         cfg = eigvec_config(tmp_path, f"p = 25\ndepths = 0,1,2,3,9\noutdir = {tmp_path / 'out'}\n")
         run_eigvec_gallery(cfg)
-        expected = [(25, 25)] * 3 + [(5, 5)] * 2
+        expected = [(25, 25)] + [(5, 5)] * 4
         assert shapes == {"_check_symmetric_psd": expected, "symmetric_spectrum": expected}
 
     def test_releases_each_transform_before_the_next(self, tmp_path, monkeypatch):
@@ -500,6 +503,59 @@ class TestEigvecGallery:
         cfg = eigvec_config(tmp_path, f"p = 25\ndepths = 0,1,2,3\noutdir = {tmp_path / 'out'}\n")
         run_eigvec_gallery(cfg)
         assert len(refs) == 4
+
+    @pytest.mark.parametrize("arch", ["flattening", "pooling"])
+    def test_never_calls_the_stencil(self, tmp_path, monkeypatch, arch):
+        def stencil(*args):
+            raise AssertionError("apply_conv_operator called")
+
+        monkeypatch.setattr(convkernel.kernels, "apply_conv_operator", stencil)
+        cfg = eigvec_config(tmp_path, f"p = 25\ndepths = 0,1,2,3,9\narchitecture = {arch}\n"
+                                      f"outdir = {tmp_path / 'out'}\n")
+        assert [r.depth for r in run_eigvec_gallery(cfg)] == [0, 1, 2, 3, 9]
+
+    @pytest.mark.parametrize("arch", ["flattening", "pooling"])
+    def test_depth_zero_is_the_default_transform_bit_for_bit(self, tmp_path, monkeypatch, arch):
+        solved = []
+        monkeypatch.setattr(convkernel.experiments, "leading_eigenvector",
+                            lambda ft: solved.append(ft) or leading_eigenvector(ft))
+        cfg = eigvec_config(tmp_path, f"p = 784\ndepths = 0\narchitecture = {arch}\n"
+                                      f"outdir = {tmp_path / 'out'}\n")
+        run_eigvec_gallery(cfg)
+        (default,) = feature_transforms([0], cfg.geometry, cfg.padding, cfg.architecture)
+        assert solved[0].power == default.power
+        np.testing.assert_array_equal(solved[0].factor, default.factor)
+
+    @pytest.mark.parametrize("arch", ["flattening", "pooling"])
+    @pytest.mark.parametrize("side", [3, 5, 28])
+    def test_closed_form_depths_match_the_dense_stencil_solve(self, tmp_path, monkeypatch,
+                                                              side, arch):
+        # Depths 1 and 2 are squares of their s x s factor in the gallery and
+        # stencil iterates by default; both must give the same leading vector.
+        vectors = []
+        monkeypatch.setattr(convkernel.experiments, "leading_eigenvector",
+                            lambda ft: vectors.append(leading_eigenvector(ft)) or vectors[-1])
+        cfg = eigvec_config(tmp_path, f"p = {side * side}\ndepths = 1,2\n"
+                                      f"architecture = {arch}\noutdir = {tmp_path / 'out'}\n")
+        records = run_eigvec_gallery(cfg)
+        stencil = feature_transforms([1, 2], cfg.geometry, Padding.ZERO, cfg.architecture)
+        compared = 0
+        for record, vector, ft in zip(records, vectors, stencil):
+            assert ft.power == 1 and ft.p == side * side
+            eigenvalues, solved = symmetric_spectrum(dense(ft))
+            # As in TestFactors: a tied top eigenvalue (flattening on all but
+            # the smallest sides) has no unique leading vector, and under a
+            # relative gap g a dense solve's vector is only fixed to eps / g.
+            gap = (eigenvalues[0] - eigenvalues[1]) / eigenvalues[0]
+            if gap < 1e-8:
+                continue
+            tol = 1e-12 + 10 * np.finfo(float).eps / gap
+            assert_allclose(vector, solved, rtol=0, atol=tol)
+            assert_allclose(record.participation_ratio, participation_ratio(solved),
+                            rtol=tol, atol=0)
+            compared += 1
+        if not compared:
+            pytest.skip("tied top eigenvalue at every depth")
 
     def test_rerun_is_byte_identical(self, tmp_path):
         blobs = []

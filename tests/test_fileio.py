@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import stat
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -99,6 +102,21 @@ class TestAtomicWrite:
         write_text_atomic(path, "one\n")
         write_text_atomic(path, "two\n")
         assert path.read_text() == "two\n"
+
+    @pytest.mark.parametrize("umask", [None, 0o022, 0o077, 0o002])
+    def test_mode_matches_a_plain_open(self, tmp_path, umask):
+        # mkstemp creates 0o600; an output gets what open() gives a new file.
+        previous = os.umask(umask) if umask is not None else None
+        try:
+            with open(tmp_path / "plain", "w"):
+                pass
+            write_text_atomic(tmp_path / "out.txt", "hello\n")
+            write_pgm(tmp_path / "img.pgm", np.zeros((2, 2), dtype=np.uint8))
+        finally:
+            if previous is not None:
+                os.umask(previous)
+        modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in tmp_path.iterdir()}
+        assert modes == dict.fromkeys(("plain", "out.txt", "img.pgm"), modes["plain"])
 
 
 class TestGrayscale:
