@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import convkernel.experiments
 import convkernel.kernels
@@ -524,7 +524,7 @@ class TestEigvecGallery:
         run_eigvec_gallery(cfg)
         (default,) = feature_transforms([0], cfg.geometry, cfg.padding, cfg.architecture)
         assert solved[0].power == default.power
-        np.testing.assert_array_equal(solved[0].factor, default.factor)
+        assert_array_equal(solved[0].factor, default.factor)
 
     @pytest.mark.parametrize("arch", ["flattening", "pooling"])
     @pytest.mark.parametrize("side", [3, 5, 28])
