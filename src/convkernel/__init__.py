@@ -1,94 +1,1 @@
 """Convolutional kernel depth transforms and ridgeless-regression risk analysis."""
-
-from convkernel.kernels import (
-    Architecture,
-    ConvGeometry,
-    FeatureTransform,
-    GeometryKind,
-    Padding,
-    apply_conv_operator,
-    feature_transforms,
-    leading_eigenvector,
-    sine_profile,
-    symmetric_spectrum,
-    toeplitz_spectrum,
-)
-from convkernel.data import (
-    Dataset,
-    IdxFormatError,
-    binary_digit_subset,
-    load_idx_images,
-    min_norm_solve,
-)
-from convkernel.regression import (
-    RegressionProblem,
-    RiskEstimate,
-    bias_conditional,
-    bias_mc,
-    excess_risk_mc,
-    fit_ridgeless,
-    misalignment,
-    psd_sqrt,
-    variance_mc,
-)
-from convkernel.rng import derive_seed, trial_rng
-from convkernel.config import (
-    ConfigError,
-    EigvecConfig,
-    MnistConfig,
-    SweepConfig,
-    log_spaced_depths,
-    parse_config,
-)
-from convkernel.experiments import (
-    DepthSweepRecord,
-    GalleryRecord,
-    MnistDepthRecord,
-    participation_ratio,
-    run_depth_sweep,
-    run_eigvec_gallery,
-    run_mnist_experiment,
-)
-
-__all__ = [
-    "ConfigError",
-    "DepthSweepRecord",
-    "EigvecConfig",
-    "GalleryRecord",
-    "MnistConfig",
-    "MnistDepthRecord",
-    "SweepConfig",
-    "log_spaced_depths",
-    "parse_config",
-    "participation_ratio",
-    "run_depth_sweep",
-    "run_eigvec_gallery",
-    "run_mnist_experiment",
-    "Dataset",
-    "IdxFormatError",
-    "RegressionProblem",
-    "RiskEstimate",
-    "bias_conditional",
-    "bias_mc",
-    "binary_digit_subset",
-    "excess_risk_mc",
-    "fit_ridgeless",
-    "load_idx_images",
-    "min_norm_solve",
-    "misalignment",
-    "psd_sqrt",
-    "variance_mc",
-    "Architecture",
-    "ConvGeometry",
-    "FeatureTransform",
-    "GeometryKind",
-    "Padding",
-    "apply_conv_operator",
-    "derive_seed",
-    "feature_transforms",
-    "leading_eigenvector",
-    "sine_profile",
-    "symmetric_spectrum",
-    "toeplitz_spectrum",
-    "trial_rng",
-]

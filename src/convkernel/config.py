@@ -3,7 +3,7 @@
 One `key = value` pair per line, `#` starts a comment, unknown keys are
 rejected.  The required `experiment` key (sweep | eigvec | mnist) selects
 a config dataclass, which is the schema: each field declares its key's
-kind, default and minimum, and one interpreter reads the fields in order.
+kind, default and bounds, and one interpreter reads the fields in order.
 Every key other than `images` and `labels` has a default.  Errors name
 the offending line and key.
 """
@@ -35,28 +35,31 @@ THETA_FAMILY_CONV = "conv"
 THETA_FAMILY_ALIGNED_SPIKE = "aligned_spike"
 
 # Key kinds.  A kind may also be a tuple of allowed strings, or an Enum
-# class whose values are the allowed strings.  DEPTH is an INT of at most
-# DEPTH_MAX.  PATH is an output directory: it, or its nearest existing
-# ancestor, must be a directory.  FILE must name an existing file.  DEPTHS
-# reads either the `depths` list or the depth_min/depth_max/depth_count
-# log-spaced range.  GEOMETRY reads the layout key `geometry` (1d | 2d) and
-# the pixel count `p`; SQUARE reads `p` alone, of a 2-D grid.
-INT, DEPTH, FLOAT, BOOL = "int", "depth", "float", "bool"
+# class whose values are the allowed strings.  An INT or FLOAT field may
+# set a minimum and a maximum (DEPTH_MAX for a depth).  PATH is an output
+# directory: it, or its nearest existing ancestor, must be a directory.
+# FILE must name an existing file.  DEPTHS reads either the `depths` list
+# or the depth_min/depth_max/depth_count log-spaced range.  GEOMETRY reads
+# `geometry` (1d | 2d) and the pixel count `p`; SQUARE reads `p` of a 2-D grid.
+INT, FLOAT, BOOL = "int", "float", "bool"
 PATH, FILE, DEPTHS = "path", "file", "depths"
 GEOMETRY, SQUARE = "geometry", "square"
 _RANGE_KEYS = ("depth_min", "depth_max", "depth_count")
 # The most depths a log-spaced range may ask for; its grid builds in about 10 ms.
 DEPTH_COUNT_MAX = 10_000
+# The largest noise_var: 1e120 runs clean, and 1e160 overflows np.std at p = 20.
+NOISE_VAR_MAX = 1e100
 
 
 class ConfigError(ValueError):
     """Raised for malformed or invalid configuration files."""
 
 
-def _key(kind, default=MISSING, minimum=None, name=None):
+def _key(kind, default=MISSING, minimum=None, maximum=None, name=None):
     """A config dataclass field, read from the config key `name` (the field
     name unless given) as `kind`.  A field without a default is a required key."""
-    return field(default=default, metadata={"kind": kind, "minimum": minimum, "key": name})
+    return field(default=default, metadata={"kind": kind, "minimum": minimum,
+                                            "maximum": maximum, "key": name})
 
 
 def log_spaced_depths(low: int, high: int, count: int) -> tuple[int, ...]:
@@ -85,14 +88,14 @@ class SweepConfig:
     padding: Padding = _key(Padding, Padding.ZERO)
     architecture: Architecture = _key(Architecture, Architecture.POOLING)
     theta_family: str = _key((THETA_FAMILY_CONV, THETA_FAMILY_ALIGNED_SPIKE), THETA_FAMILY_CONV)
-    family_center: int = _key(DEPTH, 10, 0)
+    family_center: int = _key(INT, 10, 0, maximum=DEPTH_MAX)
     depths: tuple[int, ...] = _key(DEPTHS, log_spaced_depths(1, 100, 10))
     sigma_source: str = _key(("identity", "inverse_theta", "file"), "identity")
-    sigma_depth: int = _key(DEPTH, 50, 0)
+    sigma_depth: int = _key(INT, 50, 0, maximum=DEPTH_MAX)
     sigma_file: Path | None = _key(FILE, None)
     beta_source: str = _key(("synthetic", "file"), "synthetic")
     beta_file: Path | None = _key(FILE, None)
-    noise_var: float = _key(FLOAT, 0.01, 0.0)
+    noise_var: float = _key(FLOAT, 0.01, 0.0, maximum=NOISE_VAR_MAX)
     n_train: int = _key(INT, 10, 1, name="n")
     trials_bias: int = _key(INT, DEFAULT_BIAS_TRIALS, 1)
     trials_var: int = _key(INT, DEFAULT_VARIANCE_TRIALS, 1)
@@ -181,7 +184,7 @@ class _Pairs:
             )
 
 
-def _take(pairs: _Pairs, name: str, kind, default=None, minimum=None):
+def _take(pairs: _Pairs, name: str, kind, default=None, minimum=None, maximum=None):
     """The value of one scalar key, or its default when the key is absent."""
     entry = pairs.take(name)
     if entry is None:
@@ -207,7 +210,7 @@ def _take(pairs: _Pairs, name: str, kind, default=None, minimum=None):
         if text.lower() not in ("true", "false"):
             raise pairs.error(f"{name} must be true or false, got {text!r}", name)
         return text.lower() == "true"
-    if kind in (INT, DEPTH, FLOAT):
+    if kind in (INT, FLOAT):
         try:
             value = float(text) if kind == FLOAT else int(text)
         except ValueError:
@@ -217,8 +220,8 @@ def _take(pairs: _Pairs, name: str, kind, default=None, minimum=None):
             raise pairs.error(f"{name} must be finite, got {text!r}", name)
         if minimum is not None and value < minimum:
             raise pairs.error(f"{name} must be >= {minimum}, got {value}", name)
-        if kind == DEPTH and value > DEPTH_MAX:
-            raise pairs.error(f"{name} must be <= {DEPTH_MAX}, got {value}", name)
+        if maximum is not None and value > maximum:
+            raise pairs.error(f"{name} must be <= {maximum}, got {value}", name)
         return value
     choices = tuple(m.value for m in kind) if isinstance(kind, type) else kind
     if text.lower() not in choices:
@@ -240,7 +243,7 @@ def _take_geometry(pairs: _Pairs, kind: str, default: ConvGeometry) -> ConvGeome
 
 def _take_depths(pairs: _Pairs, default: tuple[int, ...]) -> tuple[int, ...]:
     explicit = pairs.take("depths")
-    bounds = [_take(pairs, name, INT if name == "depth_count" else DEPTH)
+    bounds = [_take(pairs, name, INT, maximum=None if name == "depth_count" else DEPTH_MAX)
               for name in _RANGE_KEYS]
     given = sorted((k for k in _RANGE_KEYS if k in pairs.lines), key=pairs.lines.get)
     if explicit is not None and given:
@@ -339,7 +342,7 @@ def parse_config(path: str | Path) -> SweepConfig | EigvecConfig | MnistConfig:
             values[f.name] = _take_geometry(pairs, kind, default)
         else:
             values[f.name] = _take(pairs, f.metadata["key"] or f.name, kind, default,
-                                   f.metadata["minimum"])
+                                   f.metadata["minimum"], f.metadata["maximum"])
     pairs.reject_unknown(experiment)
     if check is not None:
         check(values, pairs)

@@ -54,6 +54,16 @@ class TestValidate:
         assert ":9: noise_var must be finite" in capsys.readouterr().err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("value", ["1e101", "1e308"])
+    def test_oversized_noise_var_exits_1_before_any_output(self, tmp_path, capsys, value):
+        outdir = tmp_path / "out"
+        config = write_config(
+            tmp_path, SMALL_SWEEP + f"noise_var = {value}\noutdir = {outdir}\n"
+        )
+        assert main(["sweep", str(config)]) == 1
+        assert ":9: noise_var must be <= 1e+100" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_orphan_file_key_exits_1(self, tmp_path, capsys):
         beta = write_config(tmp_path, "1,2\n", name="beta.csv")
         config = write_config(tmp_path, SMALL_SWEEP + f"beta_file = {beta}\n")

@@ -181,12 +181,11 @@ def test_traced_run_records_every_traced_function(tmp_path):
 
 def test_every_package_definition_has_a_caller():
     """Each module-level function and class in src/convkernel is referenced
-    by the package outside its own definition and outside __init__.py, so
-    no code is kept that only the tests or the exports reach."""
+    by the package outside its own definition, so no code is kept that only
+    the tests reach."""
     package = ROOT / "src" / "convkernel"
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(package.glob("*.py"))}
-    callers = [tree for module, tree in trees.items() if module != "__init__"]
     unused = []
     for module, tree in trees.items():
         for definition in tree.body:
@@ -196,9 +195,16 @@ def test_every_package_definition_has_a_caller():
             if not any(id(node) not in own
                        and definition.name in (getattr(node, "id", None),
                                                getattr(node, "attr", None))
-                       for caller in callers for node in ast.walk(caller)):
+                       for caller in trees.values() for node in ast.walk(caller)):
                 unused.append(f"{module}.{definition.name}")
     assert unused == []
+
+
+def test_package_init_is_only_a_docstring():
+    """src/convkernel/__init__.py re-exports nothing: every caller imports a
+    name from the module that defines it."""
+    init = ast.parse((ROOT / "src" / "convkernel" / "__init__.py").read_text(encoding="utf-8"))
+    assert len(init.body) == 1 and ast.get_docstring(init) is not None
 
 
 def name_owners(node: ast.AST, name: str, owner: str):

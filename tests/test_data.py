@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from convkernel import (
+from convkernel.data import (
     Dataset,
     IdxFormatError,
     binary_digit_subset,

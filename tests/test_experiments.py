@@ -16,7 +16,7 @@ import convkernel.regression
 from _digits import make_synthetic_idx
 from _oracles import dense, save_matrix_csv
 from convkernel.cli import main
-from convkernel.config import EigvecConfig, parse_config
+from convkernel.config import NOISE_VAR_MAX, EigvecConfig, parse_config
 from convkernel.experiments import (
     _meta_json,
     _resolve_covariance,
@@ -348,18 +348,33 @@ class TestDepthSweep:
         assert "sigma.csv: row on line 1 is not finite" in capsys.readouterr().err
 
     def test_overflowing_estimates_exit_2_and_write_nothing(self, tmp_path, capsys):
+        # A coefficient file passes validation yet squares past the float range.
+        save_matrix_csv(np.full((1, 8), 1e153), tmp_path / "beta.csv")
         outdir = tmp_path / "out"
         outdir.mkdir()
         config = tmp_path / "sweep.cfg"
         config.write_text(
-            "experiment = sweep\np = 8\nn = 4\ndepths = 1,3\nnoise_var = 1e308\n"
+            "experiment = sweep\np = 8\nn = 4\ndepths = 1,3\n"
+            f"beta_source = file\nbeta_file = {tmp_path / 'beta.csv'}\n"
             "trials_bias = 5\ntrials_var = 5\ntrials_risk = 5\nrisk_test_points = 16\n"
             f"outdir = {outdir}\n"
         )
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["sweep", str(config)]) == 2
-        assert "sweep.csv: column var_mean has non-finite value" in capsys.readouterr().err
+        assert "sweep.csv: column bias_se has non-finite value" in capsys.readouterr().err
         assert list(outdir.iterdir()) == []
+
+    def test_largest_noise_var_writes_finite_outputs(self, tmp_path):
+        # Runs under the suite's RuntimeWarning-as-error filter.
+        outdir = tmp_path / "out"
+        config = tmp_path / "sweep.cfg"
+        config.write_text(
+            f"experiment = sweep\np = 8\nn = 4\ndepths = 1,3\nnoise_var = {NOISE_VAR_MAX!r}\n"
+            f"sigma_source = inverse_theta\n{FAST_TRIALS}outdir = {outdir}\n"
+        )
+        assert main(["sweep", str(config)]) == 0
+        rows = np.genfromtxt(outdir / "sweep.csv", delimiter=",", names=True)
+        assert all(np.isfinite(rows[name]).all() for name in rows.dtype.names)
 
 
 class TestParticipationRatio:

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from _oracles import dense
 from _util import unit_start
-from convkernel import (
+from convkernel.kernels import (
     Architecture,
     ConvGeometry,
     GeometryKind,

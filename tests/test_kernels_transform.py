@@ -16,20 +16,21 @@ from numpy.testing import assert_allclose, assert_array_equal
 import convkernel.kernels
 from _oracles import dense
 from _util import unit_start
-from convkernel import (
+from convkernel.experiments import participation_ratio
+from convkernel.kernels import (
+    PSD_RTOL,
     Architecture,
     ConvGeometry,
     FeatureTransform,
     GeometryKind,
     Padding,
+    _check_symmetric_psd,
     apply_conv_operator,
     feature_transforms,
     leading_eigenvector,
     sine_profile,
     symmetric_spectrum,
 )
-from convkernel.experiments import participation_ratio
-from convkernel.kernels import PSD_RTOL, _check_symmetric_psd
 
 ARCHS = (Architecture.FLATTENING, Architecture.POOLING)
 PADDINGS = (Padding.ZERO, Padding.CIRCULAR)

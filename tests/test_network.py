@@ -10,7 +10,7 @@ import pytest
 
 from _network import readout_features
 from _oracles import dense
-from convkernel import Architecture, ConvGeometry, GeometryKind, Padding, feature_transforms
+from convkernel.kernels import Architecture, ConvGeometry, GeometryKind, Padding, feature_transforms
 
 DEPTH = 3
 CHANNELS = 4

@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from convkernel import derive_seed, trial_rng
-from convkernel.rng import DRAW_BUDGET_BYTES, trial_chunks, trials_per_chunk
+from convkernel.rng import DRAW_BUDGET_BYTES, derive_seed, trial_chunks, trial_rng, trials_per_chunk
 
 
 class TestTrialRng:

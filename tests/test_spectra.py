@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from convkernel import (
+from convkernel.kernels import (
     ConvGeometry,
     GeometryKind,
     Padding,
+    _fix_sign,
     apply_conv_operator,
     sine_profile,
     symmetric_spectrum,
     toeplitz_spectrum,
 )
-from convkernel.kernels import _fix_sign
 
 
 def tridiagonal_ones(dim):
