@@ -24,12 +24,6 @@ from convkernel.kernels import (
     Padding,
     check_depths,
 )
-from convkernel.regression import (
-    DEFAULT_BIAS_TRIALS,
-    DEFAULT_RISK_TEST_POINTS,
-    DEFAULT_RISK_TRIALS,
-    DEFAULT_VARIANCE_TRIALS,
-)
 
 THETA_FAMILY_CONV = "conv"
 THETA_FAMILY_ALIGNED_SPIKE = "aligned_spike"
@@ -39,16 +33,20 @@ THETA_FAMILY_ALIGNED_SPIKE = "aligned_spike"
 # set a minimum and a maximum (DEPTH_MAX for a depth).  PATH is an output
 # directory: it, or its nearest existing ancestor, must be a directory.
 # FILE must name an existing file.  DEPTHS reads either the `depths` list
-# or the depth_min/depth_max/depth_count log-spaced range.  GEOMETRY reads
+# or the depth_min/depth_max/depth_count log-spaced range, whose keys are
+# INTs bounded by _RANGE_KEYS.  GEOMETRY reads
 # `geometry` (1d | 2d) and the pixel count `p`; SQUARE reads `p` of a 2-D grid.
 INT, FLOAT, BOOL = "int", "float", "bool"
 PATH, FILE, DEPTHS = "path", "file", "depths"
 GEOMETRY, SQUARE = "geometry", "square"
-_RANGE_KEYS = ("depth_min", "depth_max", "depth_count")
 # The most depths a log-spaced range may ask for; its grid builds in about 10 ms.
 DEPTH_COUNT_MAX = 10_000
+# Range key -> its maximum; each is an INT of at least 1.
+_RANGE_KEYS = {"depth_min": DEPTH_MAX, "depth_max": DEPTH_MAX, "depth_count": DEPTH_COUNT_MAX}
 # The largest noise_var: 1e120 runs clean, and 1e160 overflows np.std at p = 20.
 NOISE_VAR_MAX = 1e100
+# IDX labels are unsigned bytes.
+DIGIT_MAX = 255
 
 
 class ConfigError(ValueError):
@@ -62,16 +60,8 @@ def _key(kind, default=MISSING, minimum=None, maximum=None, name=None):
                                             "maximum": maximum, "key": name})
 
 
-def log_spaced_depths(low: int, high: int, count: int) -> tuple[int, ...]:
+def _log_spaced_depths(low: int, high: int, count: int) -> tuple[int, ...]:
     """Unique integer depths spread geometrically between low and high."""
-    if low < 1:
-        raise ValueError(f"log-spaced depths need depth_min >= 1, got {low}")
-    if high < low:
-        raise ValueError(f"need depth_max >= depth_min, got {low}..{high}")
-    if count < 1:
-        raise ValueError(f"need depth_count >= 1, got {count}")
-    if count > DEPTH_COUNT_MAX:
-        raise ValueError(f"need depth_count <= {DEPTH_COUNT_MAX}, got {count}")
     # Near 2**63 a rounded float can exceed high (and int64), so ints are clipped.
     grid = np.rint(np.geomspace(low, high, count))
     return tuple(sorted({min(max(int(d), low), high) for d in grid}))
@@ -89,7 +79,7 @@ class SweepConfig:
     architecture: Architecture = _key(Architecture, Architecture.POOLING)
     theta_family: str = _key((THETA_FAMILY_CONV, THETA_FAMILY_ALIGNED_SPIKE), THETA_FAMILY_CONV)
     family_center: int = _key(INT, 10, 0, maximum=DEPTH_MAX)
-    depths: tuple[int, ...] = _key(DEPTHS, log_spaced_depths(1, 100, 10))
+    depths: tuple[int, ...] = _key(DEPTHS, _log_spaced_depths(1, 100, 10))
     sigma_source: str = _key(("identity", "inverse_theta", "file"), "identity")
     sigma_depth: int = _key(INT, 50, 0, maximum=DEPTH_MAX)
     sigma_file: Path | None = _key(FILE, None)
@@ -97,10 +87,10 @@ class SweepConfig:
     beta_file: Path | None = _key(FILE, None)
     noise_var: float = _key(FLOAT, 0.01, 0.0, maximum=NOISE_VAR_MAX)
     n_train: int = _key(INT, 10, 1, name="n")
-    trials_bias: int = _key(INT, DEFAULT_BIAS_TRIALS, 1)
-    trials_var: int = _key(INT, DEFAULT_VARIANCE_TRIALS, 1)
-    trials_risk: int = _key(INT, DEFAULT_RISK_TRIALS, 1)
-    risk_test_points: int = _key(INT, DEFAULT_RISK_TEST_POINTS, 1)
+    trials_bias: int = _key(INT, 500, 1)
+    trials_var: int = _key(INT, 2000, 1)
+    trials_risk: int = _key(INT, 500, 1)
+    risk_test_points: int = _key(INT, 256, 1)
     seed: int = _key(INT, 0)
     outdir: Path = _key(PATH, Path("out"))
 
@@ -124,8 +114,8 @@ class MnistConfig:
     experiment: str
     images: Path = _key(FILE)
     labels: Path = _key(FILE)
-    digit_pos: int = _key(INT, 0, 0)
-    digit_neg: int = _key(INT, 1, 0)
+    digit_pos: int = _key(INT, 0, 0, maximum=DIGIT_MAX)
+    digit_neg: int = _key(INT, 1, 0, maximum=DIGIT_MAX)
     count_per_class: int = _key(INT, 50, 1)
     n_train: int = _key(INT, 10, 1, name="n")
     trials: int = _key(INT, 20, 1)
@@ -243,8 +233,8 @@ def _take_geometry(pairs: _Pairs, kind: str, default: ConvGeometry) -> ConvGeome
 
 def _take_depths(pairs: _Pairs, default: tuple[int, ...]) -> tuple[int, ...]:
     explicit = pairs.take("depths")
-    bounds = [_take(pairs, name, INT, maximum=None if name == "depth_count" else DEPTH_MAX)
-              for name in _RANGE_KEYS]
+    low, high, count = (_take(pairs, name, INT, minimum=1, maximum=maximum)
+                        for name, maximum in _RANGE_KEYS.items())
     given = sorted((k for k in _RANGE_KEYS if k in pairs.lines), key=pairs.lines.get)
     if explicit is not None and given:
         raise pairs.error(
@@ -270,12 +260,10 @@ def _take_depths(pairs: _Pairs, default: tuple[int, ...]) -> tuple[int, ...]:
         raise pairs.error(
             "depth_min, depth_max and depth_count must be given together", *given
         )
-    try:
-        return log_spaced_depths(*bounds)
-    except ValueError as exc:
-        # The line of the first key the message names, else of the first given.
-        named = [k for k in given if k in str(exc)]
-        raise pairs.error(str(exc), *named, *given) from None
+    if high < low:
+        raise pairs.error(f"need depth_max >= depth_min, got {low}..{high}",
+                          *sorted(("depth_min", "depth_max"), key=pairs.lines.get))
+    return _log_spaced_depths(low, high, count)
 
 
 # Cross-key checks.  Each error names the line of the first listed key that
@@ -323,15 +311,7 @@ SCHEMAS = {
 def parse_config(path: str | Path) -> SweepConfig | EigvecConfig | MnistConfig:
     """Parse and validate a config file; raises ConfigError on any problem."""
     pairs = _Pairs(path)
-    entry = pairs.take("experiment")
-    if entry is None:
-        raise ConfigError(f"{pairs.path}:0: missing required key 'experiment'")
-    experiment, line_no = entry[0].lower(), entry[1]
-    if experiment not in SCHEMAS:
-        raise ConfigError(
-            f"{pairs.path}:{line_no}: unknown experiment {entry[0]!r}; "
-            f"choose from {', '.join(sorted(SCHEMAS))}"
-        )
+    experiment = _take(pairs, "experiment", tuple(sorted(SCHEMAS)), MISSING)
     config_class, check = SCHEMAS[experiment]
     values: dict = {"experiment": experiment}
     for f in fields(config_class)[1:]:  # every field after experiment is a key

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from convkernel.config import (
+    NOISE_VAR_MAX,
     EigvecConfig,
     MnistConfig,
     SweepConfig,
@@ -170,6 +171,21 @@ def _resolve_covariance(cfg: SweepConfig, coef: np.ndarray) -> tuple[np.ndarray,
     return (inverse + inverse.T) / 2.0, epsilon
 
 
+def _check_signal_variance(cfg: SweepConfig, coef: np.ndarray, covariance: np.ndarray) -> None:
+    """Refuse a signal variance coef^T covariance coef above NOISE_VAR_MAX,
+    the cap on the noise: the estimators square it, and past the cap they
+    overflow.  Only an input file can pass the cap (a synthetic coef has
+    unit norm, and an inverse_theta covariance's eigenvalues are at most
+    about sqrt(p) / RIDGE_EPSILON_RTOL), so the message names the files."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf or nan
+        signal = float(coef @ covariance @ coef)
+    if not signal <= NOISE_VAR_MAX:
+        files = ", ".join(f"{key} {path}" for key, path in
+                          (("beta_file", cfg.beta_file), ("sigma_file", cfg.sigma_file))
+                          if path is not None)
+        raise ValueError(f"signal variance {signal:.3g} exceeds {NOISE_VAR_MAX:g} ({files})")
+
+
 def _sweep_group(
     cfg: SweepConfig,
     coef: np.ndarray,
@@ -201,13 +217,15 @@ def run_depth_sweep(cfg: SweepConfig) -> list[DepthSweepRecord]:
     The three estimator seeds are derived once from the master seed and
     shared across depths, so per-depth estimates ride on common random
     numbers and depth comparisons are free of independent-sampling noise.
-    Input files are read before any transform is built, so a bad one fails
-    before the depth work.  Depths run in consecutive groups under
-    DEPTH_GROUP_BUDGET_BYTES, one group held at a time, and every output
-    is checked before any is written.
+    Input files are read, and their signal variance checked, before any
+    depth's transform is built, so a bad one fails before the depth work.
+    Depths run in consecutive groups under DEPTH_GROUP_BUDGET_BYTES, one
+    group held at a time, and every output is checked before any is
+    written.
     """
     coef = _resolve_coef(cfg)
     covariance, ridge_epsilon = _resolve_covariance(cfg, coef)
+    _check_signal_variance(cfg, coef, covariance)
     problem = RegressionProblem(covariance, coef, cfg.noise_var, cfg.n_train)
     seeds = {name: derive_seed(cfg.seed, name) for name in ("bias", "variance", "risk")}
 
@@ -285,13 +303,14 @@ def run_mnist_experiment(cfg: MnistConfig) -> list[MnistDepthRecord]:
 
     geometry = ConvGeometry(GeometryKind.TWO_D, p)
     subsample_seed = derive_seed(cfg.seed, "subsample")
-    # Row t holds trial t's n_train subsample indices; every depth fits all
-    # trials in one stacked call.
-    rows = np.stack([
-        trial_rng(subsample_seed, trial).choice(total, size=cfg.n_train, replace=False)
-        for trial in range(cfg.trials)
-    ])
-    x_trials, y_trials = subset.x[rows], subset.y[rows]
+    # Slice t holds trial t's n_train subsample; every depth fits all trials
+    # in one stacked call.  The stacks are allocated before the draws, so a
+    # trial count too large to hold fails at once.
+    x_trials = np.empty((cfg.trials, cfg.n_train, p))
+    y_trials = np.empty((cfg.trials, cfg.n_train))
+    for trial in range(cfg.trials):
+        rows = trial_rng(subsample_seed, trial).choice(total, size=cfg.n_train, replace=False)
+        x_trials[trial], y_trials[trial] = subset.x[rows], subset.y[rows]
 
     def loss_estimate(transform: FeatureTransform) -> RiskEstimate:
         fitted = fit_ridgeless(transform, x_trials, y_trials)

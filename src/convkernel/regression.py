@@ -26,10 +26,6 @@ from convkernel.kernels import FeatureTransform, _check_symmetric_psd, cholesky_
 from convkernel.rng import trial_chunks
 
 PINV_RTOL = 1e-12
-DEFAULT_BIAS_TRIALS = 500
-DEFAULT_VARIANCE_TRIALS = 2000
-DEFAULT_RISK_TRIALS = 500
-DEFAULT_RISK_TEST_POINTS = 256
 
 
 @dataclass(frozen=True)
@@ -246,8 +242,8 @@ def _monte_carlo(
 def bias_mc(
     transforms: Sequence[FeatureTransform],
     problem: RegressionProblem,
-    trials: int = DEFAULT_BIAS_TRIALS,
-    seed: int = 0,
+    trials: int,
+    seed: int,
 ) -> RiskEstimate:
     """Mean conditional bias of each transform over training designs drawn
     from the problem, the same designs for every transform."""
@@ -264,8 +260,8 @@ def bias_mc(
 def variance_mc(
     transforms: Sequence[FeatureTransform],
     problem: RegressionProblem,
-    trials: int = DEFAULT_VARIANCE_TRIALS,
-    seed: int = 0,
+    trials: int,
+    seed: int,
 ) -> RiskEstimate:
     """Label-noise contribution to the excess risk of each transform,
     averaged over designs, the same designs for every transform.
@@ -299,9 +295,9 @@ def variance_mc(
 def excess_risk_mc(
     transforms: Sequence[FeatureTransform],
     problem: RegressionProblem,
-    trials: int = DEFAULT_RISK_TRIALS,
-    seed: int = 0,
-    test_points: int = DEFAULT_RISK_TEST_POINTS,
+    trials: int,
+    seed: int,
+    test_points: int,
 ) -> RiskEstimate:
     """Direct Monte Carlo of squared prediction error on fresh test draws,
     for each transform on the same draws.

@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 import convkernel.cli
+import convkernel.experiments
 from _digits import make_synthetic_idx
 from convkernel.cli import main
 from convkernel.config import DEPTH_COUNT_MAX
+from convkernel.rng import trial_rng
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +66,19 @@ class TestValidate:
         assert ":9: noise_var must be <= 1e+100" in capsys.readouterr().err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("key", ["digit_pos", "digit_neg"])
+    def test_digit_above_a_byte_exits_1_before_any_output(self, tmp_path, idx_paths,
+                                                           capsys, key):
+        images, labels = idx_paths
+        outdir = tmp_path / "out"
+        config = write_config(
+            tmp_path, f"experiment = mnist\nimages = {images}\nlabels = {labels}\n"
+                      f"count_per_class = 5\nn = 4\ndepths = 0\n{key} = 300\n"
+                      f"outdir = {outdir}\n")
+        assert main(["mnist", str(config)]) == 1
+        assert f":7: {key} must be <= 255, got 300" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_orphan_file_key_exits_1(self, tmp_path, capsys):
         beta = write_config(tmp_path, "1,2\n", name="beta.csv")
         config = write_config(tmp_path, SMALL_SWEEP + f"beta_file = {beta}\n")
@@ -107,7 +122,7 @@ class TestValidate:
         config = write_config(tmp_path, "experiment = sweep\ndepth_min = 1\n"
                                         f"depth_max = 100\ndepth_count = {count}\n")
         assert main(["validate", str(config)]) == 1
-        assert (f"config error: {config}:4: need depth_count <= {DEPTH_COUNT_MAX}, "
+        assert (f"config error: {config}:4: depth_count must be <= {DEPTH_COUNT_MAX}, "
                 f"got {count}") in capsys.readouterr().err
 
     def test_largest_depth_count_validates(self, tmp_path, capsys):
@@ -176,6 +191,30 @@ class TestRuntimeErrors:
         )
         assert main(["mnist", str(config)]) == 2
         assert "runtime error" in capsys.readouterr().err
+
+    def test_impossible_mnist_trials_exit_2_before_any_draw(self, tmp_path, idx_paths,
+                                                            capsys, monkeypatch):
+        # numpy refuses a 10**20-trial stack without allocating it, so the run
+        # fails before it draws a subsample instead of drawing without end.
+        draws = []
+
+        def counted_trial_rng(*args):
+            draws.append(args)
+            if len(draws) > 100:
+                raise AssertionError("the run draws subsamples it cannot hold")
+            return trial_rng(*args)
+
+        monkeypatch.setattr(convkernel.experiments, "trial_rng", counted_trial_rng)
+        images, labels = idx_paths
+        outdir = tmp_path / "out"
+        config = write_config(
+            tmp_path, f"experiment = mnist\nimages = {images}\nlabels = {labels}\n"
+                      f"count_per_class = 5\nn = 4\ndepths = 0\ntrials = {10**20}\n"
+                      f"outdir = {outdir}\n")
+        assert main(["mnist", str(config)]) == 2
+        assert "runtime error: " in capsys.readouterr().err
+        assert draws == []
+        assert not outdir.exists()
 
     def test_bad_covariance_file_exits_2(self, tmp_path, capsys):
         sigma = tmp_path / "sigma.csv"

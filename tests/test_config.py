@@ -9,7 +9,7 @@ from convkernel.config import (
     MnistConfig,
     SweepConfig,
     THETA_FAMILY_ALIGNED_SPIKE,
-    log_spaced_depths,
+    _log_spaced_depths,
     parse_config,
 )
 from convkernel.kernels import DEPTH_MAX, Architecture, GeometryKind, Padding
@@ -87,7 +87,7 @@ class TestSweepDefaults:
         assert cfg.padding is Padding.ZERO
         assert cfg.architecture is Architecture.POOLING
         assert cfg.theta_family == "conv"
-        assert cfg.depths == log_spaced_depths(1, 100, 10)
+        assert cfg.depths == _log_spaced_depths(1, 100, 10)
         assert cfg.sigma_source == "identity"
         assert cfg.beta_source == "synthetic"
         assert cfg.noise_var == 0.01
@@ -296,13 +296,22 @@ class TestDepthGrids:
         )
         assert cfg.depths == (1, 2, 3, 5, 8, 13, 22, 36, 60, 100)
 
-    def test_range_rejects_zero_min(self, tmp_path):
-        message = error_of(
-            tmp_path,
-            "experiment = sweep\ndepth_min = 0\ndepth_max = 8\ndepth_count = 3\n",
-        )
-        assert ":2:" in message
-        assert "depth_min >= 1" in message
+    @pytest.mark.parametrize("low, high, count, expected", [
+        (0, 8, 3, ":2: depth_min must be >= 1, got 0"),
+        (5, 4, 3, ":2: need depth_max >= depth_min, got 5..4"),
+        (1, 8, 0, ":4: depth_count must be >= 1, got 0"),
+        (1, 8, DEPTH_COUNT_MAX + 1,
+         f":4: depth_count must be <= {DEPTH_COUNT_MAX}, got {DEPTH_COUNT_MAX + 1}"),
+    ], ids=["zero min", "max below min", "zero count", "count over max"])
+    def test_range_rejects_bad_bounds_naming_line(self, tmp_path, low, high, count, expected):
+        message = error_of(tmp_path, f"experiment = sweep\ndepth_min = {low}\n"
+                                     f"depth_max = {high}\ndepth_count = {count}\n")
+        assert expected in message
+
+    def test_max_below_min_names_the_earlier_line(self, tmp_path):
+        message = error_of(tmp_path, "experiment = sweep\ndepth_count = 3\n"
+                                     "depth_max = 4\ndepth_min = 5\n")
+        assert ":3: need depth_max >= depth_min, got 5..4" in message
 
 
 class TestParsedDefaults:
@@ -325,25 +334,15 @@ class TestParsedDefaults:
 
 class TestLogSpacedDepths:
     def test_known_grid(self):
-        assert log_spaced_depths(1, 100, 10) == (1, 2, 3, 5, 8, 13, 22, 36, 60, 100)
+        assert _log_spaced_depths(1, 100, 10) == (1, 2, 3, 5, 8, 13, 22, 36, 60, 100)
 
     def test_duplicates_collapse(self):
-        grid = log_spaced_depths(1, 4, 10)
+        grid = _log_spaced_depths(1, 4, 10)
         assert grid == (1, 2, 3, 4)
         assert all(b > a for a, b in zip(grid, grid[1:]))
 
     def test_single_point(self):
-        assert log_spaced_depths(7, 7, 1) == (7,)
-
-    def test_rejects_bad_ranges(self):
-        with pytest.raises(ValueError):
-            log_spaced_depths(0, 5, 3)
-        with pytest.raises(ValueError):
-            log_spaced_depths(5, 4, 3)
-        with pytest.raises(ValueError):
-            log_spaced_depths(1, 5, 0)
-        with pytest.raises(ValueError, match="depth_count <="):
-            log_spaced_depths(1, 5, DEPTH_COUNT_MAX + 1)
+        assert _log_spaced_depths(7, 7, 1) == (7,)
 
 
 class TestEigvec:

@@ -207,6 +207,18 @@ def test_package_init_is_only_a_docstring():
     assert len(init.body) == 1 and ast.get_docstring(init) is not None
 
 
+def test_config_imports_only_kernels_from_the_package():
+    """The config schema owns every key's default and bound: config.py
+    imports from no convkernel module but kernels, for the geometry types
+    and the depth rule."""
+    tree = ast.parse((ROOT / "src" / "convkernel" / "config.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert {name for name in imported if name.split(".")[0] == "convkernel"} == {
+        "convkernel.kernels"}
+
+
 def name_owners(node: ast.AST, name: str, owner: str):
     """The innermost function enclosing each name or attribute called name
     under node, or owner where none does."""

@@ -3,7 +3,7 @@
 import json
 import tracemalloc
 import weakref
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -347,22 +347,54 @@ class TestDepthSweep:
         assert main(["sweep", str(config)]) == 2
         assert "sigma.csv: row on line 1 is not finite" in capsys.readouterr().err
 
-    def test_overflowing_estimates_exit_2_and_write_nothing(self, tmp_path, capsys):
-        # A coefficient file passes validation yet squares past the float range.
-        save_matrix_csv(np.full((1, 8), 1e153), tmp_path / "beta.csv")
+    @pytest.mark.parametrize("entry, signal", [(1e153, "8e+306"), (1e160, "inf")])
+    def test_overflowing_estimates_exit_2_and_write_nothing(self, tmp_path, capsys,
+                                                            monkeypatch, entry, signal):
+        # A coefficient file passes validation, but its estimates would square
+        # past the float range; it is refused before any transform is built.
+        def no_transforms(*args):
+            raise AssertionError("feature_transforms called")
+
+        monkeypatch.setattr(convkernel.experiments, "feature_transforms", no_transforms)
+        beta = tmp_path / "beta.csv"
+        save_matrix_csv(np.full((1, 8), entry), beta)
         outdir = tmp_path / "out"
         outdir.mkdir()
         config = tmp_path / "sweep.cfg"
         config.write_text(
             "experiment = sweep\np = 8\nn = 4\ndepths = 1,3\n"
-            f"beta_source = file\nbeta_file = {tmp_path / 'beta.csv'}\n"
+            f"beta_source = file\nbeta_file = {beta}\n"
             "trials_bias = 5\ntrials_var = 5\ntrials_risk = 5\nrisk_test_points = 16\n"
             f"outdir = {outdir}\n"
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["sweep", str(config)]) == 2
-        assert "sweep.csv: column bias_se has non-finite value" in capsys.readouterr().err
+        assert main(["sweep", str(config)]) == 2
+        assert (f"runtime error: signal variance {signal} exceeds 1e+100 (beta_file {beta})"
+                in capsys.readouterr().err)
         assert list(outdir.iterdir()) == []
+
+    def test_oversized_covariance_file_names_it(self, tmp_path):
+        sigma = tmp_path / "sigma.csv"
+        save_matrix_csv(1e120 * np.eye(6), sigma)
+        cfg = sweep_config(
+            tmp_path, f"sigma_source = file\nsigma_file = {sigma}\np = 6\nn = 3\n"
+                      f"depths = 1\n{FAST_TRIALS}outdir = {tmp_path / 'out'}\n")
+        with pytest.raises(ValueError, match=r"signal variance 1e\+120 exceeds 1e\+100 "
+                                             r"\(sigma_file .*sigma\.csv\)"):
+            run_depth_sweep(cfg)
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_estimate_writes_no_csv(self, tmp_path, monkeypatch):
+        def infinite_bias(transforms, problem, trials, seed):
+            result = convkernel.regression.bias_mc(transforms, problem, trials, seed)
+            return replace(result, std_error=(float("inf"),) * len(transforms))
+
+        monkeypatch.setattr(convkernel.experiments, "bias_mc", infinite_bias)
+        cfg = sweep_config(tmp_path, f"p = 8\nn = 4\ndepths = 1,3\n{FAST_TRIALS}"
+                                     f"outdir = {tmp_path / 'out'}\n")
+        with pytest.raises(ValueError, match="sweep.csv: column bias_se has non-finite "
+                                             "value inf"):
+            run_depth_sweep(cfg)
+        assert not (tmp_path / "out").exists()
 
     def test_largest_noise_var_writes_finite_outputs(self, tmp_path):
         # Runs under the suite's RuntimeWarning-as-error filter.

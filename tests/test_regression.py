@@ -22,7 +22,6 @@ from convkernel.kernels import (
     feature_transforms,
 )
 from convkernel.regression import (
-    DEFAULT_RISK_TEST_POINTS,
     PINV_RTOL,
     RegressionProblem,
     _apply_pinv,
@@ -608,7 +607,7 @@ class TestPerTrialOracle:
     # The estimators run trials in chunks of stacked draws, each chunk drawn
     # once for all transforms; the per-trial loop over one transform is the
     # reference.  Chunk counts are taken from the draw shapes.
-    P, N = 12, 5
+    P, N, TEST_POINTS = 12, 5, 256
 
     def problem(self, noise_var=0.3):
         rng = np.random.default_rng(40)
@@ -621,7 +620,7 @@ class TestPerTrialOracle:
         transform = (basis[:, :rank] * rng.uniform(0.5, 2.0, rank)) @ basis[:, :rank].T
         return (transform + transform.T) / 2.0
 
-    def run(self, name, ranks, problem, trials, test_points=DEFAULT_RISK_TEST_POINTS):
+    def run(self, name, ranks, problem, trials, test_points=TEST_POINTS):
         estimator = {"bias": bias_mc, "variance": variance_mc, "risk": excess_risk_mc}[name]
         extra = {"test_points": test_points} if name == "risk" else {}
 
@@ -649,7 +648,7 @@ class TestPerTrialOracle:
             assert backwards.std_error == estimate.std_error[::-1]
         return estimate
 
-    def chunk(self, name, test_points=DEFAULT_RISK_TEST_POINTS):
+    def chunk(self, name, test_points=TEST_POINTS):
         shapes = ((self.N, self.P),)
         if name == "risk":
             shapes += ((self.N,), (test_points, self.P))
@@ -709,7 +708,8 @@ class TestMonteCarloMemory:
     def test_variance_sweep_size(self):
         problem = identity_problem(p=20, n=10)
         identity = FeatureTransform(np.eye(20))
-        assert self.peak_mb(lambda: variance_mc([identity], problem, trials=6000)) < 2.0
+        assert self.peak_mb(lambda: variance_mc([identity], problem, trials=6000,
+                                                     seed=0)) < 2.0
 
     def test_entry_check_holds_two_temporaries(self):
         # Beyond the matrix itself, the certified check holds the scaled,
@@ -725,7 +725,8 @@ class TestMonteCarloMemory:
         # draws take 1.7 MB.
         problem = RegressionProblem(np.eye(784), np.ones(784), 0.01, 10)
         transform = FeatureTransform(np.eye(784))
-        peak = self.peak_mb(lambda: excess_risk_mc([transform], problem, trials=20))
+        peak = self.peak_mb(lambda: excess_risk_mc([transform], problem, trials=20,
+                                                          seed=0, test_points=256))
         assert peak < 6.0
 
 
@@ -733,7 +734,9 @@ class TestMonteCarloMemory:
 @pytest.mark.parametrize("trials", [0, -3])
 def test_estimators_reject_bad_trials(estimator, trials):
     with pytest.raises(ValueError, match="trials must be >= 1"):
-        estimator([FeatureTransform(np.eye(20))], identity_problem(), trials=trials, seed=0)
+        extra = {"test_points": 256} if estimator is excess_risk_mc else {}
+        estimator([FeatureTransform(np.eye(20))], identity_problem(), trials=trials, seed=0,
+                  **extra)
 
 
 class TestVarianceLowerBound:
@@ -761,7 +764,7 @@ class TestExcessRiskMC:
     def test_identity_reference_value(self):
         problem = identity_problem(noise_var=0.01)
         estimate = excess_risk_mc([FeatureTransform(np.eye(20))], problem, trials=400,
-                                  seed=24)
+                                  seed=24, test_points=256)
         expected = 0.5 + variance_lower_bound(0.01, 10, 20)
         assert abs(estimate.mean[0] - expected) <= 4.0 * estimate.std_error[0]
 
@@ -776,7 +779,8 @@ class TestExcessRiskMC:
             seed = 100 + trial
             bias = bias_mc([transform], problem, trials=400, seed=seed)
             variance = variance_mc([transform], problem, trials=400, seed=seed + 1)
-            risk = excess_risk_mc([transform], problem, trials=400, seed=seed + 2)
+            risk = excess_risk_mc([transform], problem, trials=400, seed=seed + 2,
+                                  test_points=256)
             gap = abs(risk.mean[0] - bias.mean[0] - variance.mean[0])
             assert gap <= 3.0 * (bias.std_error[0] + variance.std_error[0] + risk.std_error[0])
 
