@@ -134,8 +134,14 @@ def _resolve_coef(cfg: SweepConfig) -> np.ndarray:
             raise ValueError(
                 f"coefficient file {cfg.beta_file} has length {coef.shape[0]}, expected {p}"
             )
-        if not np.any(coef):
-            raise ValueError(f"coefficient file {cfg.beta_file} is all zeros")
+        # The sum of squares underflows to 0 when every entry is below about
+        # 1e-162, and misalignment divides by its root; one that overflows
+        # is left to the signal-variance check.
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(coef))
+        if norm == 0.0:
+            raise ValueError(
+                f"coefficient file {cfg.beta_file} is all zeros or its norm underflows")
         return coef
     return _synthetic_coef(p, cfg.seed)
 

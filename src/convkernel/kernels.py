@@ -6,8 +6,8 @@ operator (a sum of shift-conjugations, one per filter tap), renormalized
 to unit Frobenius norm.  This module applies the operator as a direct
 stencil (for the shallowest depths of callers that ask for it, and as the
 reference the tests hold the closed form to), computes every other
-transform in closed form, and provides the closed-form spectra and
-infinite-depth limits.
+transform in closed form (under zero padding, one real FFT per nonzero
+diagonal), and provides the infinite-depth limit and numerical spectra.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ PSD_RTOL = 1e-10
 # (at least 1e-280) by less than an ulp, for any matrix that fits in memory.
 TINY_NORM = 1e-140
 # By default, zero-padding depths up to this one iterate the stencil instead
-# of using the closed form.  Both agree to about 1e-16, but ridgeless
+# of using the closed form.  Both agree to about 1e-13 of the largest
+# entry (the 28x28 pooling transform at depth 2), but ridgeless
 # regression on pooled images amplifies a last-bit change of the depth-1 or
 # depth-2 transform up to 1e-6 relative (Gram condition numbers near 5e10),
 # and outputs recorded from the iterate are compared at that tolerance.  The
@@ -244,37 +245,40 @@ def apply_conv_operator(
 
 def _start(n: int, architecture: Architecture) -> np.ndarray:
     """Unnormalized depth-0 matrix on n pixels: identity or all-ones."""
-    if architecture is Architecture.FLATTENING:
-        return np.eye(n)
-    if architecture is Architecture.POOLING:
-        return np.ones((n, n))
-    raise ValueError(f"unsupported architecture: {architecture!r}")
+    return np.eye(n) if architecture is Architecture.FLATTENING else np.ones((n, n))
 
 
-def _zero_padding_power(start: np.ndarray, depth: int) -> np.ndarray:
-    """The 1-D zero-padding operator applied depth times to a symmetric matrix,
-    up to a positive scale.
+def _zero_padding_power(n: int, architecture: Architecture, depth: int) -> np.ndarray:
+    """The 1-D zero-padding operator applied depth times to the depth-0
+    matrix on n pixels, up to a positive scale.
 
     The operator maps each diagonal i - j = offset to itself, acting on it
-    as the all-ones tridiagonal Toeplitz matrix of its length p - offset,
-    so each diagonal is projected on that matrix's sine eigenbasis (see
-    toeplitz_spectrum), scaled by the eigenvalues' depth-th powers and
-    mapped back.  Eigenvalues are divided by the largest over all diagonals
-    (the main one's) so nothing overflows; the scale this drops is
-    (1 + 2*cos(pi/(p+1)))**depth.
+    as the all-ones tridiagonal Toeplitz matrix of its length m = n - offset,
+    whose eigenvalue h (h = 1..m) is 1 + 2*cos(h*pi/(m+1)) with the sine
+    (DST-I) eigenvector sqrt(2/(m+1)) * sin(t*h*pi/(m+1)), t = 1..m.  Each
+    nonzero start diagonal (all n under pooling, the main one under
+    flattening) is all ones, whose coefficient h is sqrt(2/(m+1)) *
+    cot(h*pi/(2(m+1))) for odd h and 0 for even h.  Coefficients are
+    scaled by their eigenvalues' depth-th powers, divided by the largest
+    over all diagonals (the main one's h = 1, so its ratio is exactly 1 and
+    nothing overflows or vanishes), and each diagonal is mapped back by
+    one DST-I: the imaginary part of one real FFT of length 2(m+1).  The
+    scale this drops is (1 + 2*cos(pi/(n+1)))**depth.
     """
-    p = start.shape[0]
-    largest = 1.0 + 2.0 * math.cos(math.pi / (p + 1))
-    out = np.zeros((p, p))
-    for offset in range(p):
-        t = np.arange(p - offset)
-        diagonal = start[t, t + offset]
-        if not diagonal.any():
-            continue
-        eigenvalues, basis = toeplitz_spectrum(p - offset)
-        values = basis @ ((eigenvalues / largest) ** depth * (basis.T @ diagonal))
-        out[t, t + offset] = values
-        out[t + offset, t] = values
+    lengths = np.arange(n, 0 if architecture is Architecture.POOLING else n - 1, -1)[:, None]
+    h = np.arange(n + 1)
+    odd = (h % 2 == 1) & (h <= lengths)
+    # Masked entries take angle pi/2, where every factor below is finite.
+    angles = np.where(odd, h * np.pi / (lengths + 1), np.pi / 2)
+    ratios = np.where(odd, 1.0 + 2.0 * np.cos(angles), 0.0)
+    ratios /= ratios[0, 1]
+    coefficients = np.where(odd, 2.0 / (lengths + 1) / np.tan(angles / 2) * ratios**depth, 0.0)
+    out = np.zeros((n, n))
+    flat = out.reshape(-1)
+    for m, row in zip(lengths[:, 0], coefficients):
+        values = -np.fft.rfft(row[:m + 1], 2 * (m + 1)).imag[1:m + 1]
+        flat[n - m::n + 1][:m] = values
+        flat[(n - m) * n::n + 1][:m] = values
     return out
 
 
@@ -285,7 +289,7 @@ def _axis_factor(n: int, depth: int | float, padding: Padding,
         return _start(n, architecture)
     if depth == math.inf:
         return np.diag(sine_profile(n))
-    return _zero_padding_power(_start(n, architecture), depth)
+    return _zero_padding_power(n, architecture, depth)
 
 
 def _feature_transform(
@@ -357,6 +361,8 @@ def feature_transforms(
     depths = check_depths(depths)
     if not isinstance(padding, Padding):
         raise ValueError(f"unsupported padding: {padding!r}")
+    if not isinstance(architecture, Architecture):
+        raise ValueError(f"unsupported architecture: {architecture!r}")
     return [_feature_transform(d, geometry, padding, architecture, stencil_depth_max)
             for d in depths]
 
@@ -367,22 +373,6 @@ def sine_profile(dim: int) -> np.ndarray:
         raise ValueError(f"dim must be >= 1, got {dim}")
     i = np.arange(1, dim + 1)
     return np.sin(i * np.pi / (dim + 1))
-
-
-def toeplitz_spectrum(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form eigenpairs of the dim x dim all-ones tridiagonal Toeplitz
-    matrix: (eigenvalues, basis), eigenvalues descending.
-
-    Eigenvalue h (h = 1..dim) is 1 + 2*cos(h*pi/(dim+1)), and column h - 1 of
-    the orthonormal sine (DST-I) basis has entries
-    sqrt(2/(dim+1)) * sin(t*h*pi/(dim+1)), t = 1..dim.
-    """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    h = np.arange(1, dim + 1)
-    angles = h * (math.pi / (dim + 1))
-    basis = math.sqrt(2.0 / (dim + 1)) * np.sin(np.outer(h, angles))
-    return 1.0 + 2.0 * np.cos(angles), basis
 
 
 def _fix_sign(vector: np.ndarray) -> np.ndarray:

@@ -1,17 +1,20 @@
 """Reference constructions that only the tests use.
 
 The shift-basis form of the convolution operator is the oracle the stencil
-and the closed form are held to, dense forms a transform's p x p matrix
-as the Kronecker power of its factor, variance_lower_bound is the analytic
-variance floor the estimators are checked against, eigh_pinv_solve is
-the eigendecomposition pseudo-inverse solve the fast Cholesky path is held
-to, and save_matrix_csv writes the covariance and coefficient files the
+and the closed form are held to, toeplitz_spectrum is the per-diagonal
+sine eigenbasis the closed form's FFT is held to, dense forms a
+transform's p x p matrix as the Kronecker power of its factor,
+variance_lower_bound is the analytic variance floor the estimators are
+checked against, eigh_pinv_solve is the eigendecomposition
+pseudo-inverse solve the fast Cholesky path is held to, and
+save_matrix_csv writes the covariance and coefficient files the
 file-reading paths load.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import reduce
 from pathlib import Path
 
@@ -47,6 +50,22 @@ def basis_matrices(geometry: ConvGeometry, padding: Padding) -> list[np.ndarray]
     axes = geometry.axes
     return [reduce(np.kron, [_shift_matrix_1d(n, k, padding) for n, k in zip(axes, taps)])
             for taps in itertools.product((-1, 0, 1), repeat=len(axes))]
+
+
+def toeplitz_spectrum(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form eigenpairs of the dim x dim all-ones tridiagonal Toeplitz
+    matrix: (eigenvalues, basis), eigenvalues descending.
+
+    Eigenvalue h (h = 1..dim) is 1 + 2*cos(h*pi/(dim+1)), and column h - 1 of
+    the orthonormal sine (DST-I) basis has entries
+    sqrt(2/(dim+1)) * sin(t*h*pi/(dim+1)), t = 1..dim.
+    """
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    h = np.arange(1, dim + 1)
+    angles = h * (math.pi / (dim + 1))
+    basis = math.sqrt(2.0 / (dim + 1)) * np.sin(np.outer(h, angles))
+    return 1.0 + 2.0 * np.cos(angles), basis
 
 
 def dense(transform: FeatureTransform) -> np.ndarray:

@@ -303,6 +303,26 @@ class TestDepthSweep:
         with pytest.raises(ValueError, match="all zeros"):
             run_depth_sweep(cfg)
 
+    def test_underflowing_coef_file_fails_before_any_transform(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # Nonzero entries whose squares underflow: the norm misalignment divides by is 0.
+        def no_transforms(*args):
+            raise AssertionError("feature_transforms called")
+
+        monkeypatch.setattr(convkernel.experiments, "feature_transforms", no_transforms)
+        beta = tmp_path / "beta.csv"
+        save_matrix_csv(np.full((1, 6), 1e-170), beta)
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        config = tmp_path / "sweep.cfg"
+        config.write_text(
+            f"experiment = sweep\nbeta_source = file\nbeta_file = {beta}\n"
+            f"p = 6\nn = 3\ndepths = 1,3\n{FAST_TRIALS}outdir = {outdir}\n"
+        )
+        assert main(["sweep", str(config)]) == 2
+        assert f"coefficient file {beta} is all zeros" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
     def test_wrong_shape_covariance_file_rejected(self, tmp_path):
         save_matrix_csv(np.eye(4), tmp_path / "sigma.csv")
         cfg = sweep_config(

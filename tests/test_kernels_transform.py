@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import convkernel.kernels
-from _oracles import dense
+from _oracles import dense, toeplitz_spectrum
 from _util import unit_start
 from convkernel.experiments import participation_ratio
 from convkernel.kernels import (
+    DEPTH_MAX,
     PSD_RTOL,
     Architecture,
     ConvGeometry,
@@ -25,6 +26,8 @@ from convkernel.kernels import (
     GeometryKind,
     Padding,
     _check_symmetric_psd,
+    _start,
+    _zero_padding_power,
     apply_conv_operator,
     feature_transforms,
     leading_eigenvector,
@@ -92,6 +95,12 @@ class TestRecursionPlumbing:
             feature_transforms([1, 2, 2], geometry, Padding.ZERO, Architecture.POOLING)
         with pytest.raises(ValueError, match="non-negative"):
             feature_transforms([-1, 2], geometry, Padding.ZERO, Architecture.POOLING)
+
+    @pytest.mark.parametrize("depth", [0, 3])
+    def test_rejects_an_unknown_architecture(self, depth):
+        # The closed form's diagonal count and the stencil's start both read it.
+        with pytest.raises(ValueError, match="unsupported architecture: 'pooling'"):
+            feature_transforms([depth], geom_1d(4), Padding.ZERO, "pooling")
 
     # Integrality is tested without float(), which overflows above about 1e308.
     def test_depth_bound(self):
@@ -332,6 +341,60 @@ class TestClosedForm:
             for arch in ARCHS:
                 feature_transforms(deep, geometry, Padding.ZERO, arch)
                 feature_transforms([0, 1, 2] + deep, geometry, Padding.CIRCULAR, arch)
+
+
+def sine_table_power(n: int, arch, depth: int) -> np.ndarray:
+    """_zero_padding_power by explicit sine tables: each diagonal of the start
+    projected on toeplitz_spectrum's basis, scaled, and mapped back."""
+    start = _start(n, arch)
+    largest = toeplitz_spectrum(n)[0][0]
+    out = np.zeros((n, n))
+    for offset in range(n):
+        t = np.arange(n - offset)
+        eigenvalues, basis = toeplitz_spectrum(n - offset)
+        values = basis @ ((eigenvalues / largest) ** depth * (basis.T @ start[t, t + offset]))
+        out[t, t + offset] = values
+        out[t + offset, t] = values
+    return out
+
+
+class TestZeroPaddingFFT:
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3, 50, 10**6, DEPTH_MAX])
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_matches_the_sine_table_oracle(self, arch, depth):
+        # The oracle's own sums are off by up to 1.05e-14 of the largest
+        # entry at depth 0 (n = 56 on), where the FFT path is within 4 ulp.
+        for n in range(1, 65):
+            expected = sine_table_power(n, arch, depth)
+            got = _zero_padding_power(n, arch, depth)
+            assert np.max(np.abs(got - expected)) <= 2e-14 * np.max(np.abs(expected)), n
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_depth_zero_is_the_start(self, arch):
+        for n in range(1, 65):
+            assert_within_ulps(_zero_padding_power(n, arch, 0), _start(n, arch), 4)
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    @pytest.mark.parametrize("geometry", [geom_1d(40), ConvGeometry(GeometryKind.TWO_D, 784)])
+    def test_one_fft_per_nonzero_diagonal_and_no_sine_table(self, monkeypatch, geometry,
+                                                            arch):
+        # Pooling starts with every diagonal nonzero, flattening with the main one.
+        rfft, calls = np.fft.rfft, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return rfft(*args, **kwargs)
+
+        def no_sine(*args, **kwargs):
+            raise AssertionError("np.sin called")
+
+        monkeypatch.setattr(np.fft, "rfft", counted)
+        monkeypatch.setattr(np, "sin", no_sine)
+        expected = geometry.axes[0] if arch is Architecture.POOLING else 1
+        for depth in (3, 10**6):
+            calls.clear()
+            feature_transforms([depth], geometry, Padding.ZERO, arch)
+            assert len(calls) == expected, depth
 
 
 class TestZeroPaddingStructure:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from _oracles import toeplitz_spectrum
 from convkernel.kernels import (
     ConvGeometry,
     GeometryKind,
@@ -14,7 +15,6 @@ from convkernel.kernels import (
     apply_conv_operator,
     sine_profile,
     symmetric_spectrum,
-    toeplitz_spectrum,
 )
 
 
