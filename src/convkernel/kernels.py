@@ -265,7 +265,8 @@ def _zero_padding_power(n: int, architecture: Architecture, depth: int) -> np.nd
     one DST-I: the imaginary part of one real FFT of length 2(m+1).  The
     scale this drops is (1 + 2*cos(pi/(n+1)))**depth.
     """
-    lengths = np.arange(n, 0 if architecture is Architecture.POOLING else n - 1, -1)[:, None]
+    diagonals = n if architecture is Architecture.POOLING else 1
+    lengths = np.arange(n, n - diagonals, -1)[:, None]
     h = np.arange(n + 1)
     odd = (h % 2 == 1) & (h <= lengths)
     # Masked entries take angle pi/2, where every factor below is finite.

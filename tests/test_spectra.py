@@ -31,7 +31,7 @@ class TestToeplitzClosedForm:
 
     @pytest.mark.parametrize("dim", range(1, 51))
     def test_basis_diagonalizes_the_tridiagonal_matrix(self, dim):
-        # The basis every zero-padding transform beyond the stencil depths is built from.
+        # The basis of the oracle the FFT closed form is held to.
         eigenvalues, basis = toeplitz_spectrum(dim)
         assert basis.shape == (dim, dim)
         assert_allclose(basis.T @ basis, np.eye(dim), atol=1e-12, rtol=0)
