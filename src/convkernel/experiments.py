@@ -264,9 +264,10 @@ def run_eigvec_gallery(cfg: EigvecConfig) -> list[GalleryRecord]:
 
     One transform is built and held at a time; only the images are kept
     until all are written.  Only depth 0 under zero padding is a dense
-    p x p matrix (stencil_depth_max=0): every deeper depth is the square of
-    its closed-form s x s factor, whose leading eigenvector is solved at
-    size s.
+    p x p matrix (dense_depths={0}): its recorded image holds the rounding
+    noise of that start's eigh, which a factored start does not reproduce.
+    Every deeper depth is the square of its closed-form s x s factor, whose
+    leading eigenvector is solved at size s.
     """
     if cfg.geometry.kind is not GeometryKind.TWO_D:
         raise ValueError("the eigenvector gallery requires 2-D geometry")
@@ -276,7 +277,7 @@ def run_eigvec_gallery(cfg: EigvecConfig) -> list[GalleryRecord]:
         # No name holds the transform, so the next depth is built without it.
         leading = leading_eigenvector(
             feature_transforms([depth], cfg.geometry, cfg.padding, cfg.architecture,
-                               stencil_depth_max=0)[0])
+                               dense_depths=frozenset({0}))[0])
         records.append(GalleryRecord(depth, participation_ratio(leading)))
         images.append(grayscale(leading.reshape(cfg.geometry.axes)))
     csv = _csv_text("gallery.csv", records)

@@ -4,9 +4,10 @@ The depth-d feature transform of a linear convolutional network is the
 depth-0 PSD matrix after d applications of the convolution overlap
 operator (a sum of shift-conjugations, one per filter tap), renormalized
 to unit Frobenius norm.  This module applies the operator as a direct
-stencil (for the shallowest depths of callers that ask for it, and as the
-reference the tests hold the closed form to), computes every other
-transform in closed form (under zero padding, one real FFT per nonzero
+stencil (for the zero-padding depths a caller names as dense, and as the
+reference the tests hold the closed form to), builds every other
+transform as a Kronecker power of one axis factor (depth 0 is the start
+itself; under zero padding deeper factors take one real FFT per nonzero
 diagonal), and provides the infinite-depth limit and numerical spectra.
 """
 
@@ -29,14 +30,17 @@ PSD_RTOL = 1e-10
 # squares that underflow (each below about 2e-308) move the sum of squares
 # (at least 1e-280) by less than an ulp, for any matrix that fits in memory.
 TINY_NORM = 1e-140
-# By default, zero-padding depths up to this one iterate the stencil instead
-# of using the closed form.  Both agree to about 1e-13 of the largest
-# entry (the 28x28 pooling transform at depth 2), but ridgeless
+# By default, these zero-padding depths iterate the stencil from the dense
+# start instead of using the closed form.  Both agree to about 1e-13 of the
+# largest entry (the 28x28 pooling transform at depth 2), but ridgeless
 # regression on pooled images amplifies a last-bit change of the depth-1 or
 # depth-2 transform up to 1e-6 relative (Gram condition numbers near 5e10),
-# and outputs recorded from the iterate are compared at that tolerance.  The
-# eigenvector gallery, which nothing pins at depths 1 and 2, passes 0.
-STENCIL_DEPTH_MAX = 2
+# and outputs recorded from the iterate are compared at that tolerance.
+# Depth 0 is not among them: its pooled Gram has rank one, far from the
+# pinv cutoff, so the factored start serves.  The eigenvector gallery, which
+# nothing pins at depths 1 and 2, passes {0}: the eigh rounding noise of its
+# dense depth-0 start is what its recorded depth-0 image holds.
+DENSE_DEPTHS = frozenset({1, 2})
 DEPTH_MAX = 2**63 - 1  # the largest int64, so every depth is a numpy integer
 
 
@@ -224,9 +228,9 @@ def apply_conv_operator(
     filter tap along both axes at once: the (axes + axes) grid is padded
     once, with zeros or by wrapping, and each tap adds one window of it.
     Accumulation order over taps is fixed so results are bit-reproducible.
-    feature_transforms iterates it only up to stencil_depth_max; iterated
-    with renormalization, it is the reference the closed form is tested
-    against.
+    feature_transforms iterates it only for the depths in dense_depths;
+    iterated with renormalization, it is the reference the closed form is
+    tested against.
     """
     matrix = np.asarray(matrix, dtype=float)
     p = geometry.p
@@ -286,7 +290,7 @@ def _zero_padding_power(n: int, architecture: Architecture, depth: int) -> np.nd
 def _axis_factor(n: int, depth: int | float, padding: Padding,
                  architecture: Architecture) -> np.ndarray:
     """Unnormalized 1-D transform on an axis of n pixels; depth math.inf is the limit."""
-    if padding is Padding.CIRCULAR:
+    if padding is Padding.CIRCULAR or depth == 0:
         return _start(n, architecture)
     if depth == math.inf:
         return np.diag(sine_profile(n))
@@ -295,23 +299,24 @@ def _axis_factor(n: int, depth: int | float, padding: Padding,
 
 def _feature_transform(
     depth: int | float, geometry: ConvGeometry, padding: Padding, architecture: Architecture,
-    stencil_depth_max: int,
+    dense_depths: frozenset[int],
 ) -> FeatureTransform:
     """The depth-`depth` transform; depth math.inf is the infinite-depth limit.
 
     Circular padding leaves both depth-0 matrices fixed (each tap's shift
     permutes the identity and the all-ones matrix onto themselves), so
     every depth is depth 0.  Zero padding drives every start to the same
-    diagonal limit, the sine profile per axis.  Under zero padding, depths
-    up to stencil_depth_max iterate the stencil from the unnormalized
-    start, normalizing before each layer, so the transform's own scaling
-    keeps the iterate's bits (depth 0 runs no layer: the dense start).
-    The operator acts on each axis's index pair of the axes + axes tensor
-    separately, and both depth-0 matrices are products of one factor per
-    axis, so every other transform is the 1-D transform V of one axis
-    raised to one Kronecker power per axis (kron(V, V) in 2-D).
+    diagonal limit, the sine profile per axis.  Under zero padding, the
+    depths in dense_depths iterate the stencil from the unnormalized dense
+    p x p start, normalizing before each layer, so the transform's own
+    scaling keeps the iterate's bits (depth 0 runs no layer: the dense
+    start).  The operator acts on each axis's index pair of the axes + axes
+    tensor separately, and both depth-0 matrices are products of one factor
+    per axis, so every other transform is the 1-D transform V of one axis
+    raised to one Kronecker power per axis (kron(V, V) in 2-D); at depth 0,
+    V is the axis's start.
     """
-    if padding is Padding.CIRCULAR or depth > stencil_depth_max:
+    if padding is Padding.CIRCULAR or depth not in dense_depths:
         axes = geometry.axes
         return FeatureTransform(_axis_factor(axes[0], depth, padding, architecture), len(axes))
     matrix = _start(geometry.p, architecture)
@@ -341,30 +346,32 @@ def feature_transforms(
     geometry: ConvGeometry,
     padding: Padding,
     architecture: Architecture,
-    stencil_depth_max: int = STENCIL_DEPTH_MAX,
+    dense_depths: frozenset[int] = DENSE_DEPTHS,
 ) -> list[FeatureTransform]:
     """Unit-Frobenius feature transforms at the given strictly increasing
     depths; a last depth of math.inf gives the infinite-depth limit.
 
-    Each depth is computed on its own, beyond stencil_depth_max in closed
-    form (see _feature_transform) at a cost that does not depend on the
-    depth; apply_conv_operator, iterated with renormalization, is the
-    reference it matches.  The recursion's scale factor does not affect
-    downstream regression quantities, so every transform has unit
-    Frobenius norm.
+    Each depth is computed on its own: depth 0 as the start and every
+    zero-padding depth outside dense_depths in closed form (see
+    _feature_transform), as a Kronecker power of one axis factor at a cost
+    that does not depend on the depth; apply_conv_operator, iterated with
+    renormalization, is the reference it matches.  The recursion's scale
+    factor does not affect downstream regression quantities, so every
+    transform has unit Frobenius norm.
 
-    stencil_depth_max exists because two callers need different values:
-    the mnist runner keeps the default, whose iterated bits its recorded
-    outputs pin, and the eigenvector gallery passes 0, so only its depth 0
-    is dense.  It goes away with the stencil branch once those outputs are
-    re-recorded from the closed form.
+    dense_depths exists because two callers need different dense depths:
+    the mnist runner keeps the default {1, 2}, whose iterated bits its
+    recorded outputs pin, and the eigenvector gallery passes {0}, whose
+    dense start's eigh noise its recorded depth-0 image pins.  It goes away
+    with the stencil branch once those outputs are re-recorded from the
+    closed form.
     """
     depths = check_depths(depths)
     if not isinstance(padding, Padding):
         raise ValueError(f"unsupported padding: {padding!r}")
     if not isinstance(architecture, Architecture):
         raise ValueError(f"unsupported architecture: {architecture!r}")
-    return [_feature_transform(d, geometry, padding, architecture, stencil_depth_max)
+    return [_feature_transform(d, geometry, padding, architecture, dense_depths)
             for d in depths]
 
 

@@ -153,7 +153,8 @@ def test_traced_run_records_every_traced_function(tmp_path):
     subprocess because the tracer patches module attributes."""
     images, labels = make_synthetic_idx(tmp_path, count_per_class=3)
     # Only the sweep's zero-padding depths 1 and 2 reach apply_conv_operator:
-    # the gallery's depth 1 is closed form and mnist's depth 0 runs no layer.
+    # the gallery's depth 1 is closed form and mnist's depth 0 is the square
+    # of its 28 x 28 start.
     configs = {
         "sweep": "p = 8\nn = 4\ndepths = 1,2\nsigma_source = inverse_theta\nsigma_depth = 1\n"
                  "trials_bias = 2\ntrials_var = 2\ntrials_risk = 2\nrisk_test_points = 2\n",

@@ -28,8 +28,10 @@ from convkernel.experiments import (
 from convkernel.kernels import (
     Architecture,
     ConvGeometry,
+    FeatureTransform,
     GeometryKind,
     Padding,
+    _start,
     feature_transforms,
     leading_eigenvector,
     symmetric_spectrum,
@@ -589,9 +591,10 @@ class TestEigvecGallery:
         cfg = eigvec_config(tmp_path, f"p = 784\ndepths = 0\narchitecture = {arch}\n"
                                       f"outdir = {tmp_path / 'out'}\n")
         run_eigvec_gallery(cfg)
-        (default,) = feature_transforms([0], cfg.geometry, cfg.padding, cfg.architecture)
-        assert solved[0].power == default.power
-        assert_array_equal(solved[0].factor, default.factor)
+        # The dense start, whose eigh rounding noise eigvec_D0.pgm records.
+        start = FeatureTransform(_start(784, cfg.architecture))
+        assert solved[0].power == start.power
+        assert_array_equal(solved[0].factor, start.factor)
 
     @pytest.mark.parametrize("arch", ["flattening", "pooling"])
     @pytest.mark.parametrize("side", [3, 5, 28])
@@ -705,14 +708,16 @@ class TestMnistExperiment:
             f"outdir = {tmp_path / 'out'}\n",
         )
         run_mnist_experiment(cfg)
-        # Dense depths 0 and 2, then one 28 x 28 factor each for depth 4 and
-        # for the identity baseline.
-        assert checked == ([("feature transform", (784, 784))] * 2
+        # The 28 x 28 factor of depth 0, dense depth 2, then one 28 x 28
+        # factor each for depth 4 and for the identity baseline.
+        assert checked == ([("feature transform", (28, 28))]
+                           + [("feature transform", (784, 784))]
                            + [("feature transform", (28, 28))] * 2)
 
     def test_deep_transforms_never_form_the_pixel_matrix(self, tmp_path, idx_paths,
                                                           monkeypatch):
-        # The fit and misalignment act with the 28 x 28 factor on each axis.
+        # The fit and misalignment act with the 28 x 28 factor on each axis,
+        # and depth 0 is the square of the 28 x 28 start, not a stencil run.
         # One 784 x 784 float64 array is 4.9 MB; the run without one peaks
         # near 1 MB.
         built = []
@@ -722,11 +727,15 @@ class TestMnistExperiment:
             built.extend(original(*args))
             return built[-1:]
 
+        def stencil(*args):
+            raise AssertionError("apply_conv_operator called")
+
         monkeypatch.setattr(convkernel.experiments, "feature_transforms", recording)
+        monkeypatch.setattr(convkernel.kernels, "apply_conv_operator", stencil)
         cfg = self.mnist_cfg(
             tmp_path,
             idx_paths,
-            "count_per_class = 20\nn = 6\ntrials = 3\ndepths = 3,16\n"
+            "count_per_class = 20\nn = 6\ntrials = 3\ndepths = 0,3,16\n"
             f"outdir = {tmp_path / 'out'}\n",
         )
         tracemalloc.start()
@@ -735,8 +744,21 @@ class TestMnistExperiment:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(built) == 2 and all(ft.power == 2 for ft in built)
+        assert len(built) == 3 and all(ft.power == 2 for ft in built)
         assert peak < 784 * 784 * 8 / 2
+
+    @pytest.mark.parametrize("arch", ["flattening", "pooling"])
+    def test_depth_zero_loss_matches_the_dense_start(self, tmp_path, idx_paths, monkeypatch,
+                                                      arch):
+        body = ("count_per_class = 20\nn = 6\ntrials = 4\ndepths = 0\n"
+                f"architecture = {arch}\noutdir = {tmp_path / 'out'}\n")
+        (factored,) = run_mnist_experiment(self.mnist_cfg(tmp_path, idx_paths, body))
+        monkeypatch.setattr(convkernel.experiments, "feature_transforms",
+                            lambda depths, geometry, padding, architecture:
+                            [FeatureTransform(_start(geometry.p, architecture))])
+        (start,) = run_mnist_experiment(self.mnist_cfg(tmp_path, idx_paths, body))
+        assert_allclose([factored.loss_mean, factored.loss_se],
+                        [start.loss_mean, start.loss_se], rtol=1e-12, atol=0)
 
     def test_builds_one_transform_at_a_time(self, tmp_path, idx_paths, monkeypatch):
         lengths = []

@@ -247,9 +247,12 @@ class TestPsdCertificate:
 
     @pytest.mark.parametrize("arch", ARCHS)
     def test_dense_image_depths_take_no_eigen_solve(self, arch):
+        # The gallery's dense start and the default dense depths 1 and 2.
         geometry = ConvGeometry(GeometryKind.TWO_D, 784)
         with spy_eigvalsh() as eigvalsh:
-            transforms = feature_transforms([0, 1, 2], geometry, Padding.ZERO, arch)
+            transforms = (feature_transforms([0], geometry, Padding.ZERO, arch,
+                                             dense_depths=frozenset({0}))
+                          + feature_transforms([1, 2], geometry, Padding.ZERO, arch))
         assert [ft.factor.shape for ft in transforms] == [(784, 784)] * 3
         assert eigvalsh.call_count == 0
 
@@ -318,10 +321,12 @@ class TestClosedForm:
     def test_depth_zero_is_initial_transform_bit_for_bit(self, geometry, padding, arch):
         ft = feature_transforms([0], geometry, padding, arch)[0]
         start = unit_start(geometry, arch)
-        if padding is Padding.CIRCULAR and geometry.kind is GeometryKind.TWO_D:
+        if geometry.kind is GeometryKind.TWO_D and arch is Architecture.FLATTENING:
             # The square of a unit s x s factor, not one p x p scaling.
             assert_within_ulps(dense(ft), start, 4)
         else:
+            # A 1-D start is the start; 2-D pooling squares fl(1/28), and
+            # fl(1/28)**2 == fl(1/784).
             assert_array_equal(dense(ft), start)
 
     @pytest.mark.parametrize("arch", ARCHS)
@@ -336,11 +341,13 @@ class TestClosedForm:
             raise AssertionError("apply_conv_operator called")
 
         monkeypatch.setattr(convkernel.kernels, "apply_conv_operator", stencil)
-        deep = [convkernel.kernels.STENCIL_DEPTH_MAX + 1, 5, 300]
+        dense_depths = convkernel.kernels.DENSE_DEPTHS
+        deep = sorted({0, max(dense_depths) + 1, 5, 300} - dense_depths)
         for geometry in (geom_1d(6), ConvGeometry(GeometryKind.TWO_D, 16)):
             for arch in ARCHS:
                 feature_transforms(deep, geometry, Padding.ZERO, arch)
-                feature_transforms([0, 1, 2] + deep, geometry, Padding.CIRCULAR, arch)
+                feature_transforms(sorted(dense_depths | set(deep)), geometry,
+                                   Padding.CIRCULAR, arch)
 
 
 def sine_table_power(n: int, arch, depth: int) -> np.ndarray:
@@ -506,9 +513,11 @@ class TestFactors:
                 assert_within_ulps(dense(ft), unit_start(geometry, arch), 4)
 
     def test_dense_transform_is_its_own_factor(self):
-        for ft in feature_transforms([0, 1, 2], ConvGeometry(GeometryKind.TWO_D, 9),
-                                     Padding.ZERO, Architecture.POOLING):
+        geometry = ConvGeometry(GeometryKind.TWO_D, 9)
+        for ft in feature_transforms([1, 2], geometry, Padding.ZERO, Architecture.POOLING):
             assert ft.power == 1 and ft.factor.shape == (9, 9)
+        (start,) = feature_transforms([0], geometry, Padding.ZERO, Architecture.POOLING)
+        assert start.power == 2 and start.factor.shape == (3, 3)
 
     def test_rejects_indefinite_factor(self):
         flip = np.diag([1.0, -1.0])

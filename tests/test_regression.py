@@ -822,6 +822,16 @@ class TestMisalignment:
             expected = 1.0 - (unit @ matrix @ unit / np.linalg.norm(matrix)) ** 2
             assert_allclose(misalignment(ft, coef), expected, rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("scale", [1e-161, 1e-170])
+    def test_tiny_coef_matches_its_unit_direction(self, scale):
+        # The squares of these entries lose bits (1e-161) or underflow to
+        # zero (1e-170) in an unscaled norm.
+        (ft,) = feature_transforms([3], ConvGeometry(GeometryKind.ONE_D, 6), Padding.ZERO,
+                                   Architecture.POOLING)
+        coef = np.linspace(1.0, 2.0, 6)
+        assert_allclose(misalignment(ft, scale * coef), misalignment(ft, coef),
+                        rtol=1e-14, atol=0)
+
     def test_rejects_zero_inputs(self):
         with pytest.raises(ValueError, match="coef"):
             misalignment(FeatureTransform(np.eye(3)), np.zeros(3))
