@@ -262,22 +262,24 @@ def participation_ratio(vector: np.ndarray) -> float:
 def run_eigvec_gallery(cfg: EigvecConfig) -> list[GalleryRecord]:
     """Leading-eigenvector images across depths as PGM files plus gallery.csv.
 
-    One transform is built and held at a time; only the images are kept
-    until all are written.  Only depth 0 under zero padding is a dense
-    p x p matrix (dense_depths={0}): its recorded image holds the rounding
-    noise of that start's eigh, which a factored start does not reproduce.
-    Every deeper depth is the square of its closed-form s x s factor, whose
-    leading eigenvector is solved at size s.
+    Every depth is built by one feature_transforms call, so the closed-form
+    depths share one batched pass; each transform is released once its
+    image is taken, and only the images are kept until all are written.
+    Only depth 0 under zero padding is a dense p x p matrix
+    (dense_depths={0}): its recorded image holds the rounding noise of that
+    start's eigh, which a factored start does not reproduce.  Every deeper
+    depth is the square of its closed-form s x s factor, whose leading
+    eigenvector is solved at size s.
     """
     if cfg.geometry.kind is not GeometryKind.TWO_D:
         raise ValueError("the eigenvector gallery requires 2-D geometry")
+    transforms = feature_transforms(cfg.depths, cfg.geometry, cfg.padding, cfg.architecture,
+                                    dense_depths=frozenset({0}))
     records = []
     images: list[np.ndarray] = []
     for depth in cfg.depths:
-        # No name holds the transform, so the next depth is built without it.
-        leading = leading_eigenvector(
-            feature_transforms([depth], cfg.geometry, cfg.padding, cfg.architecture,
-                               dense_depths=frozenset({0}))[0])
+        # Popped, so the list no longer holds a transform once it is solved.
+        leading = leading_eigenvector(transforms.pop(0))
         records.append(GalleryRecord(depth, participation_ratio(leading)))
         images.append(grayscale(leading.reshape(cfg.geometry.axes)))
     csv = _csv_text("gallery.csv", records)

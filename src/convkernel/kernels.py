@@ -7,8 +7,9 @@ to unit Frobenius norm.  This module applies the operator as a direct
 stencil (for the zero-padding depths a caller names as dense, and as the
 reference the tests hold the closed form to), builds every other
 transform as a Kronecker power of one axis factor (depth 0 is the start
-itself; under zero padding deeper factors take one real FFT per nonzero
-diagonal), and provides the infinite-depth limit and numerical spectra.
+itself; under zero padding every deeper factor of one call comes from one
+batched pass, one real FFT per nonzero diagonal), and provides numerical
+spectra.
 """
 
 from __future__ import annotations
@@ -111,7 +112,12 @@ def _check_finite_symmetric(matrix: np.ndarray, what: str) -> float:
         if largest > 0.0:
             fro = largest * float(np.linalg.norm(matrix / largest))
     # The difference is antisymmetric, so its max is its max magnitude: no abs.
-    asym = float(np.max(matrix - matrix.T, initial=0.0))
+    # It is taken 16 rows at a time, so the temporary is 16 x n, not n x n
+    # (100 KB at n = 784, under glibc's initial 128 KiB mmap threshold).
+    asym = 0.0
+    for first in range(0, matrix.shape[0], 16):
+        block = matrix[first:first + 16] - matrix[:, first:first + 16].T
+        asym = max(asym, float(np.max(block, initial=0.0)))
     if asym > SYMMETRY_RTOL * fro:
         raise ValueError(f"{what} is not symmetric (max asymmetry {asym:.3e})")
     return fro
@@ -252,9 +258,11 @@ def _start(n: int, architecture: Architecture) -> np.ndarray:
     return np.eye(n) if architecture is Architecture.FLATTENING else np.ones((n, n))
 
 
-def _zero_padding_power(n: int, architecture: Architecture, depth: int) -> np.ndarray:
+def _zero_padding_power(n: int, architecture: Architecture,
+                        depths: Sequence[int]) -> np.ndarray:
     """The 1-D zero-padding operator applied depth times to the depth-0
-    matrix on n pixels, up to a positive scale.
+    matrix on n pixels, up to a positive scale, for each depth: a stack of
+    shape (len(depths), n, n).
 
     The operator maps each diagonal i - j = offset to itself, acting on it
     as the all-ones tridiagonal Toeplitz matrix of its length m = n - offset,
@@ -268,6 +276,13 @@ def _zero_padding_power(n: int, architecture: Architecture, depth: int) -> np.nd
     nothing overflows or vanishes), and each diagonal is mapped back by
     one DST-I: the imaginary part of one real FFT of length 2(m+1).  The
     scale this drops is (1 + 2*cos(pi/(n+1)))**depth.
+
+    Everything but the powers is computed once per call, and each nonzero
+    diagonal takes one FFT over every depth's row.  FFT rows are computed
+    independently, and each depth's powers are taken on their own, so a
+    depth's slice has the same bits whichever depths share the call.  The
+    coefficients hold len(depths) * n * (n + 1) floats under pooling (n + 1
+    under flattening), and the stack len(depths) * n * n.
     """
     diagonals = n if architecture is Architecture.POOLING else 1
     lengths = np.arange(n, n - diagonals, -1)[:, None]
@@ -277,48 +292,28 @@ def _zero_padding_power(n: int, architecture: Architecture, depth: int) -> np.nd
     angles = np.where(odd, h * np.pi / (lengths + 1), np.pi / 2)
     ratios = np.where(odd, 1.0 + 2.0 * np.cos(angles), 0.0)
     ratios /= ratios[0, 1]
-    coefficients = np.where(odd, 2.0 / (lengths + 1) / np.tan(angles / 2) * ratios**depth, 0.0)
-    out = np.zeros((n, n))
-    flat = out.reshape(-1)
-    for m, row in zip(lengths[:, 0], coefficients):
-        values = -np.fft.rfft(row[:m + 1], 2 * (m + 1)).imag[1:m + 1]
-        flat[n - m::n + 1][:m] = values
-        flat[(n - m) * n::n + 1][:m] = values
+    scale = 2.0 / (lengths + 1) / np.tan(angles / 2)
+    coefficients = np.empty((len(depths),) + odd.shape)
+    for block, depth in zip(coefficients, depths):
+        # One power per depth, with an int exponent: a broadcast power over
+        # an array of depths takes numpy's vectorized pow, which rounds unlike
+        # the int path (2 is a plain square) and by the array's shape, so a
+        # depth's bits would depend on its batch.
+        block[...] = np.where(odd, scale * ratios**depth, 0.0)
+    out = np.zeros((len(depths), n, n))
+    flat = out.reshape(len(depths), n * n)
+    for m, rows in zip(lengths[:, 0], coefficients.transpose(1, 0, 2)):
+        values = -np.fft.rfft(rows[:, :m + 1], 2 * (m + 1)).imag[:, 1:m + 1]
+        flat[:, n - m::n + 1][:, :m] = values
+        flat[:, (n - m) * n::n + 1][:, :m] = values
     return out
 
 
-def _axis_factor(n: int, depth: int | float, padding: Padding,
-                 architecture: Architecture) -> np.ndarray:
-    """Unnormalized 1-D transform on an axis of n pixels; depth math.inf is the limit."""
-    if padding is Padding.CIRCULAR or depth == 0:
-        return _start(n, architecture)
-    if depth == math.inf:
-        return np.diag(sine_profile(n))
-    return _zero_padding_power(n, architecture, depth)
-
-
-def _feature_transform(
-    depth: int | float, geometry: ConvGeometry, padding: Padding, architecture: Architecture,
-    dense_depths: frozenset[int],
-) -> FeatureTransform:
-    """The depth-`depth` transform; depth math.inf is the infinite-depth limit.
-
-    Circular padding leaves both depth-0 matrices fixed (each tap's shift
-    permutes the identity and the all-ones matrix onto themselves), so
-    every depth is depth 0.  Zero padding drives every start to the same
-    diagonal limit, the sine profile per axis.  Under zero padding, the
-    depths in dense_depths iterate the stencil from the unnormalized dense
-    p x p start, normalizing before each layer, so the transform's own
-    scaling keeps the iterate's bits (depth 0 runs no layer: the dense
-    start).  The operator acts on each axis's index pair of the axes + axes
-    tensor separately, and both depth-0 matrices are products of one factor
-    per axis, so every other transform is the 1-D transform V of one axis
-    raised to one Kronecker power per axis (kron(V, V) in 2-D); at depth 0,
-    V is the axis's start.
-    """
-    if padding is Padding.CIRCULAR or depth not in dense_depths:
-        axes = geometry.axes
-        return FeatureTransform(_axis_factor(axes[0], depth, padding, architecture), len(axes))
+def _stencil_transform(depth: int, geometry: ConvGeometry, padding: Padding,
+                       architecture: Architecture) -> FeatureTransform:
+    """The stencil iterated depth times from the unnormalized dense p x p
+    start, normalizing before each layer, so the transform's own scaling
+    keeps the iterate's bits (depth 0 runs no layer: the dense start)."""
     matrix = _start(geometry.p, architecture)
     for _ in range(depth):
         matrix /= np.linalg.norm(matrix)
@@ -326,38 +321,45 @@ def _feature_transform(
     return FeatureTransform(matrix)
 
 
-def check_depths(depths: Sequence[int | float]) -> list[int | float]:
-    """depths as a list of ints, the last possibly math.inf; ValueError
-    unless they are nonempty, integers in [0, DEPTH_MAX] and strictly increasing."""
+def check_depths(depths: Sequence[int]) -> list[int]:
+    """depths as a list of ints; ValueError unless they are nonempty,
+    integers in [0, DEPTH_MAX] and strictly increasing."""
     depths = list(depths)
     if not depths:
         raise ValueError("depths must be a nonempty list")
-    finite = depths[:-1] if depths[-1] == math.inf else depths
     # d % 1 is exact for ints of any size, where float(d) overflows.
-    if any(not 0 <= d <= DEPTH_MAX or d % 1 != 0 for d in finite):
+    if any(not 0 <= d <= DEPTH_MAX or d % 1 != 0 for d in depths):
         raise ValueError(f"depths must be non-negative integers <= {DEPTH_MAX}, got {depths}")
     if any(b <= a for a, b in zip(depths, depths[1:])):
         raise ValueError(f"depths must be strictly increasing, got {depths}")
-    return [d if d == math.inf else int(d) for d in depths]
+    return [int(d) for d in depths]
 
 
 def feature_transforms(
-    depths: Sequence[int | float],
+    depths: Sequence[int],
     geometry: ConvGeometry,
     padding: Padding,
     architecture: Architecture,
     dense_depths: frozenset[int] = DENSE_DEPTHS,
 ) -> list[FeatureTransform]:
     """Unit-Frobenius feature transforms at the given strictly increasing
-    depths; a last depth of math.inf gives the infinite-depth limit.
+    depths, in order.
 
-    Each depth is computed on its own: depth 0 as the start and every
-    zero-padding depth outside dense_depths in closed form (see
-    _feature_transform), as a Kronecker power of one axis factor at a cost
-    that does not depend on the depth; apply_conv_operator, iterated with
-    renormalization, is the reference it matches.  The recursion's scale
-    factor does not affect downstream regression quantities, so every
-    transform has unit Frobenius norm.
+    Circular padding leaves both depth-0 matrices fixed (each tap's shift
+    permutes the identity and the all-ones matrix onto themselves), so
+    every depth is depth 0.  Under zero padding, the depths in dense_depths
+    are stencil iterates (_stencil_transform).  The operator acts on each
+    axis's index pair of the axes + axes tensor separately, and both
+    depth-0 matrices are products of one factor per axis, so every other
+    transform is the 1-D transform V of one axis raised to one Kronecker
+    power per axis (kron(V, V) in 2-D): at depth 0, V is the axis's start,
+    and the deeper zero-padding factors all come from one batched
+    _zero_padding_power pass, whose cost per depth does not depend on the
+    depth and whose bits are those of building each depth alone.
+    apply_conv_operator, iterated with renormalization, is the reference
+    the closed form matches.  The recursion's scale factor does not affect
+    downstream regression quantities, so every transform has unit
+    Frobenius norm.
 
     dense_depths exists because two callers need different dense depths:
     the mnist runner keeps the default {1, 2}, whose iterated bits its
@@ -371,16 +373,16 @@ def feature_transforms(
         raise ValueError(f"unsupported padding: {padding!r}")
     if not isinstance(architecture, Architecture):
         raise ValueError(f"unsupported architecture: {architecture!r}")
-    return [_feature_transform(d, geometry, padding, architecture, dense_depths)
+    zero = padding is Padding.ZERO
+    n, power = geometry.axes[0], len(geometry.axes)
+    closed = [d for d in depths if zero and d > 0 and d not in dense_depths]
+    # numpy.fft loads on first use: a call with no closed-form depth must not
+    # load it, or mnist holds the module through its dense depths' peak.
+    factors = dict(zip(closed, _zero_padding_power(n, architecture, closed))) if closed else {}
+    return [_stencil_transform(d, geometry, padding, architecture)
+            if zero and d in dense_depths
+            else FeatureTransform(factors[d] if d in factors else _start(n, architecture), power)
             for d in depths]
-
-
-def sine_profile(dim: int) -> np.ndarray:
-    """Entries sin(i*pi/(dim+1)) for i = 1..dim; all strictly positive."""
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    i = np.arange(1, dim + 1)
-    return np.sin(i * np.pi / (dim + 1))
 
 
 def _fix_sign(vector: np.ndarray) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 The shift-basis form of the convolution operator is the oracle the stencil
 and the closed form are held to, toeplitz_spectrum is the per-diagonal
-sine eigenbasis the closed form's FFT is held to, dense forms a
+sine eigenbasis the closed form's FFT is held to, limit_transform is the
+zero-padding infinite-depth limit (the sine profile per axis) the deep
+transforms and the stencil iterates converge to, dense forms a
 transform's p x p matrix as the Kronecker power of its factor,
 variance_lower_bound is the analytic variance floor the estimators are
 checked against, eigh_pinv_solve is the eigendecomposition
@@ -21,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from convkernel.fileio import format_float, write_text_atomic
-from convkernel.kernels import ConvGeometry, FeatureTransform, Padding
+from convkernel.kernels import Architecture, ConvGeometry, FeatureTransform, Padding
 from convkernel.regression import PINV_RTOL
 
 
@@ -66,6 +68,27 @@ def toeplitz_spectrum(dim: int) -> tuple[np.ndarray, np.ndarray]:
     angles = h * (math.pi / (dim + 1))
     basis = math.sqrt(2.0 / (dim + 1)) * np.sin(np.outer(h, angles))
     return 1.0 + 2.0 * np.cos(angles), basis
+
+
+def sine_profile(dim: int) -> np.ndarray:
+    """Entries sin(i*pi/(dim+1)) for i = 1..dim; all strictly positive."""
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    i = np.arange(1, dim + 1)
+    return np.sin(i * np.pi / (dim + 1))
+
+
+def limit_transform(geometry: ConvGeometry, architecture: Architecture) -> FeatureTransform:
+    """The zero-padding transform's infinite-depth limit: the diagonal sine
+    profile of one axis, raised to one Kronecker power per axis.
+
+    It is the same under either architecture.  Both starts have a positive
+    component on the top eigenvector of the main diagonal's Toeplitz
+    matrix, whose eigenvalue is the largest over all diagonals, so the
+    normalized iterates converge to it alone.
+    """
+    axes = geometry.axes
+    return FeatureTransform(np.diag(sine_profile(axes[0])), len(axes))
 
 
 def dense(transform: FeatureTransform) -> np.ndarray:

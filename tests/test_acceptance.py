@@ -5,7 +5,6 @@ run shows the scoreboard; the assert carries the same condition so pytest
 records the verdict either way.
 """
 
-import math
 import os
 import time
 from pathlib import Path
@@ -36,7 +35,7 @@ from convkernel.regression import (
     excess_risk_mc,
     variance_mc,
 )
-from _oracles import basis_matrices, dense, variance_lower_bound
+from _oracles import basis_matrices, dense, limit_transform, variance_lower_bound
 
 
 def verdict(number: int, label: str, ok: bool, detail: str = "") -> None:
@@ -121,8 +120,7 @@ class TestAcceptance:
         for p in (5, 10):
             geometry = ConvGeometry(GeometryKind.ONE_D, p)
             for architecture in Architecture:
-                limit = dense(feature_transforms([math.inf], geometry, Padding.ZERO,
-                                                 architecture)[0])
+                limit = dense(limit_transform(geometry, architecture))
                 matrix = unit_start(geometry, architecture)
                 iterations = 0
                 while (
@@ -137,8 +135,7 @@ class TestAcceptance:
                 details.append(f"1d p={p} {architecture.value}@{iterations}")
 
         geometry = ConvGeometry(GeometryKind.TWO_D, 28 * 28)
-        limit_diag = np.diag(dense(feature_transforms([math.inf], geometry, Padding.ZERO,
-                                                      Architecture.FLATTENING)[0]))
+        limit_diag = np.diag(dense(limit_transform(geometry, Architecture.FLATTENING)))
         unit_limit_diag = limit_diag / np.linalg.norm(limit_diag)
         for architecture in Architecture:
             matrix = unit_start(geometry, architecture)

@@ -573,6 +573,25 @@ class TestEigvecGallery:
         run_eigvec_gallery(cfg)
         assert len(refs) == 4
 
+    def test_builds_every_depth_in_one_call(self, tmp_path, monkeypatch):
+        # The closed-form depths share one batched pass, and each transform
+        # is released once its leading vector is solved.
+        calls, refs = [], []
+        original = convkernel.experiments.feature_transforms
+        monkeypatch.setattr(convkernel.experiments, "feature_transforms",
+                            lambda depths, *args, **kwargs:
+                            calls.append(list(depths)) or original(depths, *args, **kwargs))
+
+        def leading(ft):
+            assert all(ref() is None for ref in refs)
+            refs.append(weakref.ref(ft))
+            return leading_eigenvector(ft)
+
+        monkeypatch.setattr(convkernel.experiments, "leading_eigenvector", leading)
+        cfg = eigvec_config(tmp_path, f"p = 25\ndepths = 0,1,2,3,9\noutdir = {tmp_path / 'out'}\n")
+        run_eigvec_gallery(cfg)
+        assert calls == [[0, 1, 2, 3, 9]] and len(refs) == 5
+
     @pytest.mark.parametrize("arch", ["flattening", "pooling"])
     def test_never_calls_the_stencil(self, tmp_path, monkeypatch, arch):
         def stencil(*args):

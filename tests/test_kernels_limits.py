@@ -2,22 +2,20 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from _oracles import dense
+from _oracles import dense, limit_transform, sine_profile
 from _util import unit_start
 from convkernel.kernels import (
+    DEPTH_MAX,
     Architecture,
     ConvGeometry,
     GeometryKind,
     Padding,
     apply_conv_operator,
     feature_transforms,
-    sine_profile,
 )
 
 ARCHS = (Architecture.FLATTENING, Architecture.POOLING)
@@ -32,7 +30,10 @@ def geom_2d(side: int) -> ConvGeometry:
 
 
 def limit_of(geometry, padding, arch):
-    return feature_transforms([math.inf], geometry, padding, arch)[0]
+    # Every circular depth is the start, so the deepest one is the limit.
+    if padding is Padding.CIRCULAR:
+        return feature_transforms([DEPTH_MAX], geometry, padding, arch)[0]
+    return limit_transform(geometry, arch)
 
 
 def distances_to_limit(geometry, padding, arch, depth: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import convkernel.kernels
-from _oracles import dense, toeplitz_spectrum
+from _oracles import dense, limit_transform, sine_profile, toeplitz_spectrum
 from _util import unit_start
 from convkernel.experiments import participation_ratio
 from convkernel.kernels import (
@@ -31,7 +31,6 @@ from convkernel.kernels import (
     apply_conv_operator,
     feature_transforms,
     leading_eigenvector,
-    sine_profile,
     symmetric_spectrum,
 )
 
@@ -71,11 +70,17 @@ class TestRecursionPlumbing:
     @pytest.mark.parametrize("arch", ARCHS)
     @pytest.mark.parametrize("padding", PADDINGS)
     def test_snapshots_match_single_calls(self, padding, arch):
-        geometry = geom_1d(6)
-        depths = [0, 3, 7]
-        for depth, ft in zip(depths, feature_transforms(depths, geometry, padding, arch)):
-            single = feature_transforms([depth], geometry, padding, arch)[0]
-            assert_array_equal(dense(ft), dense(single))
+        # The closed-form depths of one call share one batched pass; each
+        # keeps the bits it has when built alone.
+        depths = list(range(49)) + [10**6]
+        for geometry in (geom_1d(6), geom_1d(64), ConvGeometry(GeometryKind.TWO_D, 784)):
+            transforms = feature_transforms(depths, geometry, padding, arch)
+            # A list: the tracer counts the transforms a call built with len().
+            assert isinstance(transforms, list) and len(transforms) == len(depths)
+            for depth, ft in zip(depths, transforms):
+                single = feature_transforms([depth], geometry, padding, arch)[0]
+                assert_array_equal(ft.factor, single.factor, err_msg=f"{geometry} {depth}")
+                assert ft.power == single.power
 
     @pytest.mark.parametrize("arch", ARCHS)
     @pytest.mark.parametrize("padding", PADDINGS)
@@ -105,14 +110,15 @@ class TestRecursionPlumbing:
     # Integrality is tested without float(), which overflows above about 1e308.
     def test_depth_bound(self):
         check, top = convkernel.kernels.check_depths, convkernel.kernels.DEPTH_MAX
-        assert check([0, top, math.inf]) == [0, top, math.inf]
-        for depths in ([0, top + 1], [1, 10**400], [1, 1e300]):
+        assert check([0, top]) == [0, top]
+        for depths in ([0, top + 1], [1, 10**400], [1, 1e300], [1, math.inf]):
             with pytest.raises(ValueError, match=f"integers <= {top}"):
                 check(depths)
 
-    def test_only_the_last_depth_may_be_infinite(self):
+    # The infinite-depth limit is the test oracle limit_transform.
+    def test_rejects_an_infinite_depth(self):
         geometry = geom_1d(4)
-        for depths in ([math.inf, 5], [1, math.inf, math.inf], [0.5, math.inf]):
+        for depths in ([math.inf], [1, math.inf], [math.inf, 5], [0.5, math.inf]):
             with pytest.raises(ValueError, match="depths must be"):
                 feature_transforms(depths, geometry, Padding.ZERO, Architecture.POOLING)
 
@@ -333,8 +339,8 @@ class TestClosedForm:
     @pytest.mark.parametrize("geometry", [geom_1d(10), ConvGeometry(GeometryKind.TWO_D, 784)])
     def test_depth_beyond_any_iteration_reaches_the_limit(self, geometry, arch):
         # Powers of the unscaled eigenvalues would overflow long before this depth.
-        ft, limit = feature_transforms([10**6, math.inf], geometry, Padding.ZERO, arch)
-        assert_allclose(dense(ft), dense(limit), rtol=0, atol=1e-12)
+        (ft,) = feature_transforms([10**6], geometry, Padding.ZERO, arch)
+        assert_allclose(dense(ft), dense(limit_transform(geometry, arch)), rtol=0, atol=1e-12)
 
     def test_deep_transforms_never_call_the_stencil(self, monkeypatch):
         def stencil(*args):
@@ -366,20 +372,45 @@ def sine_table_power(n: int, arch, depth: int) -> np.ndarray:
 
 
 class TestZeroPaddingFFT:
-    @pytest.mark.parametrize("depth", [0, 1, 2, 3, 50, 10**6, DEPTH_MAX])
     @pytest.mark.parametrize("arch", ARCHS)
-    def test_matches_the_sine_table_oracle(self, arch, depth):
+    def test_matches_the_sine_table_oracle(self, arch):
         # The oracle's own sums are off by up to 1.05e-14 of the largest
         # entry at depth 0 (n = 56 on), where the FFT path is within 4 ulp.
+        depths = [0, 1, 2, 3, 50, 10**6, DEPTH_MAX]
         for n in range(1, 65):
-            expected = sine_table_power(n, arch, depth)
-            got = _zero_padding_power(n, arch, depth)
-            assert np.max(np.abs(got - expected)) <= 2e-14 * np.max(np.abs(expected)), n
+            for depth, got in zip(depths, _zero_padding_power(n, arch, depths)):
+                expected = sine_table_power(n, arch, depth)
+                assert np.max(np.abs(got - expected)) <= 2e-14 * np.max(np.abs(expected)), \
+                    (n, depth)
 
     @pytest.mark.parametrize("arch", ARCHS)
     def test_depth_zero_is_the_start(self, arch):
         for n in range(1, 65):
-            assert_within_ulps(_zero_padding_power(n, arch, 0), _start(n, arch), 4)
+            assert_within_ulps(_zero_padding_power(n, arch, [0])[0], _start(n, arch), 4)
+
+    # numpy.fft loads on first use; loaded before a dense 784 x 784 depth,
+    # it stays resident through that depth's peak memory.
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_no_fft_without_a_closed_form_depth(self, monkeypatch, arch):
+        def no_fft(*args, **kwargs):
+            raise AssertionError("np.fft.rfft called")
+
+        monkeypatch.setattr(np.fft, "rfft", no_fft)
+        geometry = ConvGeometry(GeometryKind.TWO_D, 784)
+        feature_transforms([0, 1, 2], geometry, Padding.ZERO, arch)
+        feature_transforms([0, 1, 2, 5, 9], geometry, Padding.CIRCULAR, arch)
+        feature_transforms([0], geometry, Padding.ZERO, arch, dense_depths=frozenset({0}))
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_each_slice_is_its_depth_built_alone(self, arch):
+        # A broadcast power over all depths at once fails this at depth 2.
+        depths = [0, 1, 2, 3, 4, 7, 8, 16, 50, 512, 10**6, DEPTH_MAX]
+        for n in range(1, 65):
+            stack = _zero_padding_power(n, arch, depths)
+            assert stack.shape == (len(depths), n, n)
+            for depth, got in zip(depths, stack):
+                assert_array_equal(got, _zero_padding_power(n, arch, [depth])[0],
+                                   err_msg=f"n={n} depth={depth}")
 
     @pytest.mark.parametrize("arch", ARCHS)
     @pytest.mark.parametrize("geometry", [geom_1d(40), ConvGeometry(GeometryKind.TWO_D, 784)])
@@ -397,11 +428,12 @@ class TestZeroPaddingFFT:
 
         monkeypatch.setattr(np.fft, "rfft", counted)
         monkeypatch.setattr(np, "sin", no_sine)
+        # One call's closed-form depths share each diagonal's FFT.
         expected = geometry.axes[0] if arch is Architecture.POOLING else 1
-        for depth in (3, 10**6):
+        for depths in ([3], [10**6], list(range(3, 51)) + [10**6]):
             calls.clear()
-            feature_transforms([depth], geometry, Padding.ZERO, arch)
-            assert len(calls) == expected, depth
+            feature_transforms(depths, geometry, Padding.ZERO, arch)
+            assert len(calls) == expected, depths
 
 
 class TestZeroPaddingStructure:
@@ -424,8 +456,9 @@ class TestZeroPaddingStructure:
 
     @pytest.mark.parametrize("geometry", GEOMETRIES)
     def test_flattening_is_diagonal_at_every_depth(self, geometry):
-        for ft in feature_transforms(list(range(16)) + [math.inf], geometry, Padding.ZERO,
-                                     Architecture.FLATTENING):
+        transforms = feature_transforms(range(16), geometry, Padding.ZERO,
+                                        Architecture.FLATTENING)
+        for ft in transforms + [limit_transform(geometry, Architecture.FLATTENING)]:
             matrix = dense(ft)
             assert_array_equal(matrix, np.diag(np.diagonal(matrix)))
 
@@ -482,7 +515,7 @@ class TestFactors:
                                           ConvGeometry(GeometryKind.TWO_D, 4),
                                           ConvGeometry(GeometryKind.TWO_D, 25)])
     def test_every_factor_has_unit_norm(self, geometry, padding, arch):
-        depths = list(range(61)) + [math.inf]
+        depths = list(range(61)) + [DEPTH_MAX]
         for depth, ft in zip(depths, feature_transforms(depths, geometry, padding, arch)):
             assert abs(np.linalg.norm(ft.factor) - 1.0) <= 1e-15, depth
 
@@ -503,11 +536,11 @@ class TestFactors:
         diagonal = np.diag(np.multiply.outer(profile, profile).ravel())
         line = np.diag(profile)
         for arch in ARCHS:
-            (limit,) = feature_transforms([math.inf], geometry, Padding.ZERO, arch)
+            limit = limit_transform(geometry, arch)
             assert_is_square_of_unit_factor(limit, line)
             assert_within_ulps(dense(limit), diagonal / np.linalg.norm(diagonal), 4)
             start = np.eye(side) if arch is Architecture.FLATTENING else np.ones((side, side))
-            circular = feature_transforms([0, 1, 5, math.inf], geometry, Padding.CIRCULAR, arch)
+            circular = feature_transforms([0, 1, 5, DEPTH_MAX], geometry, Padding.CIRCULAR, arch)
             for ft in circular:
                 assert_is_square_of_unit_factor(ft, start)
                 assert_within_ulps(dense(ft), unit_start(geometry, arch), 4)

@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from _oracles import toeplitz_spectrum
+from _oracles import sine_profile, toeplitz_spectrum
 from convkernel.kernels import (
     ConvGeometry,
     GeometryKind,
     Padding,
+    _check_finite_symmetric,
     _fix_sign,
     apply_conv_operator,
-    sine_profile,
     symmetric_spectrum,
 )
 
@@ -111,6 +114,32 @@ class TestSymmetricSpectrum:
     def test_rejects_overflowing_norm_without_warning(self):
         with pytest.raises(ValueError, match="matrix is too large"):
             symmetric_spectrum(np.array([[1e200, 0.0], [5e199, -1e200]]))
+
+
+class TestSymmetryCheck:
+    # The asymmetry is taken over blocks of rows; its maximum is exact, so
+    # the reported value is the one the whole difference would give.
+    @pytest.mark.parametrize("n", [2, 15, 17, 33, 50, 100])
+    def test_reports_the_whole_matrix_asymmetry(self, n):
+        rng = np.random.default_rng(n)
+        for trial in range(4):
+            m = rng.standard_normal((n, n))
+            if trial % 2:
+                # The largest asymmetry in the last, partial block of rows.
+                m[-1, 0] += 100.0
+            expected = f"m is not symmetric (max asymmetry {np.max(m - m.T):.3e})"
+            with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+                _check_finite_symmetric(m, "m")
+
+    def test_allocates_no_matrix_sized_temporary(self):
+        matrix = np.ones((784, 784))
+        tracemalloc.start()
+        try:
+            _check_finite_symmetric(matrix, "m")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 
