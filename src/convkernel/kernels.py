@@ -31,17 +31,6 @@ PSD_RTOL = 1e-10
 # squares that underflow (each below about 2e-308) move the sum of squares
 # (at least 1e-280) by less than an ulp, for any matrix that fits in memory.
 TINY_NORM = 1e-140
-# By default, these zero-padding depths iterate the stencil from the dense
-# start instead of using the closed form.  Both agree to about 1e-13 of the
-# largest entry (the 28x28 pooling transform at depth 2), but ridgeless
-# regression on pooled images amplifies a last-bit change of the depth-1 or
-# depth-2 transform up to 1e-6 relative (Gram condition numbers near 5e10),
-# and outputs recorded from the iterate are compared at that tolerance.
-# Depth 0 is not among them: its pooled Gram has rank one, far from the
-# pinv cutoff, so the factored start serves.  The eigenvector gallery, which
-# nothing pins at depths 1 and 2, passes {0}: the eigh rounding noise of its
-# dense depth-0 start is what its recorded depth-0 image holds.
-DENSE_DEPTHS = frozenset({1, 2})
 DEPTH_MAX = 2**63 - 1  # the largest int64, so every depth is a numpy integer
 
 
@@ -340,7 +329,7 @@ def feature_transforms(
     geometry: ConvGeometry,
     padding: Padding,
     architecture: Architecture,
-    dense_depths: frozenset[int] = DENSE_DEPTHS,
+    dense_depths: frozenset[int] = frozenset(),
 ) -> list[FeatureTransform]:
     """Unit-Frobenius feature transforms at the given strictly increasing
     depths, in order.
@@ -348,25 +337,20 @@ def feature_transforms(
     Circular padding leaves both depth-0 matrices fixed (each tap's shift
     permutes the identity and the all-ones matrix onto themselves), so
     every depth is depth 0.  Under zero padding, the depths in dense_depths
-    are stencil iterates (_stencil_transform).  The operator acts on each
-    axis's index pair of the axes + axes tensor separately, and both
-    depth-0 matrices are products of one factor per axis, so every other
-    transform is the 1-D transform V of one axis raised to one Kronecker
-    power per axis (kron(V, V) in 2-D): at depth 0, V is the axis's start,
-    and the deeper zero-padding factors all come from one batched
-    _zero_padding_power pass, whose cost per depth does not depend on the
-    depth and whose bits are those of building each depth alone.
-    apply_conv_operator, iterated with renormalization, is the reference
-    the closed form matches.  The recursion's scale factor does not affect
-    downstream regression quantities, so every transform has unit
-    Frobenius norm.
-
-    dense_depths exists because two callers need different dense depths:
-    the mnist runner keeps the default {1, 2}, whose iterated bits its
-    recorded outputs pin, and the eigenvector gallery passes {0}, whose
-    dense start's eigh noise its recorded depth-0 image pins.  It goes away
+    (none by default) are stencil iterates (_stencil_transform), for a
+    caller whose recorded outputs pin those bits; the keyword goes away
     with the stencil branch once those outputs are re-recorded from the
-    closed form.
+    closed form.  The operator acts on each axis's index pair of the
+    axes + axes tensor separately, and both depth-0 matrices are products
+    of one factor per axis, so every other transform is the 1-D transform
+    V of one axis raised to one Kronecker power per axis (kron(V, V) in
+    2-D): at depth 0, V is the axis's start, and the deeper zero-padding
+    factors all come from one batched _zero_padding_power pass, whose cost
+    per depth does not depend on the depth and whose bits are those of
+    building each depth alone.  apply_conv_operator, iterated with
+    renormalization, is the reference the closed form matches.  The
+    recursion's scale factor does not affect downstream regression
+    quantities, so every transform has unit Frobenius norm.
     """
     depths = check_depths(depths)
     if not isinstance(padding, Padding):

@@ -152,15 +152,15 @@ def test_traced_run_records_every_traced_function(tmp_path):
     --trace 1 makes, records a span for every traced function.  It runs in a
     subprocess because the tracer patches module attributes."""
     images, labels = make_synthetic_idx(tmp_path, count_per_class=3)
-    # Only the sweep's zero-padding depths 1 and 2 reach apply_conv_operator:
-    # the gallery's depth 1 is closed form and mnist's depth 0 is the square
-    # of its 28 x 28 start.
+    # Only mnist's depth 1, a dense stencil depth, reaches apply_conv_operator:
+    # the sweep's and the gallery's depths are closed form or the start, and
+    # mnist's depth 0 is the square of its 28 x 28 start.
     configs = {
         "sweep": "p = 8\nn = 4\ndepths = 1,2\nsigma_source = inverse_theta\nsigma_depth = 1\n"
                  "trials_bias = 2\ntrials_var = 2\ntrials_risk = 2\nrisk_test_points = 2\n",
         "eigvec": "p = 9\ndepths = 0,1\n",
         "mnist": f"images = {images}\nlabels = {labels}\ncount_per_class = 3\nn = 4\n"
-                 "trials = 2\ndepths = 0\n",
+                 "trials = 2\ndepths = 0,1\n",
     }
     paths = []
     for name, body in configs.items():

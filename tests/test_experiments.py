@@ -221,6 +221,22 @@ class TestDepthSweep:
         one = peak_bytes("5", "one")
         assert peak_bytes(",".join(map(str, range(1, depths + 1))), "all") <= budget + one
 
+    @pytest.mark.parametrize("arch", ["flattening", "pooling"])
+    def test_never_calls_the_stencil(self, tmp_path, monkeypatch, arch):
+        # Every zero-padding depth of a sweep, 1 and 2 included, and its
+        # inverse_theta covariance are closed form.
+        def stencil(*args):
+            raise AssertionError("apply_conv_operator called")
+
+        monkeypatch.setattr(convkernel.kernels, "apply_conv_operator", stencil)
+        cfg = sweep_config(
+            tmp_path,
+            f"geometry = 2d\np = 16\nn = 5\narchitecture = {arch}\n"
+            "sigma_source = inverse_theta\nsigma_depth = 1\n"
+            f"depths = 1,2\n{FAST_TRIALS}outdir = {tmp_path / 'out'}\n",
+        )
+        assert [r.depth for r in run_depth_sweep(cfg)] == [1, 2]
+
     def test_meta_records_ridge_for_inverse_sigma(self, tmp_path):
         cfg = sweep_config(
             tmp_path,
@@ -567,12 +583,6 @@ class TestEigvecGallery:
         expected = [(25, 25)] + [(5, 5)] * 4
         assert shapes == {"_check_symmetric_psd": expected, "symmetric_spectrum": expected}
 
-    def test_releases_each_transform_before_the_next(self, tmp_path, monkeypatch):
-        refs = release_checking(monkeypatch)
-        cfg = eigvec_config(tmp_path, f"p = 25\ndepths = 0,1,2,3\noutdir = {tmp_path / 'out'}\n")
-        run_eigvec_gallery(cfg)
-        assert len(refs) == 4
-
     def test_builds_every_depth_in_one_call(self, tmp_path, monkeypatch):
         # The closed-form depths share one batched pass, and each transform
         # is released once its leading vector is solved.
@@ -620,14 +630,16 @@ class TestEigvecGallery:
     def test_closed_form_depths_match_the_dense_stencil_solve(self, tmp_path, monkeypatch,
                                                               side, arch):
         # Depths 1 and 2 are squares of their s x s factor in the gallery and
-        # stencil iterates by default; both must give the same leading vector.
+        # stencil iterates when named dense; both must give the same leading
+        # vector.
         vectors = []
         monkeypatch.setattr(convkernel.experiments, "leading_eigenvector",
                             lambda ft: vectors.append(leading_eigenvector(ft)) or vectors[-1])
         cfg = eigvec_config(tmp_path, f"p = {side * side}\ndepths = 1,2\n"
                                       f"architecture = {arch}\noutdir = {tmp_path / 'out'}\n")
         records = run_eigvec_gallery(cfg)
-        stencil = feature_transforms([1, 2], cfg.geometry, Padding.ZERO, cfg.architecture)
+        stencil = feature_transforms([1, 2], cfg.geometry, Padding.ZERO, cfg.architecture,
+                                     dense_depths=frozenset({1, 2}))
         compared = 0
         for record, vector, ft in zip(records, vectors, stencil):
             assert ft.power == 1 and ft.p == side * side
@@ -742,8 +754,8 @@ class TestMnistExperiment:
         built = []
         original = convkernel.experiments.feature_transforms
 
-        def recording(*args):
-            built.extend(original(*args))
+        def recording(*args, **kwargs):
+            built.extend(original(*args, **kwargs))
             return built[-1:]
 
         def stencil(*args):
@@ -773,7 +785,7 @@ class TestMnistExperiment:
                 f"architecture = {arch}\noutdir = {tmp_path / 'out'}\n")
         (factored,) = run_mnist_experiment(self.mnist_cfg(tmp_path, idx_paths, body))
         monkeypatch.setattr(convkernel.experiments, "feature_transforms",
-                            lambda depths, geometry, padding, architecture:
+                            lambda depths, geometry, padding, architecture, **kwargs:
                             [FeatureTransform(_start(geometry.p, architecture))])
         (start,) = run_mnist_experiment(self.mnist_cfg(tmp_path, idx_paths, body))
         assert_allclose([factored.loss_mean, factored.loss_se],
@@ -783,9 +795,9 @@ class TestMnistExperiment:
         lengths = []
         original = convkernel.experiments.feature_transforms
 
-        def recording(depths, *args):
+        def recording(depths, *args, **kwargs):
             lengths.append(len(depths))
-            return original(depths, *args)
+            return original(depths, *args, **kwargs)
 
         monkeypatch.setattr(convkernel.experiments, "feature_transforms", recording)
         cfg = self.mnist_cfg(

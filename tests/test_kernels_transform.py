@@ -253,12 +253,13 @@ class TestPsdCertificate:
 
     @pytest.mark.parametrize("arch", ARCHS)
     def test_dense_image_depths_take_no_eigen_solve(self, arch):
-        # The gallery's dense start and the default dense depths 1 and 2.
+        # The gallery's dense start and mnist's dense depths 1 and 2.
         geometry = ConvGeometry(GeometryKind.TWO_D, 784)
         with spy_eigvalsh() as eigvalsh:
             transforms = (feature_transforms([0], geometry, Padding.ZERO, arch,
                                              dense_depths=frozenset({0}))
-                          + feature_transforms([1, 2], geometry, Padding.ZERO, arch))
+                          + feature_transforms([1, 2], geometry, Padding.ZERO, arch,
+                                               dense_depths=frozenset({1, 2})))
         assert [ft.factor.shape for ft in transforms] == [(784, 784)] * 3
         assert eigvalsh.call_count == 0
 
@@ -347,13 +348,11 @@ class TestClosedForm:
             raise AssertionError("apply_conv_operator called")
 
         monkeypatch.setattr(convkernel.kernels, "apply_conv_operator", stencil)
-        dense_depths = convkernel.kernels.DENSE_DEPTHS
-        deep = sorted({0, max(dense_depths) + 1, 5, 300} - dense_depths)
+        depths = [0, 1, 2, 3, 5, 300]
         for geometry in (geom_1d(6), ConvGeometry(GeometryKind.TWO_D, 16)):
             for arch in ARCHS:
-                feature_transforms(deep, geometry, Padding.ZERO, arch)
-                feature_transforms(sorted(dense_depths | set(deep)), geometry,
-                                   Padding.CIRCULAR, arch)
+                for padding in PADDINGS:
+                    feature_transforms(depths, geometry, padding, arch)
 
 
 def sine_table_power(n: int, arch, depth: int) -> np.ndarray:
@@ -397,7 +396,8 @@ class TestZeroPaddingFFT:
 
         monkeypatch.setattr(np.fft, "rfft", no_fft)
         geometry = ConvGeometry(GeometryKind.TWO_D, 784)
-        feature_transforms([0, 1, 2], geometry, Padding.ZERO, arch)
+        feature_transforms([0, 1, 2], geometry, Padding.ZERO, arch,
+                           dense_depths=frozenset({1, 2}))
         feature_transforms([0, 1, 2, 5, 9], geometry, Padding.CIRCULAR, arch)
         feature_transforms([0], geometry, Padding.ZERO, arch, dense_depths=frozenset({0}))
 
@@ -547,7 +547,8 @@ class TestFactors:
 
     def test_dense_transform_is_its_own_factor(self):
         geometry = ConvGeometry(GeometryKind.TWO_D, 9)
-        for ft in feature_transforms([1, 2], geometry, Padding.ZERO, Architecture.POOLING):
+        for ft in feature_transforms([1, 2], geometry, Padding.ZERO, Architecture.POOLING,
+                                     dense_depths=frozenset({1, 2})):
             assert ft.power == 1 and ft.factor.shape == (9, 9)
         (start,) = feature_transforms([0], geometry, Padding.ZERO, Architecture.POOLING)
         assert start.power == 2 and start.factor.shape == (3, 3)
