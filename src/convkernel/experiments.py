@@ -5,8 +5,9 @@ A sweep runs its depths in groups whose p x p arrays and per-trial values
 fit DEPTH_GROUP_BUDGET_BYTES; each estimator draws its trials once per group
 and solves every depth of the group on them as if it were alone.
 
-Every runner computes all records first and only then writes its outputs
-atomically, so a failed run leaves no partial files.  Output is fully
+Every runner computes all records first and only then writes its outputs,
+each replaced atomically: a run that fails before writing leaves nothing,
+one failing between two writes may leave the earlier files.  Output is fully
 determined by the config (including its seed) and the BLAS thread count:
 reruns at the same thread count are byte-identical.
 """
@@ -143,9 +144,10 @@ def _resolve_coef(cfg: SweepConfig) -> np.ndarray:
             raise ValueError(
                 f"coefficient file {cfg.beta_file} has length {coef.shape[0]}, expected {p}"
             )
-        # The sum of squares underflows to 0 when every entry is below about
-        # 1e-162, and misalignment divides by its root; one that overflows
-        # is left to the signal-variance check.
+        # A plain norm, not scaled_norm: its sum of squares underflows to 0
+        # when every entry is below about 1e-162, and so does the signal
+        # (bias_mean would read 0 at every depth).  A norm that overflows is
+        # left to the signal-variance check.
         with np.errstate(over="ignore"):
             norm = float(np.linalg.norm(coef))
         if norm == 0.0:

@@ -1,14 +1,14 @@
 """Deterministic file output: 17-significant-digit CSV and binary PGM.
 
-All writes are atomic (temp file in the target directory, then rename) so
-partial results never appear under the final name.  An output gets the
-mode open() would give a new file, 0o666 less the umask, not mkstemp's 0o600.
+Every write is atomic (a new temp file in the target directory, then a
+rename), so a partial file never appears under the final name.  The temp
+file is created with mode 0o666, which the kernel masks with the umask, so
+an output gets the mode open() gives a new file.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +21,9 @@ def format_float(value: float) -> str:
 
 def _write_atomic(path: str | Path, data: bytes) -> None:
     path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
-    umask = os.umask(0)  # the only way to read it is to set it
-    os.umask(umask)
+    tmp_name = path.with_name(f"{path.name}.tmp{os.urandom(6).hex()}")
+    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        os.chmod(tmp_name, 0o666 & ~umask)
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
         os.replace(tmp_name, path)

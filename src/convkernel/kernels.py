@@ -81,25 +81,32 @@ class ConvGeometry:
         return (self.p,) if self.kind is GeometryKind.ONE_D else (self.side, self.side)
 
 
+def scaled_norm(array: np.ndarray) -> float:
+    """The Frobenius norm of array, inf where it overflows.
+
+    np.linalg.norm sums squares, which overflow above about 1e154 and lose
+    precision below about 1e-154: a norm under TINY_NORM is taken again as
+    m * ||a / m||, m the largest magnitude; every larger one is numpy's."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(array))
+    if norm < TINY_NORM:
+        largest = float(np.max(np.abs(array), initial=0.0))
+        if largest > 0.0:
+            norm = largest * float(np.linalg.norm(array / largest))
+    return norm
+
+
 def _check_finite_symmetric(matrix: np.ndarray, what: str) -> float:
     """Raise unless matrix and its Frobenius norm are finite and it is
     symmetric to SYMMETRY_RTOL of that norm; return the norm."""
     # Every comparison with NaN is false, so the tests below would pass it.
     if not np.all(np.isfinite(matrix)):
         raise ValueError(f"{what} has non-finite entries")
-    # np.linalg.norm sums squares, which overflow for entries above about 1e154
-    # and lose precision below about 1e-154: a norm under TINY_NORM is taken
-    # again as m * ||A / m||, m the largest magnitude, unless m is subnormal.
-    with np.errstate(over="ignore"):
-        fro = float(np.linalg.norm(matrix))
+    fro = scaled_norm(matrix)
     if fro == math.inf:
         raise ValueError(f"{what} is too large (its Frobenius norm overflows)")
-    if fro < TINY_NORM:
-        largest = float(np.max(np.abs(matrix), initial=0.0))
-        if 0.0 < largest < sys.float_info.min:
-            raise ValueError(f"{what} is too small (its entries are subnormal)")
-        if largest > 0.0:
-            fro = largest * float(np.linalg.norm(matrix / largest))
+    if fro < TINY_NORM and 0.0 < np.max(np.abs(matrix), initial=0.0) < sys.float_info.min:
+        raise ValueError(f"{what} is too small (its entries are subnormal)")
     # The difference is antisymmetric, so its max is its max magnitude: no abs.
     # It is taken 16 rows at a time, so the temporary is 16 x n, not n x n
     # (100 KB at n = 784, under glibc's initial 128 KiB mmap threshold).
@@ -298,15 +305,15 @@ def _zero_padding_power(n: int, architecture: Architecture,
     return out
 
 
-def _stencil_transform(depth: int, geometry: ConvGeometry, padding: Padding,
+def _stencil_transform(depth: int, geometry: ConvGeometry,
                        architecture: Architecture) -> FeatureTransform:
-    """The stencil iterated depth times from the unnormalized dense p x p
-    start, normalizing before each layer, so the transform's own scaling
-    keeps the iterate's bits (depth 0 runs no layer: the dense start)."""
+    """The zero-padding stencil iterated depth times from the unnormalized
+    dense p x p start, normalizing before each layer, so the transform's own
+    scaling keeps the iterate's bits (depth 0 runs no layer: the dense start)."""
     matrix = _start(geometry.p, architecture)
     for _ in range(depth):
         matrix /= np.linalg.norm(matrix)
-        matrix = apply_conv_operator(matrix, geometry, padding)
+        matrix = apply_conv_operator(matrix, geometry, Padding.ZERO)
     return FeatureTransform(matrix)
 
 
@@ -363,7 +370,7 @@ def feature_transforms(
     # numpy.fft loads on first use: a call with no closed-form depth must not
     # load it, or mnist holds the module through its dense depths' peak.
     factors = dict(zip(closed, _zero_padding_power(n, architecture, closed))) if closed else {}
-    return [_stencil_transform(d, geometry, padding, architecture)
+    return [_stencil_transform(d, geometry, architecture)
             if zero and d in dense_depths
             else FeatureTransform(factors[d] if d in factors else _start(n, architecture), power)
             for d in depths]

@@ -22,7 +22,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from convkernel.kernels import TINY_NORM, FeatureTransform, _check_symmetric_psd, cholesky_or_nan
+from convkernel.kernels import FeatureTransform, _check_symmetric_psd, cholesky_or_nan, scaled_norm
 from convkernel.rng import trial_chunks
 
 PINV_RTOL = 1e-12
@@ -334,15 +334,7 @@ def misalignment(transform: FeatureTransform, coef: np.ndarray) -> float:
     space.
     """
     coef = np.asarray(coef, dtype=float)
-    coef_norm = float(np.linalg.norm(coef))
-    if coef_norm < TINY_NORM:
-        # The sum of squares loses precision below about 1e-154: take the
-        # norm of coef / m, m the largest magnitude, as
-        # kernels._check_finite_symmetric does; the direction is the same.
-        largest = float(np.max(np.abs(coef), initial=0.0))
-        if largest > 0.0:
-            coef = coef / largest
-            coef_norm = float(np.linalg.norm(coef))
+    coef_norm = scaled_norm(coef)
     if not 0.0 < coef_norm < math.inf:
         raise ValueError("coef must be nonzero and finite")
     unit = coef / coef_norm

@@ -136,6 +136,11 @@ class TestValidate:
         assert "cannot read" in capsys.readouterr().err
 
 
+def assert_prints_exactly_its_outputs(out, outdir):
+    """The paths a run prints are the files it left in outdir, one a line."""
+    assert sorted(out.splitlines()) == sorted(str(path) for path in outdir.iterdir())
+
+
 class TestSubcommandDispatch:
     def test_mismatched_experiment_exits_1(self, tmp_path, capsys):
         config = write_config(tmp_path, SMALL_SWEEP + f"outdir = {tmp_path}\n")
@@ -152,6 +157,7 @@ class TestSubcommandDispatch:
         assert str(outdir / "sweep.csv") in out
         assert str(outdir / "sweep_meta.json") in out
         assert (outdir / "sweep.csv").is_file()
+        assert_prints_exactly_its_outputs(out, outdir)
 
     def test_eigvec_writes_images(self, tmp_path, capsys):
         outdir = tmp_path / "out"
@@ -162,6 +168,7 @@ class TestSubcommandDispatch:
         out = capsys.readouterr().out
         assert str(outdir / "eigvec_D2.pgm") in out
         assert (outdir / "gallery.csv").is_file()
+        assert_prints_exactly_its_outputs(out, outdir)
 
     def test_mnist_runs(self, tmp_path, idx_paths, capsys):
         images, labels = idx_paths
@@ -173,9 +180,10 @@ class TestSubcommandDispatch:
             f"outdir = {outdir}\n",
         )
         assert main(["mnist", str(config)]) == 0
-        capsys.readouterr()
+        out = capsys.readouterr().out
         assert (outdir / "mnist.csv").is_file()
         assert (outdir / "mnist_meta.json").is_file()
+        assert_prints_exactly_its_outputs(out, outdir)
 
 
 class TestRuntimeErrors:

@@ -255,6 +255,15 @@ def test_one_kernel_solves_a_gram():
                                                  "kernels._check_symmetric_psd"}
 
 
+def test_one_scale_safe_norm():
+    """The TINY_NORM rescue of a norm is written once, in kernels.scaled_norm,
+    and both norms that need it, the PSD check's and misalignment's, call it."""
+    assert package_owners("TINY_NORM") == {"kernels.<module>", "kernels.scaled_norm",
+                                           "kernels._check_finite_symmetric"}
+    assert package_owners("scaled_norm") == {"regression.misalignment",
+                                             "kernels._check_finite_symmetric"}
+
+
 def test_readme_library_example_runs(capsys):
     """The README's library example runs against the current API."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")

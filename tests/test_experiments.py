@@ -323,7 +323,8 @@ class TestDepthSweep:
 
     def test_underflowing_coef_file_fails_before_any_transform(self, tmp_path, capsys,
                                                                monkeypatch):
-        # Nonzero entries whose squares underflow: the norm misalignment divides by is 0.
+        # Nonzero entries whose squares underflow: such a signal underflows in
+        # the estimates too, so bias_mean would read exactly 0 at every depth.
         def no_transforms(*args):
             raise AssertionError("feature_transforms called")
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import convkernel.fileio
 from convkernel.fileio import (
     format_float,
     grayscale,
@@ -102,6 +103,29 @@ class TestAtomicWrite:
         write_text_atomic(path, "one\n")
         write_text_atomic(path, "two\n")
         assert path.read_text() == "two\n"
+
+    def test_never_touches_the_umask(self, tmp_path, monkeypatch):
+        # Setting the umask, even for a moment, changes it for every thread.
+        def no_umask(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(convkernel.fileio.os, "umask", no_umask)
+        write_text_atomic(tmp_path / "out.txt", "hello\n")
+        write_pgm(tmp_path / "img.pgm", np.zeros((2, 2), dtype=np.uint8))
+        assert (tmp_path / "out.txt").read_text() == "hello\n"
+
+    def test_failed_rename_keeps_the_old_file_and_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.txt"
+        write_text_atomic(path, "old\n")
+
+        def failing_replace(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(convkernel.fileio.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename failed"):
+            write_text_atomic(path, "new\n")
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
     @pytest.mark.parametrize("umask", [None, 0o022, 0o077, 0o002])
     def test_mode_matches_a_plain_open(self, tmp_path, umask):
