@@ -1,12 +1,12 @@
 """Command-line entry point.
 
-Subcommands `sweep`, `eigvec` and `mnist` run the matching experiment from
-a flat key=value config file; `validate` parses a config and reports the
-experiment it describes without running anything.
+`run CONFIG` runs the experiment that the config's `experiment` key names
+and prints the paths of the files it wrote; `validate CONFIG` parses a
+config and reports the experiment it describes without running anything.
 
 Exit codes: 0 on success, 1 for config errors (bad keys, bad values,
-missing input files, experiment/subcommand mismatch), 2 for runtime or
-data errors encountered while running.
+missing input files), 2 for runtime or data errors encountered while
+running.
 """
 
 from __future__ import annotations
@@ -16,11 +16,7 @@ import sys
 from pathlib import Path
 
 from convkernel.config import ConfigError, parse_config
-from convkernel.experiments import (
-    run_depth_sweep,
-    run_eigvec_gallery,
-    run_mnist_experiment,
-)
+from convkernel.experiments import RUNNERS, output_files
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -37,9 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
-        ("sweep", "run a depth sweep of bias, variance and excess risk"),
-        ("eigvec", "render leading-eigenvector images across depths"),
-        ("mnist", "run two-digit image regression across depths"),
+        ("run", "run the experiment a config file describes"),
         ("validate", "parse a config file and report what it describes"),
     ):
         cmd = sub.add_parser(name, help=help_text)
@@ -58,30 +52,14 @@ def _run(command: str, config_path: Path) -> int:
         print(f"config OK: {cfg.experiment} experiment, output to {cfg.outdir}")
         return EXIT_OK
 
-    if cfg.experiment != command:
-        print(
-            f"config error: {config_path} describes a {cfg.experiment} experiment, "
-            f"but the {command} subcommand was invoked",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
-
     try:
-        if command == "sweep":
-            run_depth_sweep(cfg)
-            written = ["sweep.csv", "sweep_meta.json"]
-        elif command == "eigvec":
-            records = run_eigvec_gallery(cfg)
-            written = [r.image_file for r in records] + ["gallery.csv"]
-        else:
-            run_mnist_experiment(cfg)
-            written = ["mnist.csv", "mnist_meta.json"]
+        RUNNERS[cfg.experiment](cfg)
     except (ValueError, ArithmeticError, OSError, MemoryError) as error:
         print(f"runtime error: {error}", file=sys.stderr)
         return EXIT_RUNTIME
 
-    for name in written:
-        print(cfg.outdir / name)
+    for path in output_files(cfg):
+        print(path)
     return EXIT_OK
 
 

@@ -1,11 +1,12 @@
 """Flat key=value experiment configuration.
 
-One `key = value` pair per line, `#` starts a comment, unknown keys are
-rejected.  The required `experiment` key (sweep | eigvec | mnist) selects
-a config dataclass, which is the schema: each field declares its key's
-kind, default and bounds, and one interpreter reads the fields in order.
-Every key other than `images` and `labels` has a default.  Errors name
-the offending line and key.
+UTF-8 text (a leading byte-order mark is dropped), one `key = value` pair
+per line, `#` starts a comment, unknown keys are rejected.  The required
+`experiment` key (sweep | eigvec | mnist) selects a config dataclass,
+which is the schema: each field declares its key's kind, default and
+bounds, and one interpreter reads the fields in order.  Every key other
+than `images` and `labels` has a default.  Errors name the offending line
+and key.
 """
 
 from __future__ import annotations
@@ -135,7 +136,7 @@ class _Pairs:
         self.entries: dict[str, tuple[str, int]] = {}
         self.lines: dict[str, int] = {}
         try:
-            lines = Path(path).read_text(encoding="utf-8").splitlines()
+            lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         for line_no, raw in enumerate(lines, start=1):

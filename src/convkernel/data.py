@@ -7,6 +7,7 @@ size per dimension, then raw bytes.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -69,7 +70,7 @@ def _read_idx(path: str | Path, expected_magic: int, what: str) -> tuple[tuple, 
         raise IdxFormatError(f"{path}: truncated dims in {what} file")
     dims = struct.unpack(f">{ndims}I", raw[4:header_size])
     payload = raw[header_size:]
-    expected_bytes = int(np.prod(dims, dtype=np.int64))
+    expected_bytes = math.prod(dims)  # exact: an int64 product can wrap
     if len(payload) != expected_bytes:
         raise IdxFormatError(
             f"{path}: payload of {what} file holds {len(payload)} bytes, "

@@ -1,15 +1,17 @@
 """Experiment runners behind the CLI: depth sweeps, eigenvector gallery,
-two-digit image regression.
+two-digit image regression.  RUNNERS maps a config's `experiment` to its
+runner, and output_files(cfg) lists the files that run writes.
 
 A sweep runs its depths in groups whose p x p arrays and per-trial values
 fit DEPTH_GROUP_BUDGET_BYTES; each estimator draws its trials once per group
 and solves every depth of the group on them as if it were alone.
 
-Every runner computes all records first and only then writes its outputs,
-each replaced atomically: a run that fails before writing leaves nothing,
-one failing between two writes may leave the earlier files.  Output is fully
-determined by the config (including its seed) and the BLAS thread count:
-reruns at the same thread count are byte-identical.
+Every runner computes all records first and only then writes its outputs
+in output_files order, each replaced atomically: a run that fails before
+writing leaves nothing, one failing between two writes may leave the
+earlier files.  Output is fully determined by the config (including its
+seed) and the BLAS thread count: reruns at the same thread count are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -91,10 +93,6 @@ class GalleryRecord:
     depth: int
     participation_ratio: float
 
-    @property
-    def image_file(self) -> str:
-        return f"eigvec_D{self.depth}.pgm"
-
 
 @dataclass(frozen=True)
 class MnistDepthRecord:
@@ -129,6 +127,26 @@ def _meta_json(cfg: SweepConfig | MnistConfig, **derived) -> str:
     payload.update(derived)
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
                       default=_json_value) + "\n"
+
+
+def output_files(cfg: SweepConfig | EigvecConfig | MnistConfig) -> list[Path]:
+    """The files a run of cfg writes, in the order it writes them."""
+    if cfg.experiment == "eigvec":
+        names = [f"eigvec_D{depth}.pgm" for depth in cfg.depths] + ["gallery.csv"]
+    else:
+        names = [f"{cfg.experiment}.csv", f"{cfg.experiment}_meta.json"]
+    return [cfg.outdir / name for name in names]
+
+
+def _write_outputs(cfg: SweepConfig | EigvecConfig | MnistConfig, *contents) -> None:
+    """Create outdir and write each content, in order, to its output_files
+    path: text atomically, a uint8 image as PGM."""
+    cfg.outdir.mkdir(parents=True, exist_ok=True)
+    for path, content in zip(output_files(cfg), contents, strict=True):
+        if isinstance(content, str):
+            write_text_atomic(path, content)
+        else:
+            write_pgm(path, content)
 
 
 def _synthetic_coef(p: int, seed: int) -> np.ndarray:
@@ -254,10 +272,7 @@ def run_depth_sweep(cfg: SweepConfig) -> list[DepthSweepRecord]:
         records += _sweep_group(cfg, coef, problem, seeds, cfg.depths[first:first + group])
 
     meta = _meta_json(cfg, derived_seeds=seeds, ridge_epsilon=ridge_epsilon)
-    csv = _csv_text("sweep.csv", records)
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
-    write_text_atomic(cfg.outdir / "sweep.csv", csv)
-    write_text_atomic(cfg.outdir / "sweep_meta.json", meta)
+    _write_outputs(cfg, _csv_text("sweep.csv", records), meta)
     return records
 
 
@@ -293,11 +308,7 @@ def run_eigvec_gallery(cfg: EigvecConfig) -> list[GalleryRecord]:
         leading = leading_eigenvector(transforms.pop(0))
         records.append(GalleryRecord(depth, participation_ratio(leading)))
         images.append(grayscale(leading.reshape(cfg.geometry.axes)))
-    csv = _csv_text("gallery.csv", records)
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
-    for record, image in zip(records, images):
-        write_pgm(cfg.outdir / record.image_file, image)
-    write_text_atomic(cfg.outdir / "gallery.csv", csv)
+    _write_outputs(cfg, *images, _csv_text("gallery.csv", records))
     return records
 
 
@@ -353,8 +364,10 @@ def run_mnist_experiment(cfg: MnistConfig) -> list[MnistDepthRecord]:
         baseline_identity_loss_mean=baseline.mean[0],
         baseline_identity_loss_se=baseline.std_error[0],
     )
-    csv = _csv_text("mnist.csv", records)
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
-    write_text_atomic(cfg.outdir / "mnist.csv", csv)
-    write_text_atomic(cfg.outdir / "mnist_meta.json", meta)
+    _write_outputs(cfg, _csv_text("mnist.csv", records), meta)
     return records
+
+
+# Experiment -> runner; each takes its parsed config and returns its records.
+RUNNERS = {"sweep": run_depth_sweep, "eigvec": run_eigvec_gallery,
+           "mnist": run_mnist_experiment}

@@ -38,12 +38,13 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 
 
 def load_matrix_csv(path: str | Path) -> np.ndarray:
-    """Dense comma-separated rows of finite numbers; blank lines are skipped."""
-    data = Path(path).read_bytes()
+    """Dense comma-separated rows of finite numbers in UTF-8, with or without
+    a byte-order mark; blank lines are skipped."""
     try:
-        text = data.decode("utf-8")
+        text = Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
+        # exc.object is the text after any BOM, which exc.start indexes.
+        line_no = exc.object.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"{path}: line {line_no} is not UTF-8 text") from None
     rows = []
     for line_no, line in enumerate(text.splitlines(), start=1):

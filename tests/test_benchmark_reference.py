@@ -38,8 +38,6 @@ from pathlib import Path
 import workloads
 from convkernel import config, experiments
 
-runners = {"sweep": experiments.run_depth_sweep, "eigvec": experiments.run_eigvec_gallery,
-           "mnist": experiments.run_mnist_experiment}
 root = Path(sys.argv[1])
 for run in sys.argv[2:]:
     name, seed = run.split(":")
@@ -47,7 +45,7 @@ for run in sys.argv[2:]:
     work.mkdir(parents=True)
     cfg = config.parse_config(
         workloads.write_inputs(name, int(seed), work, root / run.replace(":", "-")))
-    runners[cfg.experiment](cfg)
+    experiments.RUNNERS[cfg.experiment](cfg)
 """
 
 

@@ -7,11 +7,12 @@ from pathlib import Path
 
 import pytest
 
-import convkernel.cli
 import convkernel.experiments
 from _digits import make_synthetic_idx
 from convkernel.cli import main
-from convkernel.config import DEPTH_COUNT_MAX
+from convkernel.config import DEPTH_COUNT_MAX, SCHEMAS, parse_config
+from convkernel.experiments import RUNNERS, output_files
+from convkernel.fileio import write_pgm
 from convkernel.rng import trial_rng
 
 
@@ -52,7 +53,7 @@ class TestValidate:
         config = write_config(
             tmp_path, SMALL_SWEEP + f"noise_var = {value}\noutdir = {outdir}\n"
         )
-        assert main(["sweep", str(config)]) == 1
+        assert main(["run", str(config)]) == 1
         assert ":9: noise_var must be finite" in capsys.readouterr().err
         assert not outdir.exists()
 
@@ -62,7 +63,7 @@ class TestValidate:
         config = write_config(
             tmp_path, SMALL_SWEEP + f"noise_var = {value}\noutdir = {outdir}\n"
         )
-        assert main(["sweep", str(config)]) == 1
+        assert main(["run", str(config)]) == 1
         assert ":9: noise_var must be <= 1e+100" in capsys.readouterr().err
         assert not outdir.exists()
 
@@ -75,7 +76,7 @@ class TestValidate:
             tmp_path, f"experiment = mnist\nimages = {images}\nlabels = {labels}\n"
                       f"count_per_class = 5\nn = 4\ndepths = 0\n{key} = 300\n"
                       f"outdir = {outdir}\n")
-        assert main(["mnist", str(config)]) == 1
+        assert main(["run", str(config)]) == 1
         assert f":7: {key} must be <= 255, got 300" in capsys.readouterr().err
         assert not outdir.exists()
 
@@ -106,7 +107,7 @@ class TestValidate:
         afile = write_config(tmp_path, "", name="afile")
         for outdir in (afile, afile / "sub"):
             config = write_config(tmp_path, SMALL_SWEEP + f"outdir = {outdir}\n")
-            assert main(["sweep", str(config)]) == 1
+            assert main(["run", str(config)]) == 1
             captured = capsys.readouterr()
             assert f"config error: {config}:9: outdir cannot be made: {afile}" in captured.err
             assert captured.out == ""
@@ -142,17 +143,24 @@ def assert_prints_exactly_its_outputs(out, outdir):
 
 
 class TestSubcommandDispatch:
-    def test_mismatched_experiment_exits_1(self, tmp_path, capsys):
-        config = write_config(tmp_path, SMALL_SWEEP + f"outdir = {tmp_path}\n")
-        assert main(["eigvec", str(config)]) == 1
-        err = capsys.readouterr().err
-        assert "describes a sweep experiment" in err
-        assert "eigvec subcommand" in err
+    def test_every_experiment_has_a_runner(self):
+        assert set(RUNNERS) == set(SCHEMAS)
+
+    @pytest.mark.parametrize("command", ["sweep", "eigvec", "mnist"])
+    def test_experiment_subcommands_are_gone(self, tmp_path, capsys, command):
+        # The config's experiment key alone picks the runner.
+        outdir = tmp_path / "out"
+        config = write_config(tmp_path, SMALL_SWEEP + f"outdir = {outdir}\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, str(config)])
+        assert exit_info.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_sweep_writes_and_prints_outputs(self, tmp_path, capsys):
         outdir = tmp_path / "out"
         config = write_config(tmp_path, SMALL_SWEEP + f"outdir = {outdir}\n")
-        assert main(["sweep", str(config)]) == 0
+        assert main(["run", str(config)]) == 0
         out = capsys.readouterr().out
         assert str(outdir / "sweep.csv") in out
         assert str(outdir / "sweep_meta.json") in out
@@ -164,7 +172,7 @@ class TestSubcommandDispatch:
         config = write_config(
             tmp_path, f"experiment = eigvec\np = 16\ndepths = 0,2\noutdir = {outdir}\n"
         )
-        assert main(["eigvec", str(config)]) == 0
+        assert main(["run", str(config)]) == 0
         out = capsys.readouterr().out
         assert str(outdir / "eigvec_D2.pgm") in out
         assert (outdir / "gallery.csv").is_file()
@@ -179,7 +187,7 @@ class TestSubcommandDispatch:
             "count_per_class = 15\nn = 5\ntrials = 2\ndepths = 0,2\n"
             f"outdir = {outdir}\n",
         )
-        assert main(["mnist", str(config)]) == 0
+        assert main(["run", str(config)]) == 0
         out = capsys.readouterr().out
         assert (outdir / "mnist.csv").is_file()
         assert (outdir / "mnist_meta.json").is_file()
@@ -197,7 +205,7 @@ class TestRuntimeErrors:
             f"experiment = mnist\nimages = {images}\nlabels = {labels}\n"
             f"count_per_class = 2\nn = 2\ntrials = 1\ndepths = 0\noutdir = {tmp_path}\n",
         )
-        assert main(["mnist", str(config)]) == 2
+        assert main(["run", str(config)]) == 2
         assert "runtime error" in capsys.readouterr().err
 
     def test_impossible_mnist_trials_exit_2_before_any_draw(self, tmp_path, idx_paths,
@@ -219,7 +227,7 @@ class TestRuntimeErrors:
             tmp_path, f"experiment = mnist\nimages = {images}\nlabels = {labels}\n"
                       f"count_per_class = 5\nn = 4\ndepths = 0\ntrials = {10**20}\n"
                       f"outdir = {outdir}\n")
-        assert main(["mnist", str(config)]) == 2
+        assert main(["run", str(config)]) == 2
         assert "runtime error: " in capsys.readouterr().err
         assert draws == []
         assert not outdir.exists()
@@ -232,7 +240,7 @@ class TestRuntimeErrors:
             SMALL_SWEEP
             + f"sigma_source = file\nsigma_file = {sigma}\noutdir = {tmp_path}\n",
         )
-        assert main(["sweep", str(config)]) == 2
+        assert main(["run", str(config)]) == 2
         err = capsys.readouterr().err
         assert "runtime error" in err
         assert "expected (8, 8)" in err
@@ -249,8 +257,28 @@ class TestRuntimeErrors:
             SMALL_SWEEP
             + f"{source}_source = file\n{source}_file = {data}\noutdir = {tmp_path}\n",
         )
-        assert main(["sweep", str(config)]) == 2
+        assert main(["run", str(config)]) == 2
         assert f"runtime error: {data}: " in capsys.readouterr().err
+
+    def test_failing_second_write_leaves_the_first_and_prints_no_path(self, tmp_path,
+                                                                       capsys, monkeypatch):
+        # The gallery writes one image per depth, then gallery.csv; a failure
+        # between two writes leaves the files written before it.
+        def write_once(path, image):
+            if any(outdir.iterdir()):
+                raise OSError("No space left on device")
+            write_pgm(path, image)
+
+        monkeypatch.setattr(convkernel.experiments, "write_pgm", write_once)
+        outdir = tmp_path / "out"
+        config = write_config(
+            tmp_path, f"experiment = eigvec\np = 16\ndepths = 0,2,5\noutdir = {outdir}\n"
+        )
+        assert main(["run", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "runtime error: No space left on device\n"
+        assert captured.out == ""
+        assert sorted(outdir.iterdir()) == output_files(parse_config(config))[:1]
 
     def test_allocation_failure_exits_2(self, tmp_path, capsys, monkeypatch):
         # A size the machine could really fail to allocate would take it
@@ -258,9 +286,9 @@ class TestRuntimeErrors:
         def out_of_memory(cfg):
             raise MemoryError("Unable to allocate 80.0 GiB for an array")
 
-        monkeypatch.setattr(convkernel.cli, "run_depth_sweep", out_of_memory)
+        monkeypatch.setitem(RUNNERS, "sweep", out_of_memory)
         config = write_config(tmp_path, SMALL_SWEEP + f"outdir = {tmp_path}\n")
-        assert main(["sweep", str(config)]) == 2
+        assert main(["run", str(config)]) == 2
         assert capsys.readouterr().err == (
             "runtime error: Unable to allocate 80.0 GiB for an array\n")
 
@@ -273,7 +301,7 @@ class TestDeterminism:
             config = write_config(
                 tmp_path, SMALL_SWEEP + f"outdir = {outdir}\n", name=f"{name}.cfg"
             )
-            assert main(["sweep", str(config)]) == 0
+            assert main(["run", str(config)]) == 0
             capsys.readouterr()
             blobs.append((outdir / "sweep.csv").read_bytes())
         assert blobs[0] == blobs[1]

@@ -38,6 +38,12 @@ class TestFileSyntax:
         with pytest.raises(ConfigError, match="cannot read config file .*bad.cfg"):
             parse_config(path)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_bytes("\ufeffexperiment = sweep\np = 12\n".encode())
+        cfg = parse_config(path)
+        assert cfg.experiment == "sweep" and cfg.geometry.p == 12
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         cfg = parse_text(
             tmp_path,

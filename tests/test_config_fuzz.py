@@ -220,7 +220,7 @@ def test_validated_tiny_sweeps_run_or_exit_2_with_a_data_error(workdir, capsys):
                          label="beta")
         (workdir / "beta_file.csv").write_text(",".join(map(repr, beta)) + "\n")
         capsys.readouterr()
-        code = main(["sweep", str(path)])
+        code = main(["run", str(path)])
         err = capsys.readouterr().err
         if code == 0:
             rows = np.genfromtxt(cfg.outdir / "sweep.csv", delimiter=",", skip_header=1,

@@ -36,11 +36,9 @@ tracer = spans.Tracer()
 from convkernel import config, experiments
 
 tracer.install()
-runners = {"sweep": experiments.run_depth_sweep, "eigvec": experiments.run_eigvec_gallery,
-           "mnist": experiments.run_mnist_experiment}
 for path in sys.argv[2:]:
     cfg = config.parse_config(path)
-    runners[cfg.experiment](cfg)
+    experiments.RUNNERS[cfg.experiment](cfg)
 trace = tracer.export()
 print(json.dumps({"traced": [f"{owner}.{name}" for owner, names in spans.TRACED.items()
                              for name in names],

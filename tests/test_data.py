@@ -80,6 +80,17 @@ class TestIdxParsing:
         with pytest.raises(IdxFormatError, match="payload"):
             load_idx_images(images_path, labels_path)
 
+    def test_header_product_past_int64_is_a_payload_error(self, tmp_path):
+        # 65536 * 2**24 * 2**24 = 2**64 wraps to 0 in int64, so a file holding
+        # only its header would pass the size check.
+        images_path = tmp_path / "img"
+        labels_path = tmp_path / "lbl"
+        images_path.write_bytes(struct.pack(">IIII", 0x803, 65536, 2**24, 2**24))
+        labels_path.write_bytes(struct.pack(">II", 0x801, 65536) + bytes(65536))
+        with pytest.raises(IdxFormatError,
+                           match=f"payload of images file holds 0 bytes.* require {2**64}"):
+            load_idx_images(images_path, labels_path)
+
     def test_count_mismatch(self, tmp_path):
         images_path = tmp_path / "img"
         labels_path = tmp_path / "lbl"

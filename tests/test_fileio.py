@@ -84,6 +84,17 @@ class TestMatrixCsv:
         with pytest.raises(ValueError, match="bad.csv: line 3 is not UTF-8 text"):
             load_matrix_csv(path)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1.0,2.0\n3,4\n")
+        assert_array_equal(load_matrix_csv(path), [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_non_utf8_after_a_byte_order_mark_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xef\xbb\xbf1,2\n3,\xff\n")
+        with pytest.raises(ValueError, match="bad.csv: line 2 is not UTF-8 text"):
+            load_matrix_csv(path)
+
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
