@@ -48,6 +48,9 @@ _RANGE_KEYS = {"depth_min": DEPTH_MAX, "depth_max": DEPTH_MAX, "depth_count": DE
 NOISE_VAR_MAX = 1e100
 # IDX labels are unsigned bytes.
 DIGIT_MAX = 255
+# rng keys its streams on a seed's low 64 bits, so a seed outside
+# [0, SEED_MAX] would draw exactly as one inside does.
+SEED_MAX = 2**64 - 1
 
 
 class ConfigError(ValueError):
@@ -92,7 +95,7 @@ class SweepConfig:
     trials_var: int = _key(INT, 2000, 1)
     trials_risk: int = _key(INT, 500, 1)
     risk_test_points: int = _key(INT, 256, 1)
-    seed: int = _key(INT, 0)
+    seed: int = _key(INT, 0, 0, maximum=SEED_MAX)
     outdir: Path = _key(PATH, Path("out"))
 
 
@@ -124,7 +127,7 @@ class MnistConfig:
     padding: Padding = _key(Padding, Padding.ZERO)
     architecture: Architecture = _key(Architecture, Architecture.POOLING)
     shuffle: bool = _key(BOOL, False)
-    seed: int = _key(INT, 0)
+    seed: int = _key(INT, 0, 0, maximum=SEED_MAX)
     outdir: Path = _key(PATH, Path("out"))
 
 

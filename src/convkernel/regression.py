@@ -6,8 +6,10 @@ quantify its bias (error of the mean predictor over training-set draws),
 variance (label-noise contribution), and total excess risk; the three are
 related by risk = bias + variance.  Every Gram X T X^T is solved by one
 PSD pseudo-inverse kernel, _apply_pinv: through its Cholesky factor where
-that factor certifies full rank under the PINV_RTOL cutoff, and through its
-eigendecomposition otherwise.  Each estimator takes a sequence of
+that factor certifies full rank under the PINV_RTOL cutoff, with the
+factor's inverse taken by blocked forward substitution, and through its
+eigendecomposition otherwise; the eigendecomposition runs only for the
+kernels that fail the certificate.  Each estimator takes a sequence of
 transforms and draws every chunk of trials once for all of them, so the
 transforms ride on common random numbers; each transform's estimate is
 bit for bit the one it gets alone.
@@ -26,6 +28,9 @@ from convkernel.kernels import FeatureTransform, _check_symmetric_psd, cholesky_
 from convkernel.rng import trial_chunks
 
 PINV_RTOL = 1e-12
+# Triangular inverses of at most this order are taken row by row; larger
+# ones are split in 2 x 2 blocks, so their work is matrix products.
+SUBSTITUTION_MAX = 16
 
 
 @dataclass(frozen=True)
@@ -92,6 +97,40 @@ class RiskEstimate:
     trials: int
 
 
+def _lower_triangular_inverse(factors: np.ndarray) -> np.ndarray:
+    """Inverse of each lower-triangular matrix of a stack (k, n, n), read
+    from its lower triangle.
+
+    Up to SUBSTITUTION_MAX rows it is forward substitution, one stacked
+    (k, 1, i) @ (k, i, i) product per row i with the row pre-scaled by
+    minus the diagonal's reciprocal; above, the 2 x 2 block split
+    X11 = L11^-1, X22 = L22^-1, X21 = -X22 (L21 X11).  Both are as accurate
+    as a general inverse (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 14).  Every product runs once per matrix on operands of
+    the same strides whatever k, so each inverse's bits depend on its own
+    matrix only.  A NaN entry or a zero diagonal leaves NaN or inf in the
+    inverse, as does an inverse that overflows; no warning is raised.
+    """
+    n = factors.shape[-1]
+    inverses = np.zeros_like(factors)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if n > SUBSTITUTION_MAX:
+            half = n // 2
+            leading = _lower_triangular_inverse(factors[:, :half, :half])
+            trailing = _lower_triangular_inverse(factors[:, half:, half:])
+            inverses[:, :half, :half] = leading
+            inverses[:, half:, half:] = trailing
+            inverses[:, half:, :half] = -(trailing @ (factors[:, half:, :half] @ leading))
+            return inverses
+        reciprocals = 1.0 / np.diagonal(factors, axis1=-2, axis2=-1)
+        scaled = factors * -reciprocals[:, :, None]
+        diagonal = np.arange(n)
+        inverses[:, diagonal, diagonal] = reciprocals
+        for i in range(1, n):
+            inverses[:, i:i + 1, :i] = scaled[:, i:i + 1, :i] @ inverses[:, :i, :i]
+    return inverses
+
+
 def _apply_pinv(kernel: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
     """Pseudo-inverse solve of a symmetric PSD kernel, or of each kernel in a
     stack (..., n, n), for a vector rhs (..., n) or a matrix rhs (..., n, k);
@@ -101,10 +140,11 @@ def _apply_pinv(kernel: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
     2 * n * PINV_RTOL * trace(K) * ||L^-1||_F^2 < 1: its least eigenvalue,
     at least 1 / ||L^-1||_F^2, is then above the cutoff n * max * PINV_RTOL
     (max <= trace(K)) with a factor 2 to spare for rounding, so it keeps
-    full rank and is solved as L^-T (L^-1 rhs).  Every other kernel is
-    solved through its eigendecomposition, dropping what the cutoff drops.
-    Each kernel's path and bits depend on that kernel alone, not on the
-    kernels stacked with it.
+    full rank and is solved as L^-T (L^-1 rhs), with L^-1 from
+    _lower_triangular_inverse.  Only when some kernel fails the certificate
+    does an eigendecomposition run, on those kernels alone, dropping what
+    the cutoff drops.  Each kernel's path and bits depend on that kernel
+    alone, not on the kernels stacked with it.
 
     Returns (solution, kept): for one kernel the rank kept, for a stack the
     number of kernels kept at full rank (certified kernels count as full
@@ -119,7 +159,7 @@ def _apply_pinv(kernel: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
     columns = rhs.reshape((len(kernels), n, 1 if vector else rhs.shape[-1]))
     # A kernel that does not factor (a zero kernel, say) has a NaN factor,
     # whose NaN inverse fails the certificate.
-    inverses = np.linalg.inv(cholesky_or_nan(kernels))
+    inverses = _lower_triangular_inverse(cholesky_or_nan(kernels))
     # The product form holds for n = 0 too; an inverse overflowing to inf
     # fails the certificate.
     with np.errstate(over="ignore"):
@@ -132,18 +172,21 @@ def _apply_pinv(kernel: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
     factor_inverses = inverses[certified]
     solution[certified] = (np.swapaxes(factor_inverses, -1, -2)
                            @ (factor_inverses @ columns[certified]))
-    eigenvalues, eigenvectors = np.linalg.eigh(kernels[rest])
-    cutoff = n * np.max(eigenvalues, axis=-1, initial=0.0) * PINV_RTOL
-    keep = eigenvalues > cutoff[:, None]
-    ranks = np.sum(keep, axis=-1)
-    # A dropped eigenvalue divides as inf, so its terms are exact zeros.
-    basis_t = np.ascontiguousarray(np.swapaxes(eigenvectors, -1, -2))
-    divisors = np.where(keep, eigenvalues, np.inf)[..., None]
-    solution[rest] = np.swapaxes(basis_t, -1, -2) @ ((basis_t @ columns[rest]) / divisors)
+    kept = int(np.sum(certified))
+    if rest.any():
+        eigenvalues, eigenvectors = np.linalg.eigh(kernels[rest])
+        cutoff = n * np.max(eigenvalues, axis=-1, initial=0.0) * PINV_RTOL
+        keep = eigenvalues > cutoff[:, None]
+        ranks = np.sum(keep, axis=-1)
+        kept += int(np.sum(ranks == n))
+        # A dropped eigenvalue divides as inf, so its terms are exact zeros.
+        basis_t = np.ascontiguousarray(np.swapaxes(eigenvectors, -1, -2))
+        divisors = np.where(keep, eigenvalues, np.inf)[..., None]
+        solution[rest] = np.swapaxes(basis_t, -1, -2) @ ((basis_t @ columns[rest]) / divisors)
     solution = solution.reshape(rhs.shape)
     if single:
         return solution, n if certified[0] else int(ranks[0])
-    return solution, int(np.sum(certified) + np.sum(ranks == n))
+    return solution, kept
 
 
 def _matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:

@@ -67,6 +67,14 @@ class TestValidate:
         assert ":9: noise_var must be <= 1e+100" in capsys.readouterr().err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_64_bits_exits_1_before_any_output(self, tmp_path, capsys, seed):
+        outdir = tmp_path / "out"
+        config = write_config(tmp_path, SMALL_SWEEP + f"seed = {seed}\noutdir = {outdir}\n")
+        assert main(["run", str(config)]) == 1
+        assert ":9: seed must be" in capsys.readouterr().err
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("key", ["digit_pos", "digit_neg"])
     def test_digit_above_a_byte_exits_1_before_any_output(self, tmp_path, idx_paths,
                                                            capsys, key):

@@ -4,6 +4,7 @@ import pytest
 
 from convkernel.config import (
     DEPTH_COUNT_MAX,
+    SEED_MAX,
     ConfigError,
     EigvecConfig,
     MnistConfig,
@@ -251,8 +252,21 @@ class TestIntegerBounds:
                                    f"depth_max = {DEPTH_MAX}\ndepth_count = 3\n")
         assert cfg.depths == (1, 3037000500, DEPTH_MAX)
 
-    def test_seed_of_any_size_is_accepted(self, tmp_path):
-        assert parse_text(tmp_path, f"experiment = sweep\nseed = {10**400}\n").seed == 10**400
+    @pytest.mark.parametrize("experiment", ["sweep", "mnist"])
+    @pytest.mark.parametrize("seed, bound", [(-1, ">= 0"), (2**64, f"<= {SEED_MAX}"),
+                                             (10**400, f"<= {SEED_MAX}")],
+                             ids=["-1", "2**64", "10**400"])
+    def test_seed_outside_64_bits_is_refused(self, tmp_path, experiment, seed, bound):
+        # A seed is used mod 2**64, so -1 and 2**64 - 1 would draw alike.
+        data = tmp_path / "data.idx"
+        data.write_bytes(b"")
+        files = f"images = {data}\nlabels = {data}\n" if experiment == "mnist" else ""
+        message = error_of(tmp_path, f"experiment = {experiment}\nseed = {seed}\n{files}")
+        assert f":2: seed must be {bound}, got {seed}" in message
+
+    def test_largest_seed_is_accepted(self, tmp_path):
+        assert SEED_MAX == 2**64 - 1
+        assert parse_text(tmp_path, f"experiment = sweep\nseed = {SEED_MAX}\n").seed == SEED_MAX
 
 
 class TestDepthGrids:

@@ -28,6 +28,7 @@ from convkernel.config import (
     INT,
     PATH,
     SCHEMAS,
+    SEED_MAX,
     SQUARE,
     ConfigError,
     SweepConfig,
@@ -64,7 +65,7 @@ def tiny_ints(minimum, maximum):
     """An in-range integer for a sweep that runs in milliseconds: a depth or
     a seed spans its whole range, every other integer (the trial counts,
     depth_count) is at most its minimum + 3."""
-    if minimum is None or maximum == DEPTH_MAX:
+    if minimum is None or maximum in (DEPTH_MAX, SEED_MAX):
         high = INT_SPAN if maximum is None else maximum
         low = -high if minimum is None else minimum
         return st.one_of(st.integers(low, high), st.sampled_from([low, high])).map(str)

@@ -247,10 +247,15 @@ def test_one_kernel_solves_a_gram():
     """Cholesky factors come from one helper, kernels.cholesky_or_nan, and
     only the two certificates call it: the one PSD pseudo-inverse kernel
     and the PSD check.  So no second fast path factors a matrix outside a
-    certificate."""
+    certificate.  No package code takes a general inverse, and the factor's
+    triangular inverse serves the pseudo-inverse kernel alone (and its own
+    block recursion)."""
     assert package_owners("cholesky") == {"kernels.cholesky_or_nan"}
     assert package_owners("cholesky_or_nan") == {"regression._apply_pinv",
                                                  "kernels._check_symmetric_psd"}
+    assert package_owners("inv") == set()
+    assert package_owners("_lower_triangular_inverse") == {
+        "regression._apply_pinv", "regression._lower_triangular_inverse"}
 
 
 def test_one_scale_safe_norm():

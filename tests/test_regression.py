@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from convkernel import regression
 from convkernel.kernels import (
     Architecture,
     ConvGeometry,
@@ -23,8 +24,10 @@ from convkernel.kernels import (
 )
 from convkernel.regression import (
     PINV_RTOL,
+    SUBSTITUTION_MAX,
     RegressionProblem,
     _apply_pinv,
+    _lower_triangular_inverse,
     bias_conditional,
     bias_mc,
     estimate,
@@ -214,9 +217,11 @@ def random_kernel(rng: np.random.Generator, kind: str, n: int) -> np.ndarray:
 
 def spied_pinv(kernel: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
     """_apply_pinv's (solution, kept), and the stack of kernels it sent to
-    the eigendecomposition."""
+    the eigendecomposition: an empty stack when it did not call eigh."""
     with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
         solution, kept = _apply_pinv(kernel, rhs)
+    if not eigh.called:
+        return solution, kept, np.empty((0,) + kernel.shape[-2:])
     (sent,), _ = eigh.call_args
     return solution, kept, sent
 
@@ -319,6 +324,70 @@ class TestApplyPinv:
         assert_array_equal(sent, kernels[[1, 2]])
         assert full == 3
         assert_array_equal(solution[1], 0.0)
+
+    def test_an_all_certified_stack_never_calls_eigh(self):
+        rng = np.random.default_rng(34)
+        kernels = np.stack([random_kernel(rng, "certified", 10) for _ in range(40)])
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            solution, full = _apply_pinv(kernels, rng.standard_normal((40, 10, 3)))
+        assert eigh.call_count == 0
+        assert full == 40
+        assert np.isfinite(solution).all()
+
+    @pytest.mark.parametrize("case", ["nan factor", "zero diagonal", "overflowing inverse"])
+    def test_a_non_finite_factor_inverse_is_not_certified(self, case):
+        # Cholesky never returns these factors for the kernel given, so the
+        # factor is put in its place: the certificate must refuse it and
+        # send the kernel to the eigendecomposition.
+        factor = {"nan factor": np.full((2, 2), np.nan),
+                  "zero diagonal": np.array([[1.0, 0.0], [1.0, 0.0]]),
+                  "overflowing inverse": np.array([[1e-200, 0.0], [1.0, 1e-200]])}[case]
+        assert not np.isfinite(_lower_triangular_inverse(factor[None])).all()
+        kernels = np.stack([np.eye(2), 2 * np.eye(2)])
+        factors = np.stack([factor, np.sqrt(2) * np.eye(2)])
+        with mock.patch.object(regression, "cholesky_or_nan", return_value=factors):
+            solution, full, sent = spied_pinv(kernels, np.ones((2, 2)))
+        assert_array_equal(sent, kernels[:1])
+        assert full == 2
+        assert_allclose(solution, [[1.0, 1.0], [0.5, 0.5]], rtol=1e-15)
+
+
+def random_factors(rng: np.random.Generator, k: int, n: int) -> np.ndarray:
+    """k lower Cholesky factors of random well-conditioned n x n kernels."""
+    return np.linalg.cholesky(np.stack([random_kernel(rng, "certified", n) for _ in range(k)]))
+
+
+class TestLowerTriangularInverse:
+    @pytest.mark.parametrize("n", [0, 1, 2, 10, SUBSTITUTION_MAX, SUBSTITUTION_MAX + 1, 33, 100])
+    def test_matches_the_general_inverse(self, n):
+        # Substitution and the general inverse both have error of order
+        # n eps cond(L) relative to the inverse (Higham, ch. 14).
+        rng = np.random.default_rng(35)
+        factors = random_factors(rng, 5, n)
+        inverses = _lower_triangular_inverse(factors)
+        assert inverses.shape == factors.shape
+        assert_array_equal(np.triu(inverses, 1), 0.0)
+        for factor, inverse in zip(factors, inverses):
+            expected = np.linalg.inv(factor)
+            condition = np.linalg.cond(factor) if n else 1.0
+            bound = 4 * n * np.finfo(float).eps * condition * np.linalg.norm(expected)
+            assert np.linalg.norm(inverse - expected) <= bound
+
+    @pytest.mark.parametrize("n", [10, 33])
+    def test_each_inverse_is_its_own_alone_or_in_a_stack(self, n):
+        rng = np.random.default_rng(36)
+        factors = random_factors(rng, 40, n)
+        factors[7] = np.nan
+        stacked = _lower_triangular_inverse(factors)
+        for factor, inverse in zip(factors, stacked):
+            assert_array_equal(inverse, _lower_triangular_inverse(factor[None])[0])
+        assert_array_equal(_lower_triangular_inverse(factors[::3]), stacked[::3])
+
+    def test_reads_only_the_lower_triangle(self):
+        factors = random_factors(np.random.default_rng(37), 3, 20)
+        scribbled = factors + np.triu(np.full((20, 20), np.nan), 1)
+        assert_array_equal(_lower_triangular_inverse(scribbled),
+                           _lower_triangular_inverse(factors))
 
 
 class TestStackedFits:
